@@ -20,9 +20,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from .core import (
     Formula, Interpretation, EMPTY_INTERP, PAnd, PImplies, PNot, POr, PRel,
     Prob, ProbFormula, RatConst, RealExpr, RealVar, RBin, State,
-    SubDistribution, formula_log_vars, format_fraction, parse_fraction,
-    prob_log_vars, prob_real_vars, real_log_vars, real_real_vars,
-    _AOP_FUN, _ROP_FUN,
+    SubDistribution, dag_walk, format_fraction, log_vars, parse_fraction,
+    real_vars, _AOP_FUN, _ROP_FUN,
 )
 from .semantics import DEFAULT_QWINDOW, sat_det
 
@@ -35,29 +34,20 @@ def eval_real(r: RealExpr, dist: SubDistribution,
               interp: Interpretation = EMPTY_INTERP,
               qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> Fraction:
     """Exact rational value of a real expression against a sub-distribution."""
-    memo: dict[int, Fraction] = {}
-
-    def go(n: RealExpr) -> Fraction:
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
+    def step(n: RealExpr, go) -> Fraction:
         if isinstance(n, RatConst):
-            out = n.value
-        elif isinstance(n, RealVar):
-            out = interp.real_value(n.name)
-        elif isinstance(n, Prob):
-            out = sum(
+            return n.value
+        if isinstance(n, RealVar):
+            return interp.real_value(n.name)
+        if isinstance(n, Prob):
+            return sum(
                 (p for s, p in dist.items() if sat_det(n.formula, s, interp, qwindow)),
                 Fraction(0))
-        elif isinstance(n, RBin):
-            out = _AOP_FUN[n.op](go(n.left), go(n.right))
-        else:
-            raise TypeError(f"not a real expression: {n!r}")
-        memo[key] = out
-        return out
+        if isinstance(n, RBin):
+            return _AOP_FUN[n.op](go(n.left), go(n.right))
+        raise TypeError(f"not a real expression: {n!r}")
 
-    return go(r)
+    return dag_walk(r, step)
 
 
 def sat_prob(f: ProbFormula, dist: SubDistribution,
@@ -201,7 +191,7 @@ def check_valid_det(f: Formula, window: StateWindow,
                     qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
     """Truth at every window state under every interpretation of free vars."""
     scope = f"{window}, quantifiers over {list(qwindow)}"
-    for interp in interpretations(formula_log_vars(f), qwindow):
+    for interp in interpretations(log_vars(f), qwindow):
         for s in window.states():
             if not sat_det(f, s, interp, qwindow):
                 return ValidityVerdict(False, scope, (s, interp))
@@ -213,8 +203,7 @@ def check_valid_prob(f: ProbFormula, family: DistFamily,
                      real_grid: Sequence[Fraction] = REAL_GRID) -> ValidityVerdict:
     """Truth on every family member under every interpretation in the grids."""
     scope = f"{family.description}, quantifiers over {list(qwindow)}"
-    for interp in interpretations(prob_log_vars(f), qwindow,
-                                  prob_real_vars(f), real_grid):
+    for interp in interpretations(log_vars(f), qwindow, real_vars(f), real_grid):
         for label, dist in family:
             if not sat_prob(f, dist, interp, qwindow):
                 return ValidityVerdict(False, scope, (label, interp))
@@ -227,8 +216,8 @@ def prob_equivalent_on_family(f: ProbFormula, g: ProbFormula, family: DistFamily
                               ) -> ValidityVerdict:
     """Same truth value on every family member (used for WP-schema matching)."""
     scope = f"{family.description}, quantifiers over {list(qwindow)}"
-    lvars = prob_log_vars(f) | prob_log_vars(g)
-    rvars = prob_real_vars(f) | prob_real_vars(g)
+    lvars = log_vars(f) | log_vars(g)
+    rvars = real_vars(f) | real_vars(g)
     for interp in interpretations(lvars, qwindow, rvars, real_grid):
         for label, dist in family:
             if sat_prob(f, dist, interp, qwindow) != sat_prob(g, dist, interp, qwindow):
@@ -242,8 +231,8 @@ def real_equivalent_on_family(a: RealExpr, b: RealExpr, family: DistFamily,
                               ) -> ValidityVerdict:
     """Same rational value on every family member."""
     scope = f"{family.description}, quantifiers over {list(qwindow)}"
-    lvars = real_log_vars(a) | real_log_vars(b)
-    rvars = real_real_vars(a) | real_real_vars(b)
+    lvars = log_vars(a) | log_vars(b)
+    rvars = real_vars(a) | real_vars(b)
     for interp in interpretations(lvars, qwindow, rvars, real_grid):
         for label, dist in family:
             if eval_real(a, dist, interp, qwindow) != eval_real(b, dist, interp, qwindow):

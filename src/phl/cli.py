@@ -18,8 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .core import (
-    SubDistribution, UnboundVariable, command_prog_vars, format_fraction,
-    formula_prog_vars, prob_prog_vars, real_prog_vars,
+    SubDistribution, UnboundVariable, format_fraction, prog_vars,
 )
 from .parser import (
     ParseError, parse_command, parse_det_formula, parse_prob_formula,
@@ -86,6 +85,14 @@ def apply_flags(cfg: Config, args: argparse.Namespace) -> Config:
         if value is not None:
             fields[key] = value
     return replace(cfg, **fields)
+
+
+def check_bounds(cfg: Config) -> None:
+    """Bounds from flags or the config file must be non-negative."""
+    for key in ("loop_bound", "unroll", "depth"):
+        value = getattr(cfg, key)
+        if value < 0:
+            raise UsageError(f"{key} must be non-negative, got {value}")
 
 
 def _emit_json(payload: dict) -> None:
@@ -158,7 +165,7 @@ def cmd_run(args, cfg: Config) -> int:
 def cmd_wp(args, cfg: Config) -> int:
     program = parse_command(args.program)
     post = parse_det_formula(args.post)
-    window = _window_for(command_prog_vars(program) | formula_prog_vars(post), cfg)
+    window = _window_for(prog_vars(program) | prog_vars(post), cfg)
     formula, traces = wp(program, post, cfg.unroll, window, cfg.quant_window)
     if cfg.format == "json":
         _emit_json({
@@ -182,7 +189,7 @@ def cmd_wp(args, cfg: Config) -> int:
 def cmd_pt(args, cfg: Config) -> int:
     program = parse_command(args.program)
     expr = parse_real_expr(args.term)
-    window = _window_for(command_prog_vars(program) | real_prog_vars(expr), cfg)
+    window = _window_for(prog_vars(program) | prog_vars(expr), cfg)
     term, expansions = pt(program, expr, cfg.unroll, cfg.depth, window,
                           cfg.quant_window)
     if cfg.format == "json":
@@ -208,7 +215,7 @@ def cmd_pt(args, cfg: Config) -> int:
 def cmd_wpp(args, cfg: Config) -> int:
     program = parse_command(args.program)
     post = parse_prob_formula(args.post)
-    window = _window_for(command_prog_vars(program) | prob_prog_vars(post), cfg)
+    window = _window_for(prog_vars(program) | prog_vars(post), cfg)
     formula, expansions = wp_prob(program, post, cfg.unroll, cfg.depth, window,
                                   cfg.quant_window)
     if cfg.format == "json":
@@ -227,11 +234,7 @@ def cmd_wpp(args, cfg: Config) -> int:
 
 def cmd_check(args, cfg: Config) -> int:
     triple = parse_triple(args.triple)
-    names = command_prog_vars(triple.command)
-    if triple.prob:
-        names |= prob_prog_vars(triple.pre) | prob_prog_vars(triple.post)
-    else:
-        names |= formula_prog_vars(triple.pre) | formula_prog_vars(triple.post)
+    names = prog_vars(triple.command) | prog_vars(triple.pre) | prog_vars(triple.post)
     window = _window_for(names, cfg)
     if triple.prob:
         extra = [load_dist(args.dists)] if args.dists else []
@@ -324,14 +327,31 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_WINDOW_FLAGS = ("--int-window", "--quant-window")
+
+
+def _join_window_values(argv: list[str]) -> list[str]:
+    """argparse reads a window such as -8..8 as an option, so a window flag
+    followed by a value starting with '-' is joined to it with '='."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _WINDOW_FLAGS and arg.startswith("-"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_window_values(argv))
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
         cfg = apply_flags(load_config(), args)
+        check_bounds(cfg)
         return args.handler(args, cfg)
     except (ParseError, UsageError, UnboundVariable, ValueError, OSError,
             json.JSONDecodeError) as err:

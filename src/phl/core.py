@@ -10,13 +10,20 @@ with an uppercase letter (leading underscores are reserved for generated
 names), logical variables are lowercase, and real-valued assertion variables
 carry an `@` prefix.  The identifier `P` is reserved for the probability
 operator.
+
+AST nodes are hash-consed: structurally equal nodes are one object, so `==`
+is `is` and terms built by the transformers share every common subterm.
+Free variables come from one collector per sort, each accepting any node:
+`prog_vars`, `log_vars` and `real_vars`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 AOPS = ("+", "-", "*")
 ROPS = ("<", "<=", "=", ">=", ">")
@@ -55,10 +62,79 @@ def format_fraction(q: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing.  Every AST node is built through one weak unique table keyed
+# on its class and field values, so structurally equal nodes are one object:
+# `==` and `hash` are identity, and each node's checks run once, when it is
+# first built.  Child nodes compare by identity inside the key; scalar
+# fields that compare equal across types (1 == True == Fraction(1)) also
+# key on their type.  The table holds its nodes weakly: a node no one else
+# refers to is dropped, and so is its entry.
+
+_TABLE: dict[tuple, weakref.ref] = {}
+_NODE_FAMILIES = ("ArithExpr", "Formula", "Command", "RealExpr", "ProbFormula")
+_set_field = object.__setattr__
+
+
+def _evict(key: tuple, ref: weakref.ref) -> None:
+    if _TABLE.get(key) is ref:
+        del _TABLE[key]
+
+
+class Node:
+    """Base of every AST node: construction returns the interned node."""
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()   # constructor arguments, in order
+    _kids: tuple[str, ...] = ()     # the fields that hold child nodes
+    _typed = False                  # key on the type of the first field too
+
+    def __new__(cls, *args):
+        key = (cls, type(args[0])) + args if cls._typed else (cls,) + args
+        ref = _TABLE.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments "
+                            f"({', '.join(cls._fields)}), got {len(args)}")
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, args):
+            _set_field(node, name, value)
+        node._validate()
+        _TABLE[key] = weakref.ref(node, partial(_evict, key))
+        return node
+
+    def _validate(self) -> None:
+        """Raise ValueError for an ill-formed node; runs before interning."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def children(self) -> tuple["Node", ...]:
+        return tuple(getattr(self, k) for k in self._kids)
+
+    def map(self, fn: Callable[["Node"], "Node"]) -> "Node":
+        """This node with fn applied to each child."""
+        if not self._kids:
+            return self
+        return type(self)(*[fn(getattr(self, f)) if f in self._kids
+                            else getattr(self, f) for f in self._fields])
+
+
+def _node(cls):
+    """Declare an AST node class from its annotated fields."""
+    cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    cls._kids = tuple(f.name for f in fields(cls) if f.type in _NODE_FAMILIES)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Arithmetic expressions
 
 
-class ArithExpr:
+class ArithExpr(Node):
     """Integer-valued expression over program and logical variables."""
 
     __slots__ = ()
@@ -67,28 +143,29 @@ class ArithExpr:
         return arith_to_source(self)
 
 
-@dataclass(frozen=True)
+@_node
 class IntConst(ArithExpr):
     value: int
+    _typed = True
 
 
-@dataclass(frozen=True)
+@_node
 class ProgVar(ArithExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class LogVar(ArithExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class ABin(ArithExpr):
     op: str
     left: ArithExpr
     right: ArithExpr
 
-    def __post_init__(self):
+    def _validate(self):
         if self.op not in AOPS:
             raise ValueError(f"unknown arithmetic operator {self.op!r}")
 
@@ -98,7 +175,7 @@ class ABin(ArithExpr):
 # subset)
 
 
-class Formula:
+class Formula(Node):
     """First-order assertion over integer expressions."""
 
     __slots__ = ()
@@ -107,46 +184,47 @@ class Formula:
         return formula_to_source(self)
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit(Formula):
     value: bool
+    _typed = True
 
 
-@dataclass(frozen=True)
+@_node
 class Rel(Formula):
     op: str
     left: ArithExpr
     right: ArithExpr
 
-    def __post_init__(self):
+    def _validate(self):
         if self.op not in ROPS:
             raise ValueError(f"unknown relation {self.op!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(Formula):
     var: str
     body: Formula
@@ -175,7 +253,7 @@ def or_all(formulas: Iterable[Formula]) -> Formula:
 # Commands
 
 
-class Command:
+class Command(Node):
     __slots__ = ()
 
     def __str__(self) -> str:
@@ -224,57 +302,57 @@ class DistSpec:
         return tuple(v for _, v in self.pairs)
 
 
-@dataclass(frozen=True)
+@_node
 class Skip(Command):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Command):
     var: str
     expr: ArithExpr
 
-    def __post_init__(self):
-        bad = arith_log_vars(self.expr)
+    def _validate(self):
+        bad = log_vars(self.expr)
         if bad:
             raise ValueError(
                 f"assignment right-hand side uses logical variables {sorted(bad)}"
             )
 
 
-@dataclass(frozen=True)
+@_node
 class RandAssign(Command):
     var: str
     dist: DistSpec
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Command):
     first: Command
     second: Command
 
 
 def _check_guard(guard: Formula) -> None:
-    if formula_log_vars(guard) or _has_quantifier(guard):
+    if log_vars(guard) or _has_quantifier(guard):
         raise ValueError(f"guard must be quantifier- and logical-var-free: {guard}")
 
 
-@dataclass(frozen=True)
+@_node
 class If(Command):
     guard: Formula
     then_branch: Command
     else_branch: Command
 
-    def __post_init__(self):
+    def _validate(self):
         _check_guard(self.guard)
 
 
-@dataclass(frozen=True)
+@_node
 class While(Command):
     guard: Formula
     body: Command
 
-    def __post_init__(self):
+    def _validate(self):
         _check_guard(self.guard)
 
 
@@ -289,7 +367,7 @@ def seq_all(commands: Iterable[Command]) -> Command:
 # Real-valued assertion expressions and probabilistic formulas
 
 
-class RealExpr:
+class RealExpr(Node):
     """Rational-valued expression; P(phi) reads off probability mass."""
 
     __slots__ = ()
@@ -298,68 +376,69 @@ class RealExpr:
         return real_to_source(self)
 
 
-@dataclass(frozen=True)
+@_node
 class RatConst(RealExpr):
     value: Fraction
+    _typed = True
 
 
-@dataclass(frozen=True)
+@_node
 class RealVar(RealExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Prob(RealExpr):
     formula: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class RBin(RealExpr):
     op: str
     left: RealExpr
     right: RealExpr
 
-    def __post_init__(self):
+    def _validate(self):
         if self.op not in AOPS:
             raise ValueError(f"unknown arithmetic operator {self.op!r}")
 
 
-class ProbFormula:
+class ProbFormula(Node):
     __slots__ = ()
 
     def __str__(self) -> str:
         return prob_to_source(self)
 
 
-@dataclass(frozen=True)
+@_node
 class PRel(ProbFormula):
     op: str
     left: RealExpr
     right: RealExpr
 
-    def __post_init__(self):
+    def _validate(self):
         if self.op not in ROPS:
             raise ValueError(f"unknown relation {self.op!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class PNot(ProbFormula):
     body: ProbFormula
 
 
-@dataclass(frozen=True)
+@_node
 class PAnd(ProbFormula):
     left: ProbFormula
     right: ProbFormula
 
 
-@dataclass(frozen=True)
+@_node
 class POr(ProbFormula):
     left: ProbFormula
     right: ProbFormula
 
 
-@dataclass(frozen=True)
+@_node
 class PImplies(ProbFormula):
     left: ProbFormula
     right: ProbFormula
@@ -553,399 +632,205 @@ EMPTY_INTERP = Interpretation()
 
 
 # ---------------------------------------------------------------------------
-# Variable collection.  Formula objects are shared aggressively (the loop
-# transformers build DAGs whose tree size is exponential), so every traversal
-# memoizes on object identity.
+# DAG walks.  The loop transformers build terms whose tree size is
+# exponential but whose DAG is small, so every traversal visits each
+# distinct node once.
 
 
-def _collect(root, step: Callable) -> frozenset[str]:
-    memo: dict[int, frozenset[str]] = {}
+def dag_walk(root: Node, step: Callable) -> object:
+    """step(node, go) once per distinct node under root, bottom-up: step
+    reads a child's result through go(child).  Returns root's result."""
+    memo: dict[Node, object] = {}
 
-    def go(node) -> frozenset[str]:
-        key = id(node)
-        got = memo.get(key)
+    def go(n: Node):
+        got = memo.get(n)
         if got is None:
-            got = step(node, go)
-            memo[key] = got
+            got = memo[n] = step(n, go)
         return got
 
     return go(root)
 
 
-def arith_prog_vars(e: ArithExpr) -> frozenset[str]:
-    def step(n, go):
-        if isinstance(n, ProgVar):
-            return frozenset((n.name,))
-        if isinstance(n, ABin):
-            return go(n.left) | go(n.right)
-        return frozenset()
-    return _collect(e, step)
-
-
-def arith_log_vars(e: ArithExpr) -> frozenset[str]:
-    def step(n, go):
-        if isinstance(n, LogVar):
-            return frozenset((n.name,))
-        if isinstance(n, ABin):
-            return go(n.left) | go(n.right)
-        return frozenset()
-    return _collect(e, step)
-
-
-def formula_prog_vars(f: Formula) -> frozenset[str]:
-    def step(n, go):
-        if isinstance(n, Rel):
-            return arith_prog_vars(n.left) | arith_prog_vars(n.right)
-        if isinstance(n, Not):
-            return go(n.body)
-        if isinstance(n, (And, Or, Implies)):
-            return go(n.left) | go(n.right)
-        if isinstance(n, Forall):
-            return go(n.body)
-        return frozenset()
-    return _collect(f, step)
-
-
-def formula_log_vars(f: Formula) -> frozenset[str]:
-    """Free logical variables; Forall binds its variable."""
-    def step(n, go):
-        if isinstance(n, Rel):
-            return arith_log_vars(n.left) | arith_log_vars(n.right)
-        if isinstance(n, Not):
-            return go(n.body)
-        if isinstance(n, (And, Or, Implies)):
-            return go(n.left) | go(n.right)
-        if isinstance(n, Forall):
-            return go(n.body) - {n.var}
-        return frozenset()
-    return _collect(f, step)
-
-
-def _has_quantifier(f: Formula) -> bool:
-    def step(n, go):
-        if isinstance(n, Forall):
-            return frozenset(("*",))
-        if isinstance(n, Not):
-            return go(n.body)
-        if isinstance(n, (And, Or, Implies)):
-            return go(n.left) | go(n.right)
-        return frozenset()
-    return bool(_collect(f, step))
-
-
-def command_prog_vars(c: Command) -> frozenset[str]:
-    if isinstance(c, Skip):
-        return frozenset()
-    if isinstance(c, Assign):
-        return frozenset((c.var,)) | arith_prog_vars(c.expr)
-    if isinstance(c, RandAssign):
-        return frozenset((c.var,))
-    if isinstance(c, Seq):
-        return command_prog_vars(c.first) | command_prog_vars(c.second)
-    if isinstance(c, If):
-        return (formula_prog_vars(c.guard)
-                | command_prog_vars(c.then_branch)
-                | command_prog_vars(c.else_branch))
-    if isinstance(c, While):
-        return formula_prog_vars(c.guard) | command_prog_vars(c.body)
-    raise TypeError(f"not a command: {c!r}")
-
-
-def real_prog_vars(r: RealExpr) -> frozenset[str]:
-    def step(n, go):
-        if isinstance(n, Prob):
-            return formula_prog_vars(n.formula)
-        if isinstance(n, RBin):
-            return go(n.left) | go(n.right)
-        return frozenset()
-    return _collect(r, step)
-
-
-def real_log_vars(r: RealExpr) -> frozenset[str]:
-    def step(n, go):
-        if isinstance(n, Prob):
-            return formula_log_vars(n.formula)
-        if isinstance(n, RBin):
-            return go(n.left) | go(n.right)
-        return frozenset()
-    return _collect(r, step)
-
-
-def real_real_vars(r: RealExpr) -> frozenset[str]:
-    def step(n, go):
-        if isinstance(n, RealVar):
-            return frozenset((n.name,))
-        if isinstance(n, RBin):
-            return go(n.left) | go(n.right)
-        return frozenset()
-    return _collect(r, step)
-
-
-def prob_prog_vars(f: ProbFormula) -> frozenset[str]:
-    def step(n, go):
-        if isinstance(n, PRel):
-            return real_prog_vars(n.left) | real_prog_vars(n.right)
-        if isinstance(n, PNot):
-            return go(n.body)
-        return go(n.left) | go(n.right)
-    return _collect(f, step)
-
-
-def prob_log_vars(f: ProbFormula) -> frozenset[str]:
-    def step(n, go):
-        if isinstance(n, PRel):
-            return real_log_vars(n.left) | real_log_vars(n.right)
-        if isinstance(n, PNot):
-            return go(n.body)
-        return go(n.left) | go(n.right)
-    return _collect(f, step)
-
-
-def prob_real_vars(f: ProbFormula) -> frozenset[str]:
-    def step(n, go):
-        if isinstance(n, PRel):
-            return real_real_vars(n.left) | real_real_vars(n.right)
-        if isinstance(n, PNot):
-            return go(n.body)
-        return go(n.left) | go(n.right)
-    return _collect(f, step)
+def node_size(node: Node) -> int:
+    """Number of AST nodes counted with sharing (DAG size)."""
+    seen = {node}
+    stack = [node]
+    while stack:
+        for child in stack.pop().children():
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return len(seen)
 
 
 # ---------------------------------------------------------------------------
-# Substitution of program variables (identity subtrees are returned as-is to
-# preserve sharing)
+# Variable collection, one collector per variable sort; each accepts any node
+
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _free_vars(root: Node, sort: type) -> frozenset[str]:
+    def step(n, go):
+        if type(n) is sort:
+            return frozenset((n.name,))
+        out = _NO_VARS
+        for k in n._kids:
+            out |= go(getattr(n, k))
+        if sort is ProgVar and isinstance(n, (Assign, RandAssign)):
+            out |= {n.var}
+        elif sort is LogVar and isinstance(n, Forall):
+            out -= {n.var}
+        return out
+    return dag_walk(root, step)
+
+
+def prog_vars(node: Node) -> frozenset[str]:
+    """Program variables read or assigned anywhere in node."""
+    return _free_vars(node, ProgVar)
+
+
+def log_vars(node: Node) -> frozenset[str]:
+    """Free logical variables; Forall binds its variable."""
+    return _free_vars(node, LogVar)
+
+
+def real_vars(node: Node) -> frozenset[str]:
+    return _free_vars(node, RealVar)
+
+
+# the formula-only names these collectors replace
+formula_prog_vars = prog_vars
+formula_log_vars = log_vars
+
+
+def _has_quantifier(node: Node) -> bool:
+    return dag_walk(node, lambda n, go: isinstance(n, Forall)
+                    or any(go(child) for child in n.children()))
+
+
+# ---------------------------------------------------------------------------
+# Substitution of program variables.  Quantifiers bind logical variables
+# only, so no capture is possible; untouched subterms come back as the same
+# nodes.
+
+
+def _subst(node: Node, name: str, repl: ArithExpr) -> Node:
+    def step(n, go):
+        if type(n) is ProgVar and n.name == name:
+            return repl
+        return n.map(go)
+    return dag_walk(node, step)
 
 
 def subst_arith(e: ArithExpr, name: str, repl: ArithExpr) -> ArithExpr:
-    memo: dict[int, ArithExpr] = {}
-
-    def go(n: ArithExpr) -> ArithExpr:
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(n, ProgVar) and n.name == name:
-            out = repl
-        elif isinstance(n, ABin):
-            left, right = go(n.left), go(n.right)
-            out = n if left is n.left and right is n.right else ABin(n.op, left, right)
-        else:
-            out = n
-        memo[key] = out
-        return out
-
-    return go(e)
+    return _subst(e, name, repl)
 
 
 def subst_prog_var(f: Formula, name: str, repl: ArithExpr) -> Formula:
-    """phi[name/repl]: replace a program variable in a formula.
-
-    Quantifiers bind logical variables only, so no capture is possible.
-    """
-    memo: dict[int, Formula] = {}
-
-    def go(n: Formula) -> Formula:
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(n, Rel):
-            left = subst_arith(n.left, name, repl)
-            right = subst_arith(n.right, name, repl)
-            out = n if left is n.left and right is n.right else Rel(n.op, left, right)
-        elif isinstance(n, Not):
-            body = go(n.body)
-            out = n if body is n.body else Not(body)
-        elif isinstance(n, (And, Or, Implies)):
-            left, right = go(n.left), go(n.right)
-            if left is n.left and right is n.right:
-                out = n
-            else:
-                out = type(n)(left, right)
-        elif isinstance(n, Forall):
-            body = go(n.body)
-            out = n if body is n.body else Forall(n.var, body)
-        else:
-            out = n
-        memo[key] = out
-        return out
-
-    return go(f)
+    """phi[name/repl]: replace a program variable in a formula."""
+    return _subst(f, name, repl)
 
 
 def subst_real(r: RealExpr, name: str, repl: ArithExpr) -> RealExpr:
-    memo: dict[int, RealExpr] = {}
-
-    def go(n: RealExpr) -> RealExpr:
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(n, Prob):
-            body = subst_prog_var(n.formula, name, repl)
-            out = n if body is n.formula else Prob(body)
-        elif isinstance(n, RBin):
-            left, right = go(n.left), go(n.right)
-            out = n if left is n.left and right is n.right else RBin(n.op, left, right)
-        else:
-            out = n
-        memo[key] = out
-        return out
-
-    return go(r)
+    return _subst(r, name, repl)
 
 
 # ---------------------------------------------------------------------------
 # Simplification.  A terminating bottom-up rewrite: constant folding, boolean
-# absorption, double negation, idempotence.  Structural equality is only
-# attempted on small nodes (DAG-shared operands can be huge as trees).
-
-_EQ_SIZE_LIMIT = 64
-
-
-def node_size(node) -> int:
-    """Number of AST nodes counted with sharing (DAG size)."""
-    seen: set[int] = set()
-    count = 0
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        count += 1
-        for attr in ("left", "right", "body", "formula", "expr"):
-            child = getattr(n, attr, None)
-            if child is not None and not isinstance(child, (str, int, bool, Fraction)):
-                stack.append(child)
-    return count
-
-
-def _eq_small(a, b) -> bool:
-    if a is b:
-        return True
-    if node_size(a) > _EQ_SIZE_LIMIT or node_size(b) > _EQ_SIZE_LIMIT:
-        return False
-    return a == b
+# absorption, double negation, idempotence.  Equal operands are one node, so
+# idempotence and complement checks are identity tests.
 
 
 def _complementary(a: Formula, b: Formula) -> bool:
-    """One operand is the negation of the other (small nodes only)."""
-    if isinstance(a, Not) and _eq_small(a.body, b):
-        return True
-    return isinstance(b, Not) and _eq_small(a, b.body)
+    """One operand is the negation of the other."""
+    return (isinstance(a, Not) and a.body is b) or (isinstance(b, Not) and b.body is a)
+
+
+def _simplify_step(n: Formula, go) -> Formula:
+    if isinstance(n, Rel):
+        if isinstance(n.left, IntConst) and isinstance(n.right, IntConst):
+            return BoolLit(_ROP_FUN[n.op](n.left.value, n.right.value))
+        return n
+    if isinstance(n, Not):
+        body = go(n.body)
+        if isinstance(body, BoolLit):
+            return BoolLit(not body.value)
+        if isinstance(body, Not):
+            return body.body
+        return Not(body)
+    if isinstance(n, And):
+        left, right = go(n.left), go(n.right)
+        if isinstance(left, BoolLit):
+            return right if left.value else FALSE
+        if isinstance(right, BoolLit):
+            return left if right.value else FALSE
+        if left is right:
+            return left
+        if _complementary(left, right):
+            return FALSE
+        return And(left, right)
+    if isinstance(n, Or):
+        left, right = go(n.left), go(n.right)
+        if isinstance(left, BoolLit):
+            return TRUE if left.value else right
+        if isinstance(right, BoolLit):
+            return TRUE if right.value else left
+        if left is right:
+            return left
+        if _complementary(left, right):
+            return TRUE
+        return Or(left, right)
+    if isinstance(n, Implies):
+        left, right = go(n.left), go(n.right)
+        if isinstance(left, BoolLit):
+            return right if left.value else TRUE
+        if right is TRUE or left is right:
+            return TRUE
+        return Implies(left, right)
+    if isinstance(n, Forall):
+        body = go(n.body)
+        if isinstance(body, BoolLit) or n.var not in log_vars(body):
+            return body
+        return Forall(n.var, body)
+    return n
 
 
 def simplify_formula(f: Formula) -> Formula:
-    memo: dict[int, Formula] = {}
+    return dag_walk(f, _simplify_step)
 
-    def go(n: Formula) -> Formula:
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        out = _simp_step(n, go)
-        memo[key] = out
-        return out
 
-    def _simp_step(n: Formula, go) -> Formula:
-        if isinstance(n, Rel):
-            if isinstance(n.left, IntConst) and isinstance(n.right, IntConst):
-                return BoolLit(_ROP_FUN[n.op](n.left.value, n.right.value))
-            return n
-        if isinstance(n, Not):
-            body = go(n.body)
-            if isinstance(body, BoolLit):
-                return BoolLit(not body.value)
-            if isinstance(body, Not):
-                return body.body
-            return n if body is n.body else Not(body)
-        if isinstance(n, And):
-            left, right = go(n.left), go(n.right)
-            if isinstance(left, BoolLit):
-                return right if left.value else FALSE
-            if isinstance(right, BoolLit):
-                return left if right.value else FALSE
-            if _eq_small(left, right):
-                return left
-            if _complementary(left, right):
-                return FALSE
-            return n if left is n.left and right is n.right else And(left, right)
-        if isinstance(n, Or):
-            left, right = go(n.left), go(n.right)
-            if isinstance(left, BoolLit):
-                return TRUE if left.value else right
-            if isinstance(right, BoolLit):
-                return TRUE if right.value else left
-            if _eq_small(left, right):
-                return left
-            if _complementary(left, right):
-                return TRUE
-            return n if left is n.left and right is n.right else Or(left, right)
-        if isinstance(n, Implies):
-            left, right = go(n.left), go(n.right)
-            if isinstance(left, BoolLit):
-                return right if left.value else TRUE
-            if isinstance(right, BoolLit) and right.value:
-                return TRUE
-            if _eq_small(left, right):
-                return TRUE
-            return n if left is n.left and right is n.right else Implies(left, right)
-        if isinstance(n, Forall):
-            body = go(n.body)
-            if isinstance(body, BoolLit):
-                return body
-            if n.var not in formula_log_vars(body):
-                return body
-            return n if body is n.body else Forall(n.var, body)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _normalize_step(n: RealExpr, go) -> RealExpr:
+    if isinstance(n, Prob):
+        body = simplify_formula(n.formula)
+        return RatConst(_ZERO) if body is FALSE else Prob(body)
+    if not isinstance(n, RBin):
         return n
-
-    return go(f)
+    left, right = go(n.left), go(n.right)
+    lc = left.value if isinstance(left, RatConst) else None
+    rc = right.value if isinstance(right, RatConst) else None
+    if lc is not None and rc is not None:
+        return RatConst(_AOP_FUN[n.op](lc, rc))
+    if n.op == "+" and lc == _ZERO:
+        return right
+    if n.op in ("+", "-") and rc == _ZERO:
+        return left
+    if n.op == "*" and (lc == _ZERO or rc == _ZERO):
+        return RatConst(_ZERO)
+    if n.op == "*" and lc == _ONE:
+        return right
+    if n.op == "*" and rc == _ONE:
+        return left
+    return RBin(n.op, left, right)
 
 
 def normalize_real(r: RealExpr) -> RealExpr:
     """Constant folding plus dropping of zero summands and unit factors."""
-    memo: dict[int, RealExpr] = {}
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def go(n: RealExpr) -> RealExpr:
-        key = id(n)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(n, Prob):
-            body = simplify_formula(n.formula)
-            if isinstance(body, BoolLit) and not body.value:
-                out: RealExpr = RatConst(zero)
-            else:
-                out = n if body is n.formula else Prob(body)
-        elif isinstance(n, RBin):
-            left, right = go(n.left), go(n.right)
-            lc = left.value if isinstance(left, RatConst) else None
-            rc = right.value if isinstance(right, RatConst) else None
-            if lc is not None and rc is not None:
-                out = RatConst(_AOP_FUN[n.op](lc, rc))
-            elif n.op == "+" and lc == zero:
-                out = right
-            elif n.op in ("+", "-") and rc == zero:
-                out = left
-            elif n.op == "*" and (lc == zero or rc == zero):
-                out = RatConst(zero)
-            elif n.op == "*" and lc == one:
-                out = right
-            elif n.op == "*" and rc == one:
-                out = left
-            elif left is n.left and right is n.right:
-                out = n
-            else:
-                out = RBin(n.op, left, right)
-        else:
-            out = n
-        memo[key] = out
-        return out
-
-    return go(r)
+    return dag_walk(r, _normalize_step)
 
 
 def real_sum(terms: Iterable[RealExpr]) -> RealExpr:

@@ -38,7 +38,7 @@ from .core import (
     IntConst, LogVar, Not, Or, Implies, PAnd, PImplies, PNot, POr, PRel,
     PFALSE, PTRUE, Prob, ProbFormula, ProgVar, RandAssign, RatConst, RealExpr,
     RealVar, RBin, Rel, ROPS, Seq, Skip, State, TRUE, FALSE, While,
-    formula_log_vars, _has_quantifier,
+    log_vars, _has_quantifier,
 )
 
 
@@ -294,7 +294,7 @@ class _Parser:
     def guard(self) -> Formula:
         tok = self.peek()
         f = self.detf()
-        if formula_log_vars(f) or _has_quantifier(f):
+        if log_vars(f) or _has_quantifier(f):
             raise ParseError("guards must not use quantifiers or logical variables",
                              tok.line, tok.col)
         return f
@@ -302,11 +302,16 @@ class _Parser:
     # -- commands
 
     def cmd(self) -> Command:
-        left = self.choice()
-        if self.peek().kind == ";":
+        # a `;` chain is read in a loop and folded to the right, so its
+        # length is not bounded by the recursion limit
+        parts = [self.choice()]
+        while self.peek().kind == ";":
             self.next()
-            return Seq(left, self.cmd())
-        return left
+            parts.append(self.choice())
+        out = parts.pop()
+        while parts:
+            out = Seq(parts.pop(), out)
+        return out
 
     def choice(self) -> Command:
         left = self.prim_cmd()

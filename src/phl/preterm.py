@@ -35,9 +35,8 @@ from .core import (
     And, Assign, Command, EMPTY_INTERP, Formula, If, IntConst, Not, PAnd,
     PImplies, PNot, POr, PRel, Prob, ProbFormula, RandAssign, RatConst,
     RealExpr, RealVar, RBin, Seq, Skip, SubDistribution, TRUE, While,
-    and_all, command_prog_vars, node_size, normalize_real, prob_log_vars,
-    prob_prog_vars, prob_real_vars, real_prog_vars, real_sum,
-    simplify_formula, subst_prog_var,
+    and_all, dag_walk, log_vars, node_size, normalize_real, real_sum,
+    real_vars, simplify_formula, subst_prog_var,
 )
 from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det
 from .assertions import (
@@ -54,22 +53,12 @@ TAIL_NODE_BUDGET = 20000
 
 def cond_term(r: RealExpr, b: Formula) -> RealExpr:
     """r/B: relativize every probability inside r to B."""
-    memo: dict[int, RealExpr] = {}
+    def step(n: RealExpr, go) -> RealExpr:
+        if isinstance(n, Prob):
+            return Prob(And(n.formula, b))
+        return n.map(go)  # constants and real variables carry no probability
 
-    def go(n: RealExpr) -> RealExpr:
-        key = id(n)
-        got = memo.get(key)
-        if got is None:
-            if isinstance(n, Prob):
-                got = Prob(And(n.formula, b))
-            elif isinstance(n, RBin):
-                got = RBin(n.op, go(n.left), go(n.right))
-            else:
-                got = n  # constants and real variables carry no probability
-            memo[key] = got
-        return got
-
-    return go(r)
+    return dag_walk(r, step)
 
 
 def pas_preterm_subset_sum(dist, var: str, phi: Formula) -> RealExpr:
@@ -125,26 +114,16 @@ def pt(c: Command, r: RealExpr, unroll: int = DEFAULT_UNROLL,
        ) -> tuple[RealExpr, list[WhileExpansion]]:
     """Weakest preterm of r under c, with one expansion record per loop."""
     if window is None:
-        window = default_window(c, real_prog_vars(r))
+        window = default_window(c, r)
     expansions: list[WhileExpansion] = []
 
     def go(c: Command, r: RealExpr) -> RealExpr:
-        memo: dict[int, RealExpr] = {}
+        def step(n: RealExpr, walk) -> RealExpr:
+            if isinstance(n, Prob):
+                return prob_case(c, n.formula)
+            return n.map(walk)  # constants and real variables are untouched
 
-        def walk(n: RealExpr) -> RealExpr:
-            key = id(n)
-            got = memo.get(key)
-            if got is None:
-                if isinstance(n, RBin):
-                    got = RBin(n.op, walk(n.left), walk(n.right))
-                elif isinstance(n, Prob):
-                    got = prob_case(c, n.formula)
-                else:
-                    got = n  # constants and real variables are untouched
-                memo[key] = got
-            return got
-
-        return walk(r)
+        return dag_walk(r, step)
 
     def prob_case(c: Command, phi: Formula) -> RealExpr:
         if isinstance(c, Skip):
@@ -152,11 +131,7 @@ def pt(c: Command, r: RealExpr, unroll: int = DEFAULT_UNROLL,
         if isinstance(c, Assign):
             return Prob(simplify_formula(subst_prog_var(phi, c.var, c.expr)))
         if isinstance(c, RandAssign):
-            if len(c.dist.pairs) <= SUBSET_SUM_LIMIT:
-                out = pas_preterm_subset_sum(c.dist, c.var, phi)
-            else:
-                out = pas_preterm_linear(c.dist, c.var, phi)
-            return normalize_real(out)
+            return normalize_real(pas_preterm_linear(c.dist, c.var, phi))
         if isinstance(c, Seq):
             return go(c.first, go(c.second, Prob(phi)))
         if isinstance(c, If):
@@ -242,7 +217,7 @@ def wp_prob(c: Command, f: ProbFormula, unroll: int = DEFAULT_UNROLL,
     """Weakest precondition of a probabilistic formula: pt applied to every
     real expression, connectives left in place."""
     if window is None:
-        window = default_window(c, prob_prog_vars(f))
+        window = default_window(c, f)
     expansions: list[WhileExpansion] = []
 
     def go(n: ProbFormula) -> ProbFormula:
@@ -273,8 +248,8 @@ def check_triple_prob(pre: ProbFormula, c: Command, post: ProbFormula,
     """Semantic triple check over a distribution family: every member
     satisfying pre must, after running c, satisfy post."""
     grid = REAL_GRID if real_grid is None else real_grid
-    lvars = prob_log_vars(pre) | prob_log_vars(post)
-    rvars = prob_real_vars(pre) | prob_real_vars(post)
+    lvars = log_vars(pre) | log_vars(post)
+    rvars = real_vars(pre) | real_vars(post)
     scope = f"{family.description}, quantifiers over {list(qwindow)}, loop bound {loop_bound}"
     inexact = False
     worst = Fraction(0)

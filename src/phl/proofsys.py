@@ -23,8 +23,8 @@ from typing import Optional, Union
 
 from .core import (
     And, Assign, Command, Formula, If, Implies, IntConst, Not, Or, PImplies,
-    ProbFormula, RandAssign, Seq, Skip, While, and_all, command_prog_vars,
-    formula_prog_vars, prob_prog_vars, subst_prog_var,
+    ProbFormula, RandAssign, Seq, Skip, While, and_all, prog_vars,
+    subst_prog_var,
 )
 from .parser import SourceTriple, parse_det_formula, parse_prob_formula, parse_triple
 from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW
@@ -88,10 +88,8 @@ class DerivationVerdict:
 
 
 def _gather_vars(d: Derivation) -> frozenset[str]:
-    out = command_prog_vars(d.conclusion.command)
-    for side in (d.conclusion.pre, d.conclusion.post):
-        out |= (prob_prog_vars(side) if d.conclusion.prob
-                else formula_prog_vars(side))
+    t = d.conclusion
+    out = prog_vars(t.command) | prog_vars(t.pre) | prog_vars(t.post)
     for p in d.premises:
         out |= _gather_vars(p)
     return out
@@ -330,7 +328,7 @@ def build_wp_derivation(c: Command, post: ProbFormula,
     """Derivation of {WP(C, post)} C {post} by structural recursion: axiom
     nodes at assignment/conditional/loop heads, SEQ at compositions."""
     if window is None:
-        window = default_window(c, prob_prog_vars(post))
+        window = default_window(c, post)
     if isinstance(c, Skip):
         return Derivation("SKIP", SourceTriple(post, c, post, True))
     if isinstance(c, Seq):

@@ -118,6 +118,8 @@ def execute(c: Command, dist: SubDistribution,
     Loops are unrolled up to loop_bound body executions per activation; any
     mass still live at the bound is dropped and reported as residual.
     """
+    if loop_bound < 0:
+        raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
     out, iters = _run(c, dist, loop_bound)
     residual = dist.mass - out.mass
     return ExecResult(out, residual, iters, residual == 0)

@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    And, Assign, Command, Formula, If, IntConst, Not, Or, RandAssign, Seq,
-    Skip, State, SubDistribution, TRUE, While, and_all, command_prog_vars,
-    formula_log_vars, formula_prog_vars, simplify_formula, subst_prog_var,
+    And, Assign, Command, Formula, If, IntConst, Node, Not, Or, RandAssign, Seq,
+    Skip, State, SubDistribution, TRUE, While, and_all, log_vars, prog_vars,
+    simplify_formula, subst_prog_var,
 )
 from .semantics import (
     DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det, sat_det_dist,
@@ -41,7 +41,7 @@ class WpLoopTrace:
 def window_equivalent(f: Formula, g: Formula, window: StateWindow,
                       qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
     """Same truth value at every window state under every interpretation."""
-    lvars = formula_log_vars(f) | formula_log_vars(g)
+    lvars = log_vars(f) | log_vars(g)
     states = window.states()
     for interp in interpretations(lvars, qwindow):
         for s in states:
@@ -50,16 +50,9 @@ def window_equivalent(f: Formula, g: Formula, window: StateWindow,
     return True
 
 
-def default_window(*pieces, lo: int = -8, hi: int = 8) -> StateWindow:
-    names: set[str] = set()
-    for piece in pieces:
-        if isinstance(piece, Command):
-            names |= command_prog_vars(piece)
-        elif isinstance(piece, Formula):
-            names |= formula_prog_vars(piece)
-        else:
-            names |= set(piece)
-    return StateWindow.make(names, lo, hi)
+def default_window(*nodes: Node, lo: int = -8, hi: int = 8) -> StateWindow:
+    """The lo..hi window over every program variable of the given nodes."""
+    return StateWindow.make(frozenset().union(*map(prog_vars, nodes)), lo, hi)
 
 
 def wp(c: Command, post: Formula, unroll: int = DEFAULT_UNROLL,
@@ -145,7 +138,7 @@ def check_triple_det(pre: Formula, c: Command, post: Formula,
     demand every output support state satisfies post."""
     if window is None:
         window = default_window(pre, c, post)
-    lvars = formula_log_vars(pre) | formula_log_vars(post)
+    lvars = log_vars(pre) | log_vars(post)
     scope = f"{window}, quantifiers over {list(qwindow)}, loop bound {loop_bound}"
     inexact = False
     worst = Fraction(0)

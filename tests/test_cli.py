@@ -163,6 +163,31 @@ class TestErrorsAndConfig:
         assert a == b and a[0] == 0
 
 
+class TestWindowsAndBounds:
+    def test_space_separated_negative_window(self, capsys):
+        rc, out, _ = run_cli(capsys, "check",
+                             "--triple", "{ X >= 0 } X := X + 1 { X >= 1 }",
+                             "--int-window", "-2..2", "--quant-window", "-1..1")
+        assert rc == 0
+        assert "X in [-2, 2]" in out and "quantifiers over [-1, 1]" in out
+
+    @pytest.mark.parametrize("flag", ["--loop-bound", "--unroll", "--depth"])
+    def test_negative_bound_flag(self, capsys, flag):
+        rc, out, err = run_cli(capsys, "pt", "--program", "X := 1",
+                               "--term", "P(X = 1)", flag, "-1")
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "non-negative" in err
+        assert err.count("\n") == 1
+
+    def test_negative_bound_in_config(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"loop_bound": -1}))
+        monkeypatch.setenv("PHL_CONFIG", str(cfg))
+        rc, out, err = run_cli(capsys, "run", "--program", "skip", "--state", "X=0")
+        assert rc == 2 and out == ""
+        assert err == "error: loop_bound must be non-negative, got -1\n"
+
+
 class TestInstalledScript:
     def test_console_entry_point(self):
         proc = subprocess.run(

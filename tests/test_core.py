@@ -1,18 +1,30 @@
 """Core types: exact rationals, stores, sub-distributions, substitution,
 simplification."""
 
+import ast
+import copy
+import gc
+import importlib
+import inspect
+import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from phl import core
 from phl.core import (
-    ABin, And, BoolLit, DistSpec, FALSE, Forall, IntConst, Interpretation,
-    LogVar, Not, Or, Implies, Prob, ProgVar, RatConst, RBin, Rel, State,
-    SubDistribution, TRUE, UnboundVariable, and_all, arith_to_source,
-    format_fraction, formula_log_vars, formula_prog_vars, normalize_real,
-    parse_fraction, point_dist, simplify_formula, subst_prog_var,
+    ABin, And, Assign, BoolLit, DistSpec, FALSE, Forall, IntConst,
+    Interpretation, LogVar, Node, Not, Or, Implies, Prob, ProgVar, RatConst,
+    RBin, Rel, Skip, State, SubDistribution, TRUE, UnboundVariable, While,
+    and_all, arith_to_source, format_fraction, formula_log_vars,
+    formula_prog_vars, log_vars, normalize_real, parse_fraction, point_dist,
+    prog_vars, real_vars, simplify_formula, subst_prog_var,
 )
+from phl.assertions import StateWindow
+from phl.parser import parse_command, parse_real_expr
+from phl.preterm import pt
 from phl.semantics import sat_det
 
 import strategies as sts
@@ -131,6 +143,97 @@ class TestVariableCollection:
                               Rel("<", LogVar("y"), IntConst(0))))
         assert formula_prog_vars(phi) == {"X"}
         assert formula_log_vars(phi) == {"y"}
+
+    def test_any_node(self):
+        c = parse_command("Z :=$ {1/2:0, 1/2:1}; while X > 0 do { Y := X }")
+        assert prog_vars(c) == {"X", "Y", "Z"}
+        r = parse_real_expr("@eps * P(forall k. X < k && k < j)")
+        assert prog_vars(r) == {"X"}
+        assert log_vars(r) == {"j"}
+        assert real_vars(r) == {"eps"}
+
+
+def rebuilt(n):
+    """n built again from copies of its fields, children first."""
+    if isinstance(n, Node):
+        return type(n)(*[rebuilt(getattr(n, f)) for f in n._fields])
+    return copy.copy(n)
+
+
+COUNTDOWN = "while X > 0 do { X := X - 1; Y := Y + X }"
+
+
+class TestInterning:
+    def test_equal_structure_is_one_object(self):
+        a = And(Rel("<", ProgVar("X"), IntConst(1)), Not(TRUE))
+        b = And(Rel("<", ProgVar("X"), IntConst(1)), Not(TRUE))
+        assert a is b and hash(a) == hash(b)
+        assert Skip() is Skip()
+        assert RatConst(Fraction(1, 2)) is RatConst(Fraction(2, 4))
+
+    @given(sts.commands(loops=True))
+    def test_rebuilt_commands(self, c):
+        assert rebuilt(c) is c
+        assert pickle.loads(pickle.dumps(c)) is c
+
+    @given(sts.det_formulas(lv=("k",)), sts.real_exprs())
+    def test_rebuilt_assertions(self, f, r):
+        assert rebuilt(f) is f
+        assert rebuilt(r) is r
+
+    def test_keys_are_type_exact(self):
+        assert IntConst(1) is not IntConst(True)
+        assert RatConst(Fraction(1)) is not RatConst(1)
+        assert BoolLit(True) is not BoolLit(1)
+        assert type(IntConst(True).value) is bool
+
+    @pytest.mark.parametrize("build", [
+        lambda: ABin("/", ProgVar("X"), IntConst(1)),
+        lambda: Assign("X", LogVar("y")),
+        lambda: While(Forall("k", Rel("<", ProgVar("X"), LogVar("k"))), Skip()),
+    ], ids=["operator", "assign-logical", "quantified-guard"])
+    def test_invalid_node_never_interned(self, build):
+        # the children are valid; hold them so only the node itself is new
+        children = (IntConst(1), LogVar("y"), Skip(),
+                    Forall("k", Rel("<", ProgVar("X"), LogVar("k"))))
+        size = len(core._TABLE)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                build()
+            assert len(core._TABLE) == size
+        assert children
+
+    def test_dropped_terms_leave_the_table(self):
+        c, r = parse_command(COUNTDOWN), parse_real_expr("P(Y >= 2)")
+        window = StateWindow.make(("X", "Y"), -2, 2)
+        gc.collect()
+        size = len(core._TABLE)
+        term, expansions = pt(c, r, window=window)
+        assert len(core._TABLE) > size
+        del term, expansions
+        gc.collect()
+        assert len(core._TABLE) == size
+
+    def test_large_equal_operands_simplify(self):
+        def conj():
+            return and_all(Rel("=", ProgVar("X"), IntConst(i)) for i in range(40))
+        a, b = conj(), conj()
+        assert core.node_size(a) > 64
+        assert simplify_formula(And(a, b)) is a
+        assert simplify_formula(Or(a, b)) is a
+        assert simplify_formula(And(a, Not(b))) is FALSE
+
+    def test_traced_functions_stay_distinct(self):
+        source = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                       if isinstance(node, ast.Assign)
+                       and getattr(node.targets[0], "id", None) == "WRAPPED")
+        fns = [getattr(importlib.import_module(m), attr) for m, attr, _ in wrapped]
+        for fn, (module, attr, _) in zip(fns, wrapped):
+            assert inspect.isfunction(fn), attr
+            assert (fn.__module__, fn.__qualname__) == (module, attr)
+        assert len({id(fn) for fn in fns}) == len(fns)
 
 
 class TestSimplify:

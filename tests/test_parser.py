@@ -73,6 +73,13 @@ class TestCommands:
         assert c == Seq(Assign("X", ABin("+", ProgVar("X"), IntConst(1))),
                         Assign("Y", IntConst(0)))
 
+    def test_long_seq_chain(self):
+        c = parse_command("; ".join(["X := X + 1"] * 3000))
+        for _ in range(2999):
+            assert isinstance(c, Seq)
+            c = c.second
+        assert c == Assign("X", ABin("+", ProgVar("X"), IntConst(1)))
+
     def test_random_assign(self):
         c = parse_command("X :=$ {1/2:0, 1/2:1}")
         assert c == RandAssign("X", DistSpec.make(

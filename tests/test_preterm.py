@@ -78,6 +78,14 @@ class TestPasForms:
         with pytest.raises(ValueError, match="limit"):
             pas_preterm_subset_sum(c.dist, "X", parse_det_formula("X = 0"))
 
+    def test_pt_of_wide_pas_matches_oracle(self):
+        pairs = ", ".join(f"1/10:{k}" for k in range(10))
+        c = parse_command("X :=$ {%s}; Y := X + Y" % pairs)
+        r = parse_real_expr("P(Y >= 2)")
+        term, _ = pt(c, r)
+        for _, mu in family(("X", "Y"), -1, 1):
+            assert eval_real(term, mu, EMPTY_INTERP) == pt_semantic_oracle(c, r, mu)
+
     @given(sts.dist_specs(), sts.det_formulas(), sts.subdists())
     @settings(max_examples=60)
     def test_forms_agree(self, dist, phi, mu):

@@ -123,6 +123,10 @@ class TestExecute:
         r = execute(parse_command("while true do { skip }"), SubDistribution.zero())
         assert r.output == SubDistribution.zero() and r.exact
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            execute(parse_command("skip"), point_dist({"X": 0}), loop_bound=-1)
+
     def test_unbound_variable(self):
         with pytest.raises(KeyError):
             execute(parse_command("X := Y"), point_dist({"X": 0}))
