@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .core import (
     SubDistribution, UnboundVariable, format_fraction, prog_vars,
@@ -28,7 +27,7 @@ from .semantics import execute
 from .assertions import DistFamily, StateWindow, load_dist
 from .wp import check_triple_det, wp
 from .preterm import check_triple_prob, pt, wp_prob
-from .proofsys import check_derivation, load_derivation
+from .proofsys import check_derivation, derivation_vars, load_derivation
 
 CONFIG_ENV = "PHL_CONFIG"
 
@@ -57,6 +56,26 @@ def _parse_window(text: str) -> tuple[int, int]:
     return bounds
 
 
+def _config_value(key: str, value):
+    """The Config field for one PHL_CONFIG entry; UsageError if malformed."""
+    def fail(shape: str):
+        raise UsageError(f"{CONFIG_ENV} {key} must be {shape}, got {json.dumps(value)}")
+    if key in ("loop_bound", "unroll", "depth", "seed"):
+        if type(value) is not int:  # JSON true and 1.5 are not integers
+            fail("an integer")
+        return value
+    if key in ("int_window", "quant_window"):
+        if not (isinstance(value, list) and len(value) == 2
+                and all(type(v) is int for v in value) and value[0] <= value[1]):
+            fail("[MIN, MAX] with integers MIN <= MAX")
+        return tuple(value)
+    if key == "format":
+        if value not in ("text", "json"):
+            fail('"text" or "json"')
+        return value
+    raise UsageError(f"{CONFIG_ENV} has an unknown key {key!r}")
+
+
 def load_config() -> Config:
     cfg = Config()
     path = os.environ.get(CONFIG_ENV)
@@ -64,17 +83,9 @@ def load_config() -> Config:
         return cfg
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    fields = {}
-    for key in ("loop_bound", "unroll", "depth", "seed"):
-        if key in data:
-            fields[key] = int(data[key])
-    for key in ("int_window", "quant_window"):
-        if key in data:
-            lo, hi = data[key]
-            fields[key] = (int(lo), int(hi))
-    if "format" in data:
-        fields["format"] = str(data["format"])
-    return replace(cfg, **fields)
+    if not isinstance(data, dict):
+        raise UsageError(f"{CONFIG_ENV} must hold a JSON object")
+    return replace(cfg, **{k: _config_value(k, v) for k, v in data.items()})
 
 
 def apply_flags(cfg: Config, args: argparse.Namespace) -> Config:
@@ -253,7 +264,8 @@ def cmd_check(args, cfg: Config) -> int:
 
 def cmd_prove(args, cfg: Config) -> int:
     derivation = load_derivation(args.derivation)
-    verdict = check_derivation(derivation, qwindow=cfg.quant_window,
+    window = _window_for(derivation_vars(derivation), cfg)
+    verdict = check_derivation(derivation, window, qwindow=cfg.quant_window,
                                unroll=cfg.unroll, depth=cfg.depth,
                                seed=cfg.seed)
     if cfg.format == "json":

@@ -841,8 +841,9 @@ def real_sum(terms: Iterable[RealExpr]) -> RealExpr:
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax output.  Printers parenthesize by the same precedence table
-# the parser uses, so parse(to_source(ast)) returns an equal AST.
+# Concrete syntax output.  Printers parenthesize by the precedence levels that
+# the parser encodes by rule nesting, so parse(to_source(ast)) returns an
+# equal AST.
 
 _APREC = {"+": 1, "-": 1, "*": 2}
 

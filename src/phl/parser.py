@@ -4,16 +4,26 @@ Grammar sketch (precedence is encoded by rule nesting; seq binds loosest in
 commands, `->` loosest in formulas, `!` tightest, `*` over `+`/`-`):
 
     triple := "{" pre "}" cmd "{" post "}"
-    cmd    := choice (";" cmd)?
+    cmd    := choice (";" choice)*
     choice := prim ("[" frac "]" prim)*
     prim   := "skip" | IDENT ":=" aexp | IDENT ":=$" "{" wpair,+ "}"
-            | "if" bexp "then" "{" cmd "}" "else" "{" cmd "}"
-            | "while" bexp "do" "{" cmd "}" | "(" cmd ")"
+            | "if" detf "then" "{" cmd "}" "else" "{" cmd "}"
+            | "while" detf "do" "{" cmd "}" | "(" cmd ")"
     wpair  := frac ":" int
-    detf   := implication over || over && over ! over
-              (true | false | forall lident "." detf | aexp rop aexp | "(" detf ")")
-    rexp   := sums/products over (frac | "@" lident | "P" "(" detf ")" | "(" rexp ")")
-    probf  := same connective tower over (rexp rop rexp)
+
+    SUMS(x)   := left-assoc "+"/"-" over left-assoc "*" over unary "-" over x
+    CONN(x)   := right-assoc "->" over "||" over "&&" over "!" over x
+    REL(e, f) := e rop e | "(" f ")"
+
+    aexp   := SUMS(int | IDENT | lident | "(" aexp ")")
+    detf   := CONN(true | false | forall lident "." detf | REL(aexp, detf))
+    rexp   := SUMS(frac | "@" lident | "P" "(" detf ")" | "(" rexp ")")
+    probf  := CONN(true | false | REL(rexp, probf))
+
+Both flavors share the SUMS, CONN and REL levels, written once and handed
+each flavor's constructors; a unary minus before a constant folds into it.
+The If and While constructors check guards (no quantifiers or logical
+variables); the parser reports their error at the keyword.
 
 Program variables are uppercase-initial identifiers (`P` is reserved for the
 probability operator, leading `_` for generated names); logical variables are
@@ -31,14 +41,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .core import (
-    ABin, And, Assign, BoolLit, Command, DistSpec, Forall, Formula, If,
+    ABin, And, Assign, Command, DistSpec, Forall, Formula, If,
     IntConst, LogVar, Not, Or, Implies, PAnd, PImplies, PNot, POr, PRel,
     PFALSE, PTRUE, Prob, ProbFormula, ProgVar, RandAssign, RatConst, RealExpr,
     RealVar, RBin, Rel, ROPS, Seq, Skip, State, TRUE, FALSE, While,
-    log_vars, _has_quantifier,
 )
 
 
@@ -64,6 +73,13 @@ _SYMBOLS = [
     "<", ">", "=", "!", "+", "-", "*", "/",
     "(", ")", "{", "}", "[", "]", ",", ":", ";", ".", "@",
 ]
+
+
+# the constructors each flavor hands to the shared towers of _Parser
+_INT_SUMS = (ABin, IntConst, 0)
+_REAL_SUMS = (RBin, RatConst, Fraction(0))
+_DET_CONNECTIVES = (Not, And, Or, Implies)
+_PROB_CONNECTIVES = (PNot, PAnd, POr, PImplies)
 
 
 @dataclass(frozen=True)
@@ -138,8 +154,8 @@ class _Parser:
 
     # -- token plumbing
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]  # next() never moves past the final EOF
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
@@ -187,30 +203,85 @@ class _Parser:
             return -int(self.expect("INT").text)
         return int(self.expect("INT").text)
 
+    # -- SUMS, CONN and REL: the levels both flavors share
+
+    def sums(self, ctors, prim):
+        """`+`/`-` over `*` over unary `-` over prim, all left-associative."""
+        left = self._product(ctors, prim)
+        while self.peek().kind in ("+", "-"):
+            op = self.next().kind
+            left = ctors[0](op, left, self._product(ctors, prim))
+        return left
+
+    def _product(self, ctors, prim):
+        left = self._minus(ctors, prim)
+        while self.peek().kind == "*":
+            self.next()
+            left = ctors[0]("*", left, self._minus(ctors, prim))
+        return left
+
+    def _minus(self, ctors, prim):
+        if self.peek().kind == "-":
+            self.next()
+            body = self._minus(ctors, prim)
+            binop, const, zero = ctors
+            if isinstance(body, const):  # a negated constant folds into it
+                return const(-body.value)
+            return binop("-", const(zero), body)
+        return prim()
+
+    def connectives(self, ctors, atom):
+        """`->` (right-associative) over `||` over `&&` over `!` over atom."""
+        left = self._disjunction(ctors, atom)
+        if self.peek().kind == "->":
+            self.next()
+            return ctors[3](left, self.connectives(ctors, atom))
+        return left
+
+    def _disjunction(self, ctors, atom):
+        left = self._conjunction(ctors, atom)
+        while self.peek().kind == "||":
+            self.next()
+            left = ctors[2](left, self._conjunction(ctors, atom))
+        return left
+
+    def _conjunction(self, ctors, atom):
+        left = self._negation(ctors, atom)
+        while self.peek().kind == "&&":
+            self.next()
+            left = ctors[1](left, self._negation(ctors, atom))
+        return left
+
+    def _negation(self, ctors, atom):
+        if self.peek().kind == "!":
+            self.next()
+            return ctors[0](self._negation(ctors, atom))
+        return atom()
+
+    def relation_or_group(self, operand, rel, formula, what: str):
+        """`operand rop operand` (backtracking on failure), else `(formula)`."""
+        tok = self.peek()
+        save = self.pos
+        try:
+            left = operand()
+            op = self.peek().kind
+            if op not in ROPS:
+                self.fail("expected a relation")
+            self.next()
+            return rel(op, left, operand())
+        except ParseError:
+            self.pos = save
+        if tok.kind == "(":
+            self.next()
+            f = formula()
+            self.expect(")")
+            return f
+        self.fail(f"expected a {what}, found {tok.text or 'end of input'!r}")
+
     # -- arithmetic over integers
 
     def aexp(self) -> "ABin | IntConst | ProgVar | LogVar":
-        left = self.amul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            left = ABin(op, left, self.amul())
-        return left
-
-    def amul(self):
-        left = self.aneg()
-        while self.peek().kind == "*":
-            self.next()
-            left = ABin("*", left, self.aneg())
-        return left
-
-    def aneg(self):
-        if self.peek().kind == "-":
-            self.next()
-            body = self.aneg()
-            if isinstance(body, IntConst):
-                return IntConst(-body.value)
-            return ABin("-", IntConst(0), body)
-        return self.aprim()
+        return self.sums(_INT_SUMS, self.aprim)
 
     def aprim(self):
         tok = self.peek()
@@ -235,69 +306,19 @@ class _Parser:
     # -- deterministic formulas
 
     def detf(self) -> Formula:
-        left = self.dor()
-        if self.peek().kind == "->":
-            self.next()
-            return Implies(left, self.detf())
-        return left
-
-    def dor(self) -> Formula:
-        left = self.dand()
-        while self.peek().kind == "||":
-            self.next()
-            left = Or(left, self.dand())
-        return left
-
-    def dand(self) -> Formula:
-        left = self.dneg()
-        while self.peek().kind == "&&":
-            self.next()
-            left = And(left, self.dneg())
-        return left
-
-    def dneg(self) -> Formula:
-        if self.peek().kind == "!":
-            self.next()
-            return Not(self.dneg())
-        return self.datom()
+        return self.connectives(_DET_CONNECTIVES, self.datom)
 
     def datom(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "true":
+        if tok.kind in ("true", "false"):
             self.next()
-            return TRUE
-        if tok.kind == "false":
-            self.next()
-            return FALSE
+            return TRUE if tok.kind == "true" else FALSE
         if tok.kind == "forall":
             self.next()
             name = self.expect("LIDENT").text
             self.expect(".")
             return Forall(name, self.detf())
-        save = self.pos
-        try:
-            left = self.aexp()
-            op = self.peek().kind
-            if op not in ROPS:
-                self.fail("expected a relation")
-            self.next()
-            return Rel(op, left, self.aexp())
-        except ParseError:
-            self.pos = save
-        if tok.kind == "(":
-            self.next()
-            f = self.detf()
-            self.expect(")")
-            return f
-        self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
-
-    def guard(self) -> Formula:
-        tok = self.peek()
-        f = self.detf()
-        if log_vars(f) or _has_quantifier(f):
-            raise ParseError("guards must not use quantifiers or logical variables",
-                             tok.line, tok.col)
-        return f
+        return self.relation_or_group(self.aexp, Rel, self.detf, "formula")
 
     # -- commands
 
@@ -339,7 +360,7 @@ class _Parser:
             return Skip()
         if tok.kind == "if":
             self.next()
-            g = self.guard()
+            g = self.detf()
             self.expect("then")
             self.expect("{")
             then_branch = self.cmd()
@@ -348,15 +369,15 @@ class _Parser:
             self.expect("{")
             else_branch = self.cmd()
             self.expect("}")
-            return If(g, then_branch, else_branch)
+            return self._guarded(tok, If, g, then_branch, else_branch)
         if tok.kind == "while":
             self.next()
-            g = self.guard()
+            g = self.detf()
             self.expect("do")
             self.expect("{")
             body = self.cmd()
             self.expect("}")
-            return While(g, body)
+            return self._guarded(tok, While, g, body)
         if tok.kind == "(":
             self.next()
             c = self.cmd()
@@ -375,6 +396,14 @@ class _Parser:
                 return RandAssign(tok.text, self.dist_literal())
             self.fail("expected ':=' or ':=$' after variable")
         self.fail(f"expected a command, found {tok.text or 'end of input'!r}")
+
+    @staticmethod
+    def _guarded(tok: Token, ctor, *fields) -> Command:
+        """An If or While; the node's own guard check is reported at tok."""
+        try:
+            return ctor(*fields)
+        except ValueError as err:
+            raise ParseError(str(err), tok.line, tok.col) from None
 
     def dist_literal(self) -> DistSpec:
         open_tok = self.expect("{")
@@ -404,27 +433,7 @@ class _Parser:
     # -- real expressions and probabilistic formulas
 
     def rexp(self) -> RealExpr:
-        left = self.rmul()
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            left = RBin(op, left, self.rmul())
-        return left
-
-    def rmul(self) -> RealExpr:
-        left = self.rneg()
-        while self.peek().kind == "*":
-            self.next()
-            left = RBin("*", left, self.rneg())
-        return left
-
-    def rneg(self) -> RealExpr:
-        if self.peek().kind == "-":
-            self.next()
-            body = self.rneg()
-            if isinstance(body, RatConst):
-                return RatConst(-body.value)
-            return RBin("-", RatConst(Fraction(0)), body)
-        return self.rprim()
+        return self.sums(_REAL_SUMS, self.rprim)
 
     def rprim(self) -> RealExpr:
         tok = self.peek()
@@ -447,56 +456,15 @@ class _Parser:
         self.fail(f"expected a real expression, found {tok.text or 'end of input'!r}")
 
     def probf(self) -> ProbFormula:
-        left = self.por()
-        if self.peek().kind == "->":
-            self.next()
-            return PImplies(left, self.probf())
-        return left
-
-    def por(self) -> ProbFormula:
-        left = self.pand()
-        while self.peek().kind == "||":
-            self.next()
-            left = POr(left, self.pand())
-        return left
-
-    def pand(self) -> ProbFormula:
-        left = self.pneg()
-        while self.peek().kind == "&&":
-            self.next()
-            left = PAnd(left, self.pneg())
-        return left
-
-    def pneg(self) -> ProbFormula:
-        if self.peek().kind == "!":
-            self.next()
-            return PNot(self.pneg())
-        return self.patom()
+        return self.connectives(_PROB_CONNECTIVES, self.patom)
 
     def patom(self) -> ProbFormula:
         tok = self.peek()
-        if tok.kind == "true":
+        if tok.kind in ("true", "false"):
             self.next()
-            return PTRUE
-        if tok.kind == "false":
-            self.next()
-            return PFALSE
-        save = self.pos
-        try:
-            left = self.rexp()
-            op = self.peek().kind
-            if op not in ROPS:
-                self.fail("expected a relation")
-            self.next()
-            return PRel(op, left, self.rexp())
-        except ParseError:
-            self.pos = save
-        if tok.kind == "(":
-            self.next()
-            f = self.probf()
-            self.expect(")")
-            return f
-        self.fail(f"expected a probabilistic formula, found {tok.text or 'end of input'!r}")
+            return PTRUE if tok.kind == "true" else PFALSE
+        return self.relation_or_group(self.rexp, PRel, self.probf,
+                                      "probabilistic formula")
 
 
 # ---------------------------------------------------------------------------

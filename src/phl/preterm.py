@@ -32,9 +32,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    And, Assign, Command, EMPTY_INTERP, Formula, If, IntConst, Not, PAnd,
-    PImplies, PNot, POr, PRel, Prob, ProbFormula, RandAssign, RatConst,
-    RealExpr, RealVar, RBin, Seq, Skip, SubDistribution, TRUE, While,
+    And, Assign, Command, EMPTY_INTERP, Formula, If, IntConst, Not, PRel, Prob,
+    ProbFormula, RandAssign, RatConst, RealExpr, RBin, Seq, Skip,
+    SubDistribution, TRUE, While,
     and_all, dag_walk, log_vars, node_size, normalize_real, real_sum,
     real_vars, simplify_formula, subst_prog_var,
 )
@@ -227,14 +227,8 @@ def wp_prob(c: Command, f: ProbFormula, unroll: int = DEFAULT_UNROLL,
             expansions.extend(ex1)
             expansions.extend(ex2)
             return PRel(n.op, left, right)
-        if isinstance(n, PNot):
-            return PNot(go(n.body))
-        if isinstance(n, PAnd):
-            return PAnd(go(n.left), go(n.right))
-        if isinstance(n, POr):
-            return POr(go(n.left), go(n.right))
-        if isinstance(n, PImplies):
-            return PImplies(go(n.left), go(n.right))
+        if isinstance(n, ProbFormula):
+            return n.map(go)  # a connective: rebuilt over its transformed operands
         raise TypeError(f"not a probabilistic formula: {n!r}")
 
     return go(f), expansions

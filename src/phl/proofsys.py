@@ -1,12 +1,14 @@
 """Proof derivation checking for both assertion flavors.
 
-The deterministic system has structural rules SKIP/AS/PAS/SEQ/IF/WHILE plus
-CONS/AND/OR; schema matching is syntactic (PAS builds its conjunction
-left-folded) and CONS side conditions are discharged by bounded validity.
-The probabilistic system has SKIP/SEQ/CONS and takes AS/PAS/IF/WHILE as
-axioms of the shape {WP(C, Phi)} C {Phi}: any stated precondition that is
-family-equivalent to the computed WP is accepted.  There are no AND/OR rules
-on the probabilistic side, and the checker does not invent any.
+One node checker serves both systems, and the rules they share are written
+once: SKIP and SEQ match their schemas syntactically, and CONS discharges
+its implications and stated side formulas by bounded validity (`Implies` on
+the state window, or `PImplies` on the distribution family).  The
+deterministic system adds AS/PAS/IF/WHILE schemas (PAS builds its
+conjunction left-folded) and AND/OR.  The probabilistic system takes
+AS/PAS/IF/WHILE as axioms {WP(C, Phi)} C {Phi}: any stated precondition
+family-equivalent to the computed WP is accepted.  It has no AND/OR rules,
+and the checker does not invent any.
 
 Derivations serialize as JSON:
 
@@ -29,7 +31,7 @@ from .core import (
 from .parser import SourceTriple, parse_det_formula, parse_prob_formula, parse_triple
 from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW
 from .assertions import (
-    DistFamily, StateWindow, ValidityVerdict, check_valid_det,
+    DistFamily, StateWindow, check_valid_det,
     check_valid_prob, prob_equivalent_on_family,
 )
 from .wp import DEFAULT_UNROLL, check_triple_det, default_window, wp
@@ -87,11 +89,12 @@ class DerivationVerdict:
         return "rejected:\n" + "\n".join(f"  {f}" for f in self.failures)
 
 
-def _gather_vars(d: Derivation) -> frozenset[str]:
+def derivation_vars(d: Derivation) -> frozenset[str]:
+    """Program variables of every triple in the derivation."""
     t = d.conclusion
     out = prog_vars(t.command) | prog_vars(t.pre) | prog_vars(t.post)
     for p in d.premises:
-        out |= _gather_vars(p)
+        out |= derivation_vars(p)
     return out
 
 
@@ -104,7 +107,7 @@ def check_derivation(d: Derivation, window: Optional[StateWindow] = None,
     """Validate every node's rule schema; discharge side conditions by
     bounded validity (window for deterministic, family for probabilistic)."""
     if window is None:
-        window = StateWindow.make(_gather_vars(d))
+        window = StateWindow.make(derivation_vars(d))
     if family is None and d.conclusion.prob:
         family = DistFamily.build(window, seed)
     scope = str(family.description if d.conclusion.prob else window)
@@ -121,8 +124,7 @@ def check_derivation(d: Derivation, window: Optional[StateWindow] = None,
                 f"{path}: rule {node.rule!r} is not in the "
                 f"{'probabilistic' if t.prob else 'deterministic'} system")
             return
-        reason = (_check_prob_node if t.prob else _check_det_node)(
-            node, window, family, qwindow, unroll, depth)
+        reason = _check_node(node, window, family, qwindow, unroll, depth)
         if reason:
             failures.append(f"{path}: {reason}")
         for i, p in enumerate(node.premises):
@@ -147,8 +149,12 @@ def _check_sides(node: Derivation, check) -> Optional[str]:
     return None
 
 
-def _check_det_node(node: Derivation, window: StateWindow, family,
-                    qwindow, unroll: int, depth: int) -> Optional[str]:
+_AXIOM_SHAPES = {"AS": Assign, "PAS": RandAssign, "IF": If, "WHILE": While}
+
+
+def _check_node(node: Derivation, window: StateWindow,
+                family: Optional[DistFamily], qwindow, unroll: int,
+                depth: int) -> Optional[str]:
     t = node.conclusion
     c = t.command
     rule = node.rule
@@ -159,6 +165,57 @@ def _check_det_node(node: Derivation, window: StateWindow, family,
         if t.pre != t.post:
             return "SKIP needs identical pre and post"
         return _arity(node, 0)
+
+    if rule == "SEQ":
+        if not isinstance(c, Seq):
+            return "SEQ applies to sequential compositions only"
+        bad = _arity(node, 2)
+        if bad:
+            return bad
+        p1, p2 = (p.conclusion for p in node.premises)
+        if p1.command != c.first or p2.command != c.second:
+            return "SEQ premises must cover the two components in order"
+        if p1.pre != t.pre or p2.post != t.post or p1.post != p2.pre:
+            return "SEQ assertions must chain (pre, mid, post)"
+        return None
+
+    if rule == "CONS":
+        bad = _arity(node, 1)
+        if bad:
+            return bad
+        p = node.premises[0].conclusion
+        if p.command != c:
+            return "CONS premise must cover the same command"
+        implies = PImplies if t.prob else Implies
+
+        def valid(f):
+            return (check_valid_prob(f, family, qwindow) if t.prob
+                    else check_valid_det(f, window, qwindow))
+
+        bad = _check_sides(node, valid)
+        if bad:
+            return bad
+        forward = valid(implies(t.pre, p.pre))
+        if not forward.valid:
+            return f"precondition implication fails: {forward}"
+        backward = valid(implies(p.post, t.post))
+        if not backward.valid:
+            return f"postcondition implication fails: {backward}"
+        return None
+
+    if t.prob:  # AS, PAS, IF and WHILE are axioms {WP(C, Phi)} C {Phi}
+        shape = _AXIOM_SHAPES[rule]
+        if not isinstance(c, shape):
+            return f"{rule} applies to {shape.__name__} commands only"
+        bad = _arity(node, 0)
+        if bad:
+            return bad
+        computed, _ = wp_prob(c, t.post, unroll, depth, window, qwindow)
+        verdict = prob_equivalent_on_family(t.pre, computed, family, qwindow)
+        if not verdict.valid:
+            return (f"precondition is not family-equivalent to the computed "
+                    f"weakest precondition {computed}: {verdict}")
+        return None
 
     if rule == "AS":
         if not isinstance(c, Assign):
@@ -176,19 +233,6 @@ def _check_det_node(node: Derivation, window: StateWindow, family,
         if t.pre != expected:
             return f"PAS precondition must be {expected}"
         return _arity(node, 0)
-
-    if rule == "SEQ":
-        if not isinstance(c, Seq):
-            return "SEQ applies to sequential compositions only"
-        bad = _arity(node, 2)
-        if bad:
-            return bad
-        p1, p2 = (p.conclusion for p in node.premises)
-        if p1.command != c.first or p2.command != c.second:
-            return "SEQ premises must cover the two components in order"
-        if p1.pre != t.pre or p2.post != t.post or p1.post != p2.pre:
-            return "SEQ assertions must chain (pre, mid, post)"
-        return None
 
     if rule == "IF":
         if not isinstance(c, If):
@@ -221,24 +265,6 @@ def _check_det_node(node: Derivation, window: StateWindow, family,
             return "WHILE postcondition must be invariant && !guard"
         return None
 
-    if rule == "CONS":
-        bad = _arity(node, 1)
-        if bad:
-            return bad
-        p = node.premises[0].conclusion
-        if p.command != c:
-            return "CONS premise must cover the same command"
-        bad = _check_sides(node, lambda s: check_valid_det(s, window, qwindow))
-        if bad:
-            return bad
-        forward = check_valid_det(Implies(t.pre, p.pre), window, qwindow)
-        if not forward.valid:
-            return f"precondition implication fails: {forward}"
-        backward = check_valid_det(Implies(p.post, t.post), window, qwindow)
-        if not backward.valid:
-            return f"postcondition implication fails: {backward}"
-        return None
-
     if rule in ("AND", "OR"):
         bad = _arity(node, 2)
         if bad:
@@ -249,68 +275,6 @@ def _check_det_node(node: Derivation, window: StateWindow, family,
         ctor = And if rule == "AND" else Or
         if t.pre != ctor(p1.pre, p2.pre) or t.post != ctor(p1.post, p2.post):
             return f"{rule} must combine both premises' assertions"
-        return None
-
-    raise AssertionError(f"unhandled rule {rule}")
-
-
-def _check_prob_node(node: Derivation, window: StateWindow,
-                     family: DistFamily, qwindow, unroll: int,
-                     depth: int) -> Optional[str]:
-    t = node.conclusion
-    c = t.command
-    rule = node.rule
-
-    if rule == "SKIP":
-        if not isinstance(c, Skip):
-            return "SKIP applies to skip only"
-        if t.pre != t.post:
-            return "SKIP needs identical pre and post"
-        return _arity(node, 0)
-
-    if rule in ("AS", "PAS", "IF", "WHILE"):
-        shapes = {"AS": Assign, "PAS": RandAssign, "IF": If, "WHILE": While}
-        if not isinstance(c, shapes[rule]):
-            return f"{rule} applies to {shapes[rule].__name__} commands only"
-        bad = _arity(node, 0)
-        if bad:
-            return bad
-        computed, _ = wp_prob(c, t.post, unroll, depth, window, qwindow)
-        verdict = prob_equivalent_on_family(t.pre, computed, family, qwindow)
-        if not verdict.valid:
-            return (f"precondition is not family-equivalent to the computed "
-                    f"weakest precondition {computed}: {verdict}")
-        return None
-
-    if rule == "SEQ":
-        if not isinstance(c, Seq):
-            return "SEQ applies to sequential compositions only"
-        bad = _arity(node, 2)
-        if bad:
-            return bad
-        p1, p2 = (p.conclusion for p in node.premises)
-        if p1.command != c.first or p2.command != c.second:
-            return "SEQ premises must cover the two components in order"
-        if p1.pre != t.pre or p2.post != t.post or p1.post != p2.pre:
-            return "SEQ assertions must chain (pre, mid, post)"
-        return None
-
-    if rule == "CONS":
-        bad = _arity(node, 1)
-        if bad:
-            return bad
-        p = node.premises[0].conclusion
-        if p.command != c:
-            return "CONS premise must cover the same command"
-        bad = _check_sides(node, lambda s: check_valid_prob(s, family, qwindow))
-        if bad:
-            return bad
-        forward = check_valid_prob(PImplies(t.pre, p.pre), family, qwindow)
-        if not forward.valid:
-            return f"precondition implication fails: {forward}"
-        backward = check_valid_prob(PImplies(p.post, t.post), family, qwindow)
-        if not backward.valid:
-            return f"postcondition implication fails: {backward}"
         return None
 
     raise AssertionError(f"unhandled rule {rule}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from phl import gen
 from phl.assertions import StateWindow
-from phl.core import Interpretation
+from phl.core import ROPS, Interpretation, PAnd, PImplies, PNot, POr, PRel
 
 PV = ("X", "Y")
 WINDOW = StateWindow.make(PV, -2, 2)
@@ -68,6 +68,22 @@ def commands(draw, loops=False):
 @st.composite
 def real_exprs(draw):
     return gen.gen_real_expr(_rng(draw(seeds)), PV, depth=draw(st.integers(0, 2)))
+
+
+def gen_prob_formula(rng: random.Random, depth: int):
+    """Probabilistic connectives over relations between real expressions."""
+    if depth <= 0 or rng.random() < 0.3:
+        return PRel(rng.choice(ROPS), gen.gen_real_expr(rng, PV, rng.randint(0, 2)),
+                    gen.gen_real_expr(rng, PV, rng.randint(0, 2)))
+    ctor = rng.choice((PNot, PAnd, POr, PImplies))
+    if ctor is PNot:
+        return PNot(gen_prob_formula(rng, depth - 1))
+    return ctor(gen_prob_formula(rng, depth - 1), gen_prob_formula(rng, depth - 1))
+
+
+@st.composite
+def prob_formulas(draw):
+    return gen_prob_formula(_rng(draw(seeds)), draw(st.integers(0, 4)))
 
 
 @st.composite

@@ -123,6 +123,21 @@ class TestProve:
         rc, _, err = run_cli(capsys, "prove", "--derivation", "missing.json")
         assert rc == 2 and "error" in err
 
+    @pytest.mark.parametrize("deriv, scope", [
+        ({"rule": "CONS", "conclusion": "{ X >= 3 } X := X + 1 { X >= 1 }",
+          "premises": [{"rule": "AS",
+                        "conclusion": "{ X + 1 >= 1 } X := X + 1 { X >= 1 }"}]},
+         "accepted on window {X in [-2, 2]}"),
+        ({"rule": "SKIP", "conclusion": "{ P(X = 0) = 1 } skip { P(X = 0) = 1 }"},
+         "accepted on family(seed=0, size=39) on window {X in [-2, 2]}"),
+    ], ids=["det", "prob"])
+    def test_int_window(self, capsys, tmp_path, deriv, scope):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(deriv))
+        rc, out, _ = run_cli(capsys, "prove", "--derivation", str(p),
+                             "--int-window=-2..2")
+        assert rc == 0 and out == scope + "\n"
+
 
 class TestErrorsAndConfig:
     def test_parse_error_exits_2(self, capsys):
@@ -178,6 +193,21 @@ class TestWindowsAndBounds:
         assert rc == 2 and out == ""
         assert err.startswith("error:") and "non-negative" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("config", [
+        {"int_window": 5}, {"int_window": [2, 1]}, {"quant_window": [0, 1, 2]},
+        {"loop_bound": None}, {"unroll": 1.5}, {"depth": True}, {"seed": "3"},
+        ["loop_bound", 4], {"format": "xml"}, {"loop-bound": 4},
+    ])
+    def test_malformed_config(self, capsys, tmp_path, monkeypatch, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv("PHL_CONFIG", str(cfg))
+        rc, out, err = run_cli(capsys, "check",
+                               "--triple", "{ X >= 0 } X := X + 1 { X >= 1 }")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: PHL_CONFIG") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_negative_bound_in_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -7,8 +7,8 @@ from hypothesis import given
 
 from phl.core import (
     ABin, And, Assign, DistSpec, Forall, If, IntConst, LogVar, Not, Or,
-    Implies, PRel, Prob, ProgVar, RandAssign, RatConst, RBin, RealVar, Rel,
-    Seq, Skip, State, SubDistribution, While,
+    Implies, PAnd, PImplies, PNot, POr, PRel, Prob, ProgVar, RandAssign,
+    RatConst, RBin, RealVar, Rel, Seq, Skip, State, SubDistribution, While,
     arith_to_source, command_to_source, formula_to_source, prob_to_source,
     real_to_source,
 )
@@ -32,6 +32,13 @@ class TestArithAndFormulas:
         assert parse_det_formula("X = -1") == Rel("=", ProgVar("X"), IntConst(-1))
         assert parse_det_formula("-X < 0") == Rel(
             "<", ABin("-", IntConst(0), ProgVar("X")), IntConst(0))
+        assert parse_real_expr("-1/2") == RatConst(Fraction(-1, 2))
+        assert parse_real_expr("--1/2") == RatConst(Fraction(1, 2))
+        assert parse_real_expr("-P(X = 0)") == RBin(
+            "-", RatConst(Fraction(0)), Prob(Rel("=", ProgVar("X"), IntConst(0))))
+        assert parse_real_expr("2 * -@eps") == RBin(
+            "*", RatConst(Fraction(2)),
+            RBin("-", RatConst(Fraction(0)), RealVar("eps")))
 
     def test_connective_precedence(self):
         f = parse_det_formula("!X = 0 && Y = 1 || X = 2")
@@ -39,10 +46,21 @@ class TestArithAndFormulas:
                        Rel("=", ProgVar("Y"), IntConst(1))),
                    Rel("=", ProgVar("X"), IntConst(2)))
         assert f == inner
+        a, b, c = (PRel(">=", Prob(Rel("=", ProgVar("X"), IntConst(i))),
+                        RatConst(Fraction(1, 2))) for i in range(3))
+        g = parse_prob_formula(
+            "!P(X = 0) >= 1/2 && P(X = 1) >= 1/2 || P(X = 2) >= 1/2")
+        assert g == POr(PAnd(PNot(a), b), c)
+        h = parse_prob_formula(
+            "P(X = 0) >= 1/2 || P(X = 1) >= 1/2 && !P(X = 2) >= 1/2")
+        assert h == POr(a, PAnd(b, PNot(c)))
 
     def test_implication_right_assoc(self):
         f = parse_det_formula("X = 0 -> Y = 0 -> X = Y")
         assert isinstance(f, Implies) and isinstance(f.right, Implies)
+        g = parse_prob_formula("P(X = 0) = 1 -> P(Y = 0) = 1 -> 0 < 1 || 1 < 0")
+        assert isinstance(g, PImplies) and isinstance(g.right, PImplies)
+        assert isinstance(g.right.right, POr)
 
     def test_forall(self):
         f = parse_det_formula("forall x. x * X = 0 -> X = 0")
@@ -107,6 +125,11 @@ class TestCommands:
             parse_command("while x = 0 do { skip }")
         with pytest.raises(ParseError, match="guard"):
             parse_command("if forall x. x = x then { skip } else { skip }")
+
+    def test_guard_error_points_at_keyword(self):
+        with pytest.raises(ParseError) as err:
+            parse_command("skip;\n  while X = 0 && x = 0 do { skip }")
+        assert (err.value.line, err.value.col) == (2, 3)
 
     def test_choice_desugars(self):
         c = parse_command("X := 1 [1/3] X := 2")
@@ -209,6 +232,10 @@ class TestRoundTrips:
     @given(sts.real_exprs(), sts.real_exprs())
     def test_prob_formula(self, a, b):
         f = PRel("<=", a, b)
+        assert parse_prob_formula(prob_to_source(f)) == f
+
+    @given(sts.prob_formulas())
+    def test_prob_connectives(self, f):
         assert parse_prob_formula(prob_to_source(f)) == f
 
     @given(sts.det_formulas(), sts.commands(loops=True), sts.real_exprs())

@@ -148,14 +148,39 @@ class TestRejected:
         v = check_derivation(d)
         assert not v.accepted and "AS precondition" in v.failures[0]
 
-    def test_bad_cons_side(self):
-        d = derivation_from_json({
-            "rule": "CONS",
-            "conclusion": "{ true } X := X + 1 { X > 0 }",
-            "premises": [
-                {"rule": "AS", "conclusion": "{ X + 1 > 0 } X := X + 1 { X > 0 }"}]})
-        v = check_derivation(d)
-        assert not v.accepted and "implication fails" in v.failures[0]
+    @pytest.mark.parametrize("data", [
+        {"rule": "CONS",
+         "conclusion": "{ true } X := X + 1 { X > 0 }",
+         "premises": [
+             {"rule": "AS", "conclusion": "{ X + 1 > 0 } X := X + 1 { X > 0 }"}]},
+        {"rule": "CONS",
+         "conclusion": "{ true } X := X + 1 { P(X > 0) = 1 }",
+         "premises": [
+             {"rule": "AS",
+              "conclusion": "{ P(X + 1 > 0) = 1 } X := X + 1 { P(X > 0) = 1 }"}]},
+    ], ids=["det", "prob"])
+    def test_bad_cons_side(self, data):
+        v = check_derivation(derivation_from_json(data))
+        assert not v.accepted and "precondition implication fails" in v.failures[0]
+
+    @pytest.mark.parametrize("data", [
+        {"rule": "CONS",
+         "conclusion": "{ X = 1 } X := X + 1 { X > 0 }",
+         "premises": [
+             {"rule": "AS", "conclusion": "{ X + 1 > 0 } X := X + 1 { X > 0 }"}],
+         "side": ["X > 0"]},
+        {"rule": "CONS",
+         "conclusion": "{ P(X = 1) = 1 } X := X + 1 { P(X > 0) = 1 }",
+         "premises": [
+             {"rule": "AS",
+              "conclusion": "{ P(X + 1 > 0) = 1 } X := X + 1 { P(X > 0) = 1 }"}],
+         "side": ["P(X = 0) = 1"]},
+    ], ids=["det", "prob"])
+    def test_invalid_stated_side(self, data):
+        # both implications hold; only the stated side formula is invalid
+        v = check_derivation(derivation_from_json(data))
+        assert not v.accepted
+        assert v.failures[0].startswith("root: stated side condition")
 
     def test_and_not_in_probabilistic_system(self):
         d = derivation_from_json({
@@ -178,9 +203,12 @@ class TestRejected:
                 {"rule": "SKIP", "conclusion": "{ X = 0 } skip { X = 0 }"}]})
         assert not check_derivation(d).accepted
 
-    def test_rule_command_mismatch(self):
-        d = derivation_from_json(
-            {"rule": "SKIP", "conclusion": "{ X = 0 } X := 0 { X = 0 }"})
+    @pytest.mark.parametrize("conclusion", [
+        "{ X = 0 } X := 0 { X = 0 }",
+        "{ P(X = 0) = 1 } X := 0 { P(X = 0) = 1 }",
+    ], ids=["det", "prob"])
+    def test_rule_command_mismatch(self, conclusion):
+        d = derivation_from_json({"rule": "SKIP", "conclusion": conclusion})
         v = check_derivation(d)
         assert not v.accepted and "skip only" in v.failures[0]
 
@@ -189,13 +217,14 @@ class TestRejected:
             {"rule": "FROBNICATE", "conclusion": "{ true } skip { true }"})
         assert not check_derivation(d).accepted
 
-    def test_failure_paths_name_nodes(self):
+    @pytest.mark.parametrize("phi", ["true", "P(true) = 1"], ids=["det", "prob"])
+    def test_failure_paths_name_nodes(self, phi):
         d = derivation_from_json({
             "rule": "SEQ",
-            "conclusion": "{ true } skip; skip { true }",
+            "conclusion": "{ %s } skip; skip { %s }" % (phi, phi),
             "premises": [
-                {"rule": "SKIP", "conclusion": "{ true } skip { true }"},
-                {"rule": "AS", "conclusion": "{ true } skip { true }"},
+                {"rule": "SKIP", "conclusion": "{ %s } skip { %s }" % (phi, phi)},
+                {"rule": "AS", "conclusion": "{ %s } skip { %s }" % (phi, phi)},
             ]})
         v = check_derivation(d)
         assert not v.accepted
