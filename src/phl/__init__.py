@@ -22,7 +22,9 @@ from .parser import (
     parse_det_formula, parse_prob_formula, parse_real_expr, parse_state,
     parse_triple,
 )
-from .semantics import ExecResult, eval_arith, execute, restrict, sat_det, sat_det_dist
+from .semantics import (
+    ExecResult, eval_arith, execute, restrict, sat_det, sat_det_batch, sat_det_dist,
+)
 from .assertions import (
     DistFamily, StateWindow, ValidityVerdict, check_valid_det,
     check_valid_prob, eval_real, prob_equivalent_on_family,

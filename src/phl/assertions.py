@@ -6,6 +6,14 @@ test domains: a window of integer stores, a quantifier window, a family of
 sub-distributions, and a small grid of rational values for free real
 variables.  Verdicts carry their scope so "valid" always reads as "valid on
 this domain".
+
+Each check decides a formula one node per domain, not one state at a time:
+under each interpretation, a deterministic formula is one batch over the
+window's states, and each P(phi) body one batch over the union of the
+family members' supports, from which every member's P(phi) is summed.  The
+first counterexample is the one of the state-by-state loops (interpretation
+outer, state or member inner).  Terms are hash-consed, so identical
+operands are one object, and they are equivalent without being evaluated.
 """
 
 from __future__ import annotations
@@ -15,7 +23,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from operator import not_
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Formula, Interpretation, EMPTY_INTERP, PAnd, PImplies, PNot, POr, PRel,
@@ -23,48 +32,94 @@ from .core import (
     SubDistribution, dag_walk, format_fraction, log_vars, parse_fraction,
     real_vars, _AOP_FUN, _ROP_FUN,
 )
-from .semantics import DEFAULT_QWINDOW, sat_det
+from .semantics import DEFAULT_QWINDOW, sat_det_batch
 
 REAL_GRID: tuple[Fraction, ...] = (
     Fraction(-1), Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1),
 )
 
 
+class ProbEvaluator:
+    """Evaluates probabilistic assertions on distributions over a known set
+    of states.  Each body phi of a P(phi) is decided in one batch over
+    those states, under one interpretation's logical values at a time;
+    P(phi) on a distribution is then its weight on the states where phi
+    holds.  States met outside the set are decided in a further batch.
+    Nothing is kept beyond the evaluator, which lives for one call."""
+
+    __slots__ = ("states", "qwindow", "log", "truth")
+
+    def __init__(self, states: Sequence[State],
+                 qwindow: tuple[int, int] = DEFAULT_QWINDOW):
+        self.states = states
+        self.qwindow = qwindow
+        self.log = None
+        self.truth: dict[Formula, dict[State, bool]] = {}
+
+    def prob(self, phi: Formula, dist: SubDistribution,
+             interp: Interpretation) -> Fraction:
+        if interp.log != self.log:
+            self.log = interp.log
+            self.truth = {}
+        truth = self.truth.get(phi)
+        if truth is None:
+            truth = self.truth[phi] = dict(zip(
+                self.states, sat_det_batch(phi, self.states, interp, self.qwindow)))
+        new = [s for s, _ in dist.items() if s not in truth]
+        if new:
+            truth.update(zip(new, sat_det_batch(phi, new, interp, self.qwindow)))
+        return sum((p for s, p in dist.items() if truth[s]), _ZERO)
+
+    def real(self, r: RealExpr, dist: SubDistribution,
+             interp: Interpretation) -> Fraction:
+        """Exact rational value of a real expression against dist."""
+        def step(n: RealExpr, go) -> Fraction:
+            if isinstance(n, RatConst):
+                return n.value
+            if isinstance(n, RealVar):
+                return interp.real_value(n.name)
+            if isinstance(n, Prob):
+                return self.prob(n.formula, dist, interp)
+            if isinstance(n, RBin):
+                return _AOP_FUN[n.op](go(n.left), go(n.right))
+            raise TypeError(f"not a real expression: {n!r}")
+
+        return dag_walk(r, step)
+
+    def sat(self, f: ProbFormula, dist: SubDistribution,
+            interp: Interpretation) -> bool:
+        if isinstance(f, PRel):
+            return _ROP_FUN[f.op](self.real(f.left, dist, interp),
+                                  self.real(f.right, dist, interp))
+        if isinstance(f, PNot):
+            return not self.sat(f.body, dist, interp)
+        if isinstance(f, PAnd):
+            return self.sat(f.left, dist, interp) and self.sat(f.right, dist, interp)
+        if isinstance(f, POr):
+            return self.sat(f.left, dist, interp) or self.sat(f.right, dist, interp)
+        if isinstance(f, PImplies):
+            return (not self.sat(f.left, dist, interp)) or self.sat(f.right, dist, interp)
+        raise TypeError(f"not a probabilistic formula: {f!r}")
+
+
+_ZERO = Fraction(0)
+
+
+def _support(dist: SubDistribution) -> list[State]:
+    return [s for s, _ in dist.items()]
+
+
 def eval_real(r: RealExpr, dist: SubDistribution,
               interp: Interpretation = EMPTY_INTERP,
               qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> Fraction:
     """Exact rational value of a real expression against a sub-distribution."""
-    def step(n: RealExpr, go) -> Fraction:
-        if isinstance(n, RatConst):
-            return n.value
-        if isinstance(n, RealVar):
-            return interp.real_value(n.name)
-        if isinstance(n, Prob):
-            return sum(
-                (p for s, p in dist.items() if sat_det(n.formula, s, interp, qwindow)),
-                Fraction(0))
-        if isinstance(n, RBin):
-            return _AOP_FUN[n.op](go(n.left), go(n.right))
-        raise TypeError(f"not a real expression: {n!r}")
-
-    return dag_walk(r, step)
+    return ProbEvaluator(_support(dist), qwindow).real(r, dist, interp)
 
 
 def sat_prob(f: ProbFormula, dist: SubDistribution,
              interp: Interpretation = EMPTY_INTERP,
              qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
-    if isinstance(f, PRel):
-        return _ROP_FUN[f.op](eval_real(f.left, dist, interp, qwindow),
-                              eval_real(f.right, dist, interp, qwindow))
-    if isinstance(f, PNot):
-        return not sat_prob(f.body, dist, interp, qwindow)
-    if isinstance(f, PAnd):
-        return sat_prob(f.left, dist, interp, qwindow) and sat_prob(f.right, dist, interp, qwindow)
-    if isinstance(f, POr):
-        return sat_prob(f.left, dist, interp, qwindow) or sat_prob(f.right, dist, interp, qwindow)
-    if isinstance(f, PImplies):
-        return (not sat_prob(f.left, dist, interp, qwindow)) or sat_prob(f.right, dist, interp, qwindow)
-    raise TypeError(f"not a probabilistic formula: {f!r}")
+    return ProbEvaluator(_support(dist), qwindow).sat(f, dist, interp)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +149,7 @@ class StateWindow:
     def states(self) -> list[State]:
         ranges = [range(a, b + 1) for _, a, b in self.bounds]
         names = self.vars()
-        return [State.make(dict(zip(names, values)))
+        return [State(tuple(zip(names, values)))
                 for values in itertools.product(*ranges)]
 
     def __str__(self) -> str:
@@ -169,6 +224,10 @@ class DistFamily:
     def dists(self) -> list[SubDistribution]:
         return [d for _, d in self.members]
 
+    def states(self) -> list[State]:
+        """Every state in some member's support, in first-seen order."""
+        return list(dict.fromkeys(s for _, d in self.members for s, _ in d.items()))
+
 
 # ---------------------------------------------------------------------------
 # Bounded validity
@@ -191,10 +250,12 @@ def check_valid_det(f: Formula, window: StateWindow,
                     qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
     """Truth at every window state under every interpretation of free vars."""
     scope = f"{window}, quantifiers over {list(qwindow)}"
+    states = window.states()
     for interp in interpretations(log_vars(f), qwindow):
-        for s in window.states():
-            if not sat_det(f, s, interp, qwindow):
-                return ValidityVerdict(False, scope, (s, interp))
+        truth = sat_det_batch(f, states, interp, qwindow)
+        witness = next(itertools.compress(states, map(not_, truth)), None)
+        if witness is not None:
+            return ValidityVerdict(False, scope, (witness, interp))
     return ValidityVerdict(True, scope)
 
 
@@ -203,9 +264,10 @@ def check_valid_prob(f: ProbFormula, family: DistFamily,
                      real_grid: Sequence[Fraction] = REAL_GRID) -> ValidityVerdict:
     """Truth on every family member under every interpretation in the grids."""
     scope = f"{family.description}, quantifiers over {list(qwindow)}"
+    ev = ProbEvaluator(family.states(), qwindow)
     for interp in interpretations(log_vars(f), qwindow, real_vars(f), real_grid):
         for label, dist in family:
-            if not sat_prob(f, dist, interp, qwindow):
+            if not ev.sat(f, dist, interp):
                 return ValidityVerdict(False, scope, (label, interp))
     return ValidityVerdict(True, scope)
 
@@ -214,13 +276,17 @@ def prob_equivalent_on_family(f: ProbFormula, g: ProbFormula, family: DistFamily
                               qwindow: tuple[int, int] = DEFAULT_QWINDOW,
                               real_grid: Sequence[Fraction] = REAL_GRID,
                               ) -> ValidityVerdict:
-    """Same truth value on every family member (used for WP-schema matching)."""
+    """Same truth value on every family member (used for WP-schema matching).
+    One formula (terms are hash-consed) is equivalent to itself."""
     scope = f"{family.description}, quantifiers over {list(qwindow)}"
+    if f is g:
+        return ValidityVerdict(True, scope)
     lvars = log_vars(f) | log_vars(g)
     rvars = real_vars(f) | real_vars(g)
+    ev = ProbEvaluator(family.states(), qwindow)
     for interp in interpretations(lvars, qwindow, rvars, real_grid):
         for label, dist in family:
-            if sat_prob(f, dist, interp, qwindow) != sat_prob(g, dist, interp, qwindow):
+            if ev.sat(f, dist, interp) != ev.sat(g, dist, interp):
                 return ValidityVerdict(False, scope, (label, interp))
     return ValidityVerdict(True, scope)
 
@@ -229,13 +295,17 @@ def real_equivalent_on_family(a: RealExpr, b: RealExpr, family: DistFamily,
                               qwindow: tuple[int, int] = DEFAULT_QWINDOW,
                               real_grid: Sequence[Fraction] = REAL_GRID,
                               ) -> ValidityVerdict:
-    """Same rational value on every family member."""
+    """Same rational value on every family member; one expression is
+    equivalent to itself."""
     scope = f"{family.description}, quantifiers over {list(qwindow)}"
+    if a is b:
+        return ValidityVerdict(True, scope)
     lvars = log_vars(a) | log_vars(b)
     rvars = real_vars(a) | real_vars(b)
+    ev = ProbEvaluator(family.states(), qwindow)
     for interp in interpretations(lvars, qwindow, rvars, real_grid):
         for label, dist in family:
-            if eval_real(a, dist, interp, qwindow) != eval_real(b, dist, interp, qwindow):
+            if ev.real(a, dist, interp) != ev.real(b, dist, interp):
                 return ValidityVerdict(False, scope, (label, interp))
     return ValidityVerdict(True, scope)
 

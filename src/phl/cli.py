@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .core import (
-    SubDistribution, UnboundVariable, format_fraction, prog_vars,
+    SubDistribution, UnboundVariable, format_fraction,
 )
 from .parser import (
     ParseError, parse_command, parse_det_formula, parse_prob_formula,
@@ -25,7 +25,7 @@ from .parser import (
 )
 from .semantics import execute
 from .assertions import DistFamily, StateWindow, load_dist
-from .wp import check_triple_det, wp
+from .wp import check_triple_det, default_window, wp
 from .preterm import check_triple_prob, pt, wp_prob
 from .proofsys import check_derivation, derivation_vars, load_derivation
 
@@ -115,11 +115,6 @@ def _dist_json(dist: SubDistribution) -> list[dict]:
             for s, p in sorted(dist.items())]
 
 
-def _window_for(names, cfg: Config) -> StateWindow:
-    lo, hi = cfg.int_window
-    return StateWindow.make(names, lo, hi)
-
-
 def _interp_json(interp) -> dict:
     return {"log": dict(interp.log),
             "real": {k: format_fraction(v) for k, v in interp.real.items()}}
@@ -176,7 +171,8 @@ def cmd_run(args, cfg: Config) -> int:
 def cmd_wp(args, cfg: Config) -> int:
     program = parse_command(args.program)
     post = parse_det_formula(args.post)
-    window = _window_for(prog_vars(program) | prog_vars(post), cfg)
+    lo, hi = cfg.int_window
+    window = default_window(program, post, lo=lo, hi=hi)
     formula, traces = wp(program, post, cfg.unroll, window, cfg.quant_window)
     if cfg.format == "json":
         _emit_json({
@@ -200,7 +196,8 @@ def cmd_wp(args, cfg: Config) -> int:
 def cmd_pt(args, cfg: Config) -> int:
     program = parse_command(args.program)
     expr = parse_real_expr(args.term)
-    window = _window_for(prog_vars(program) | prog_vars(expr), cfg)
+    lo, hi = cfg.int_window
+    window = default_window(program, expr, lo=lo, hi=hi)
     term, expansions = pt(program, expr, cfg.unroll, cfg.depth, window,
                           cfg.quant_window)
     if cfg.format == "json":
@@ -226,7 +223,8 @@ def cmd_pt(args, cfg: Config) -> int:
 def cmd_wpp(args, cfg: Config) -> int:
     program = parse_command(args.program)
     post = parse_prob_formula(args.post)
-    window = _window_for(prog_vars(program) | prog_vars(post), cfg)
+    lo, hi = cfg.int_window
+    window = default_window(program, post, lo=lo, hi=hi)
     formula, expansions = wp_prob(program, post, cfg.unroll, cfg.depth, window,
                                   cfg.quant_window)
     if cfg.format == "json":
@@ -245,8 +243,8 @@ def cmd_wpp(args, cfg: Config) -> int:
 
 def cmd_check(args, cfg: Config) -> int:
     triple = parse_triple(args.triple)
-    names = prog_vars(triple.command) | prog_vars(triple.pre) | prog_vars(triple.post)
-    window = _window_for(names, cfg)
+    lo, hi = cfg.int_window
+    window = default_window(triple.command, triple.pre, triple.post, lo=lo, hi=hi)
     if triple.prob:
         extra = [load_dist(args.dists)] if args.dists else []
         family = DistFamily.build(window, cfg.seed, extra=extra)
@@ -264,7 +262,7 @@ def cmd_check(args, cfg: Config) -> int:
 
 def cmd_prove(args, cfg: Config) -> int:
     derivation = load_derivation(args.derivation)
-    window = _window_for(derivation_vars(derivation), cfg)
+    window = StateWindow.make(derivation_vars(derivation), *cfg.int_window)
     verdict = check_derivation(derivation, window, qwindow=cfg.quant_window,
                                unroll=cfg.unroll, depth=cfg.depth,
                                seed=cfg.seed)

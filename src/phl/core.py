@@ -19,6 +19,7 @@ Free variables come from one collector per sort, each accepting any node:
 
 from __future__ import annotations
 
+import operator
 import weakref
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -28,19 +29,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 AOPS = ("+", "-", "*")
 ROPS = ("<", "<=", "=", ">=", ">")
 
-_ROP_FUN = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
-
-_AOP_FUN = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-}
+_ROP_FUN = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+            ">=": operator.ge, ">": operator.gt}
+_AOP_FUN = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -616,11 +607,6 @@ class Interpretation:
             return self._real[name]
         except KeyError:
             raise UnboundVariable(name) from None
-
-    def with_log(self, name: str, value: int) -> "Interpretation":
-        out = dict(self._log)
-        out[name] = value
-        return Interpretation(out, self._real)
 
     def __repr__(self) -> str:
         parts = [f"{k}={v}" for k, v in sorted(self._log.items())]

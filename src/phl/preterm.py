@@ -38,9 +38,10 @@ from .core import (
     and_all, dag_walk, log_vars, node_size, normalize_real, real_sum,
     real_vars, simplify_formula, subst_prog_var,
 )
-from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det
+from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det_batch
 from .assertions import (
-    DistFamily, REAL_GRID, StateWindow, eval_real, interpretations, sat_prob,
+    DistFamily, ProbEvaluator, REAL_GRID, StateWindow, eval_real,
+    interpretations,
 )
 from .wp import (
     DEFAULT_UNROLL, TripleVerdict, default_window, wp,
@@ -148,7 +149,7 @@ def pt(c: Command, r: RealExpr, unroll: int = DEFAULT_UNROLL,
         states = window.states()
 
         def window_sat(f: Formula) -> bool:
-            return any(sat_det(f, s, qwindow=qwindow) for s in states)
+            return any(sat_det_batch(f, states, EMPTY_INTERP, qwindow))
 
         # termination classes wp(i), with the exit formulas w_i = wp(body^i,
         # !B) built on demand; once no window store can still be live, later
@@ -247,14 +248,16 @@ def check_triple_prob(pre: ProbFormula, c: Command, post: ProbFormula,
     scope = f"{family.description}, quantifiers over {list(qwindow)}, loop bound {loop_bound}"
     inexact = False
     worst = Fraction(0)
+    before = ProbEvaluator(family.states(), qwindow)
+    after = ProbEvaluator((), qwindow)  # output states are met one run at a time
     for interp in interpretations(lvars, qwindow, rvars, grid):
         for label, dist in family:
-            if not sat_prob(pre, dist, interp, qwindow):
+            if not before.sat(pre, dist, interp):
                 continue
             res = execute(c, dist, loop_bound)
             if not res.exact:
                 inexact = True
                 worst = max(worst, res.residual_mass)
-            if not sat_prob(post, res.output, interp, qwindow):
+            if not after.sat(post, res.output, interp):
                 return TripleVerdict(False, scope, (label, interp), inexact, worst)
     return TripleVerdict(True, scope, None, inexact, worst)

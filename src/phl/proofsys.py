@@ -195,12 +195,14 @@ def _check_node(node: Derivation, window: StateWindow,
         bad = _check_sides(node, valid)
         if bad:
             return bad
-        forward = valid(implies(t.pre, p.pre))
-        if not forward.valid:
-            return f"precondition implication fails: {forward}"
-        backward = valid(implies(p.post, t.post))
-        if not backward.valid:
-            return f"postcondition implication fails: {backward}"
+        # an implication between one formula and itself (terms are
+        # hash-consed) holds without a check
+        for side, stronger, weaker in (("precondition", t.pre, p.pre),
+                                       ("postcondition", p.post, t.post)):
+            if stronger is not weaker:
+                verdict = valid(implies(stronger, weaker))
+                if not verdict.valid:
+                    return f"{side} implication fails: {verdict}"
         return None
 
     if t.prob:  # AS, PAS, IF and WHILE are axioms {WP(C, Phi)} C {Phi}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 from typing import Optional
 
 from .core import (
@@ -21,7 +22,7 @@ from .core import (
     simplify_formula, subst_prog_var,
 )
 from .semantics import (
-    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det, sat_det_dist,
+    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det_batch, sat_det_dist,
 )
 from .assertions import StateWindow, interpretations
 
@@ -40,13 +41,16 @@ class WpLoopTrace:
 
 def window_equivalent(f: Formula, g: Formula, window: StateWindow,
                       qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
-    """Same truth value at every window state under every interpretation."""
+    """Same truth value at every window state under every interpretation.
+    One formula (terms are hash-consed) is equivalent to itself."""
+    if f is g:
+        return True
     lvars = log_vars(f) | log_vars(g)
     states = window.states()
     for interp in interpretations(lvars, qwindow):
-        for s in states:
-            if sat_det(f, s, interp, qwindow) != sat_det(g, s, interp, qwindow):
-                return False
+        if any(map(ne, map(bool, sat_det_batch(f, states, interp, qwindow)),
+                   map(bool, sat_det_batch(g, states, interp, qwindow)))):
+            return False
     return True
 
 
@@ -122,12 +126,13 @@ class TripleVerdict:
     def __str__(self) -> str:
         if self.holds:
             out = f"holds on {self.scope}"
-            if self.inexact:
-                out += (f" (loop truncation left residual mass up to "
-                        f"{self.max_residual}; verdict is up to that residual)")
-            return out
-        witness, interp = self.counterexample
-        return f"fails on {self.scope}: counterexample {witness} under {interp}"
+        else:
+            witness, interp = self.counterexample
+            out = f"fails on {self.scope}: counterexample {witness} under {interp}"
+        if self.inexact:
+            out += (f" (loop truncation left residual mass up to "
+                    f"{self.max_residual}; verdict is up to that residual)")
+        return out
 
 
 def check_triple_det(pre: Formula, c: Command, post: Formula,
@@ -144,8 +149,8 @@ def check_triple_det(pre: Formula, c: Command, post: Formula,
     worst = Fraction(0)
     states = window.states()
     for interp in interpretations(lvars, qwindow):
-        for s in states:
-            if not sat_det(pre, s, interp, qwindow):
+        for s, ok in zip(states, sat_det_batch(pre, states, interp, qwindow)):
+            if not ok:
                 continue
             res = execute(c, SubDistribution.point(s), loop_bound)
             if not res.exact:

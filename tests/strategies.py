@@ -14,7 +14,10 @@ from fractions import Fraction
 
 from phl import gen
 from phl.assertions import StateWindow
-from phl.core import ROPS, Interpretation, PAnd, PImplies, PNot, POr, PRel
+from phl.core import (
+    ROPS, And, Forall, Implies, Interpretation, Not, Or, PAnd, PImplies, PNot,
+    POr, PRel, State,
+)
 
 PV = ("X", "Y")
 WINDOW = StateWindow.make(PV, -2, 2)
@@ -86,11 +89,38 @@ def prob_formulas(draw):
     return gen_prob_formula(_rng(draw(seeds)), draw(st.integers(0, 4)))
 
 
+def gen_quantified_formula(rng: random.Random, depth: int, pv=PV + ("Z",),
+                           lv=("j", "k")):
+    """Deterministic formulas with forall, over program variables a state
+    may lack and logical variables that may be left free."""
+    if depth <= 0 or rng.random() < 0.3:
+        return gen.gen_formula(rng, pv, 0, lv)
+    pick = rng.randrange(5)
+    if pick == 0:
+        return Forall(rng.choice(lv), gen_quantified_formula(rng, depth - 1, pv, lv))
+    if pick == 1:
+        return Not(gen_quantified_formula(rng, depth - 1, pv, lv))
+    ctor = (And, Or, Implies)[pick - 2]
+    return ctor(gen_quantified_formula(rng, depth - 1, pv, lv),
+                gen_quantified_formula(rng, depth - 1, pv, lv))
+
+
+@st.composite
+def quantified_formulas(draw):
+    return gen_quantified_formula(_rng(draw(seeds)), draw(st.integers(0, 4)))
+
+
 @st.composite
 def states(draw):
     items = {v: draw(st.integers(-2, 2)) for v in PV}
-    from phl import State
     return State.make(items)
+
+
+@st.composite
+def partial_states(draw):
+    """States over any subset of X, Y and Z."""
+    return State.make(draw(st.dictionaries(st.sampled_from(PV + ("Z",)),
+                                           st.integers(-2, 2))))
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import given
 
 from phl.core import (
     EMPTY_INTERP, Interpretation, Not, PRel, Prob, RatConst, State,
-    SubDistribution, point_dist,
+    SubDistribution, UnboundVariable, point_dist,
 )
 from phl.assertions import (
     DistFamily, StateWindow, check_valid_det, check_valid_prob, dist_from_json,
@@ -16,8 +16,9 @@ from phl.assertions import (
     real_equivalent_on_family, sat_prob,
 )
 from phl.parser import (
-    parse_det_formula, parse_prob_formula, parse_real_expr,
+    parse_det_formula, parse_prob_formula, parse_real_expr, parse_triple,
 )
+from phl.wp import check_triple_det, window_equivalent
 
 import strategies as sts
 
@@ -78,6 +79,19 @@ class TestWindowsAndFamilies:
         w = StateWindow.make(("X",), -1, 1)
         got = [s.as_dict() for s in w.states()]
         assert got == [{"X": -1}, {"X": 0}, {"X": 1}]
+
+    def test_window_states_are_made_states(self):
+        w = StateWindow.make(("Y", "X"), -2, 2, per_var={"Y": (0, 1)})
+        got = w.states()
+        assert [s.items for s in got] == [
+            State.make({"X": x, "Y": y}).items for x in range(-2, 3) for y in (0, 1)]
+        assert got == sorted(got)
+
+    def test_family_states_in_first_seen_order(self):
+        fam = DistFamily.build(StateWindow.make(("X",), -1, 1), seed=0, mixtures=4)
+        got = fam.states()
+        assert len(got) == len(set(got)) == 3
+        assert got == [s for s in StateWindow.make(("X",), -1, 1).states()]
 
     def test_interpretations_cover_grid(self):
         interps = list(interpretations(("k",), (-1, 1), ("eps",), (Fraction(0), HALF)))
@@ -144,6 +158,58 @@ class TestValidity:
         assert prob_equivalent_on_family(a, parse_prob_formula("true"), fam).valid
         b = parse_prob_formula("P(X = 0) = P(true)")
         assert not prob_equivalent_on_family(a, b, fam).valid
+
+
+class TestFirstCounterexample:
+    """Interpretation outer, state or member inner: the first failure in
+    that order is reported, here among several failing points."""
+
+    def test_det(self):
+        w = StateWindow.make(("X", "Y"), -2, 2)
+        v = check_valid_det(parse_det_formula("k <= X || Y > k"), w, qwindow=(-2, 2))
+        state, interp = v.counterexample
+        assert state == State.make({"X": -2, "Y": -2}) and interp.log == {"k": -1}
+
+    def test_prob(self):
+        fam = DistFamily.build(StateWindow.make(("X",), -2, 2), seed=0, mixtures=8)
+        v = check_valid_prob(parse_prob_formula("P(X = 0) >= @eps"), fam)
+        assert v.counterexample[0] == "point{X=-2}"
+        assert v.counterexample[1].real == {"eps": Fraction(1, 4)}
+        v = check_valid_prob(parse_prob_formula("P(X <= k) >= P(X = 0)"), fam,
+                             qwindow=(-2, 2))
+        assert v.counterexample[0] == "point{X=0}"
+        assert v.counterexample[1].log == {"k": -2}
+
+    def test_triple_det(self):
+        t = parse_triple("{ k <= X } X := X - 1 { k <= X }")
+        v = check_triple_det(t.pre, t.command, t.post,
+                             window=StateWindow.make(("X",), -3, 3), qwindow=(-1, 1))
+        state, interp = v.counterexample
+        assert state == State.make({"X": -1}) and interp.log == {"k": -1}
+
+
+class TestIdenticalOperands:
+    """One node is equivalent to itself without being evaluated: here
+    evaluating it would read the unbound variable Z."""
+
+    def test_prob_equivalent(self):
+        fam = DistFamily.build(StateWindow.make(("X",), -1, 1), seed=0, mixtures=4)
+        f = parse_prob_formula("P(Z = 0) <= 1/2")
+        assert prob_equivalent_on_family(f, parse_prob_formula("P(Z = 0) <= 1/2"), fam).valid
+        with pytest.raises(UnboundVariable):
+            prob_equivalent_on_family(f, parse_prob_formula("P(Z = 1) <= 1/2"), fam)
+
+    def test_real_equivalent(self):
+        fam = DistFamily.build(StateWindow.make(("X",), -1, 1), seed=0, mixtures=4)
+        a = parse_real_expr("P(Z = 0) + 1")
+        assert real_equivalent_on_family(a, parse_real_expr("P(Z = 0) + 1"), fam).valid
+
+    def test_window_equivalent(self):
+        w = StateWindow.make(("X",), -1, 1)
+        f = parse_det_formula("Z > 0")
+        assert window_equivalent(f, parse_det_formula("Z > 0"), w)
+        with pytest.raises(UnboundVariable):
+            window_equivalent(f, parse_det_formula("Z > 1"), w)
 
 
 class TestDistJson:

@@ -96,6 +96,16 @@ class TestCheck:
             "--triple", "{ true } X :=$ {1/2:0, 1/2:1} { P(X = 0) = 1 }")
         assert rc == 1 and out.startswith("fails")
 
+    def test_failing_inexact_triple_names_residual(self, capsys):
+        rc, out, _ = run_cli(
+            capsys, "check", "--triple",
+            "{ P(X >= 0) = 1 } while X > 0 do { X := X - 1 [1/2] skip } { P(X = 0) = 1 }",
+            "--int-window=0..8")
+        assert rc == 1 and out.startswith("fails")
+        assert out.rstrip().endswith(
+            "(loop truncation left residual mass up to 1/18446744073709551616; "
+            "verdict is up to that residual)")
+
     def test_extra_family_member(self, capsys, tmp_path):
         p = tmp_path / "mu.json"
         p.write_text(json.dumps([{"state": {"X": 2}, "prob": "1"}]))

@@ -209,3 +209,18 @@ class TestCheckTripleProb:
         t = parse_triple("{ P(true) = 1 } skip { P(true) = 1 }")
         # zero and half-mass members fail the precondition and are skipped
         assert check_triple_prob(t.pre, t.command, t.post, family()).holds
+
+    def test_failing_inexact_verdict_names_residual(self):
+        # the coin countdown terminates almost surely, but 64 unrollings
+        # leave mass 2^-64 live at X = 1: the failure is the truncation's,
+        # and the verdict says so as a holding one would
+        t = parse_triple("{ P(X >= 0) = 1 } while X > 0 do { X := X - 1 [1/2] skip } "
+                         "{ P(X = 0) = 1 }")
+        names = ("X", "_F0")
+        v = check_triple_prob(t.pre, t.command, t.post, family(names, 0, 8, mixtures=32))
+        assert not v.holds and v.inexact and v.max_residual == HALF ** 64
+        assert str(v).startswith("fails on ")
+        assert str(v).endswith(
+            ": counterexample point{X=1, _F0=0} under [] (loop truncation left "
+            "residual mass up to 1/18446744073709551616; verdict is up to that "
+            "residual)")

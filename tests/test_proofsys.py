@@ -141,6 +141,24 @@ class TestAcceptedProb:
         assert check_derivation(d).accepted
 
 
+class TestConsIdenticalSides:
+    @pytest.mark.parametrize("data", [
+        {"rule": "CONS",
+         "conclusion": "{ Z > 0 } skip { Z > 0 }",
+         "premises": [{"rule": "SKIP", "conclusion": "{ Z > 0 } skip { Z > 0 }"}]},
+        {"rule": "CONS",
+         "conclusion": "{ P(Z > 0) = 1 } skip { P(Z > 0) = 1 }",
+         "premises": [{"rule": "SKIP",
+                       "conclusion": "{ P(Z > 0) = 1 } skip { P(Z > 0) = 1 }"}]},
+    ], ids=["det", "prob"])
+    def test_skips_implication_of_a_formula_by_itself(self, data):
+        # the window lacks Z, so checking either implication would read an
+        # unbound variable; a formula implies itself without a check
+        window = StateWindow.make(("X",), -1, 1)
+        v = check_derivation(derivation_from_json(data), window)
+        assert v.accepted, v.failures
+
+
 class TestRejected:
     def test_wrong_as_precondition(self):
         d = derivation_from_json(

@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phl.core import (
-    EMPTY_INTERP, FALSE, TRUE, And, Forall, Implies, Interpretation, IntConst,
-    LogVar, Not, Or, ProgVar, Rel, State, SubDistribution, point_dist,
+    EMPTY_INTERP, FALSE, TRUE, ABin, And, BoolLit, Forall, Implies,
+    Interpretation, IntConst, LogVar, Not, Or, ProgVar, Rel, State,
+    SubDistribution, UnboundVariable, point_dist,
 )
 from phl.parser import parse_command, parse_det_formula, parse_state
 from phl.semantics import (
-    DEFAULT_LOOP_BOUND, eval_arith, execute, restrict, sat_det, sat_det_dist,
+    DEFAULT_LOOP_BOUND, eval_arith, execute, restrict, sat_det, sat_det_batch,
+    sat_det_dist,
 )
 
 import strategies as sts
@@ -56,6 +59,100 @@ class TestEvalAndSat:
 
     def test_sat_dist_vacuous_on_zero(self):
         assert sat_det_dist(FALSE, SubDistribution.zero(), EMPTY_INTERP)
+
+
+def reference_sat(f, state, log, qwindow):
+    """Per-state satisfaction, left to right with short-circuit connectives;
+    an unbound variable raises where it is read."""
+    def arith(e, log):
+        if isinstance(e, IntConst):
+            return e.value
+        if isinstance(e, ProgVar):
+            return state[e.name]
+        if isinstance(e, LogVar):
+            if e.name not in log:
+                raise UnboundVariable(e.name)
+            return log[e.name]
+        assert isinstance(e, ABin)
+        a, b = arith(e.left, log), arith(e.right, log)
+        return {"+": a + b, "-": a - b, "*": a * b}[e.op]
+
+    def sat(n, log):
+        if isinstance(n, BoolLit):
+            return n.value
+        if isinstance(n, Rel):
+            a, b = arith(n.left, log), arith(n.right, log)
+            return {"<": a < b, "<=": a <= b, "=": a == b,
+                    ">=": a >= b, ">": a > b}[n.op]
+        if isinstance(n, Not):
+            return not sat(n.body, log)
+        if isinstance(n, And):
+            return sat(n.left, log) and sat(n.right, log)
+        if isinstance(n, Or):
+            return sat(n.left, log) or sat(n.right, log)
+        if isinstance(n, Implies):
+            return not sat(n.left, log) or sat(n.right, log)
+        assert isinstance(n, Forall)
+        return all(sat(n.body, {**log, n.var: v})
+                   for v in range(qwindow[0], qwindow[1] + 1))
+
+    return sat(f, log)
+
+
+def outcome(read):
+    """A truth value, or the variable whose reading raised."""
+    try:
+        return bool(read())
+    except UnboundVariable as exc:
+        return ("unbound", exc.args[0])
+
+
+class TestBatch:
+    @given(sts.quantified_formulas(), st.lists(sts.partial_states(), max_size=6),
+           st.dictionaries(st.sampled_from(("j", "k")), st.integers(-2, 2)))
+    @settings(deadline=None, max_examples=300)
+    def test_agrees_with_per_state_reference(self, f, states, log):
+        qwindow = (-2, 2)
+        interp = Interpretation(log)
+        got = sat_det_batch(f, states, interp, qwindow)
+        assert len(got) == len(states)
+        for s, value in zip(states, got):
+            want = outcome(lambda: reference_sat(f, s, log, qwindow))
+            assert outcome(lambda: value) == want
+            assert outcome(lambda: sat_det(f, s, interp, qwindow)) == want
+
+    def test_unbound_read_follows_evaluation_order(self):
+        s = parse_state("X=1")
+        assert sat_det(parse_det_formula("X > 0 || Z > 0"), s)
+        with pytest.raises(UnboundVariable, match="Z"):
+            sat_det(parse_det_formula("Z > 0 || X > 0"), s)
+        # a false left conjunct decides before the unbound right one is read
+        assert not sat_det(parse_det_formula("X < 0 && Z > 0"), s)
+        assert sat_det(parse_det_formula("X < 0 -> Z > 0"), s)
+        with pytest.raises(UnboundVariable, match="W"):
+            sat_det(parse_det_formula("W + Z > 0"), s)
+
+    def test_unbound_raises_at_its_state_only(self):
+        states = [parse_state("X=0"), parse_state("X=1, Z=5"), parse_state("X=2")]
+        got = sat_det_batch(parse_det_formula("X = 0 || Z > 0"), states)
+        assert got[0] is True and got[1] is True
+        with pytest.raises(UnboundVariable, match="Z"):
+            bool(got[2])
+        # scanning in order meets the counterexample before the unbound state
+        f = parse_det_formula("X = 1 || Z > 0")
+        with pytest.raises(UnboundVariable, match="Z"):
+            restrict(SubDistribution({s: Fraction(1, 3) for s in states}), f)
+        assert not all(sat_det_batch(parse_det_formula("X = 1 && Z > 9"), states))
+
+    def test_forall_columns(self):
+        states = [parse_state(f"X={x}") for x in range(-2, 3)]
+        f = parse_det_formula("forall k. k * X = 0 || k > X")
+        want = [sat_det(f, s, qwindow=(-3, 3)) for s in states]
+        assert sat_det_batch(f, states, qwindow=(-3, 3)) == want == [
+            False, False, True, False, False]
+
+    def test_empty_batch(self):
+        assert sat_det_batch(parse_det_formula("Z > 0"), []) == []
 
 
 class TestRestrict:
