@@ -10,10 +10,13 @@ this domain".
 Each check decides a formula one node per domain, not one state at a time:
 under each interpretation, a deterministic formula is one batch over the
 window's states, and each P(phi) body one batch over the union of the
-family members' supports, from which every member's P(phi) is summed.  The
-first counterexample is the one of the state-by-state loops (interpretation
-outer, state or member inner).  Terms are hash-consed, so identical
-operands are one object, and they are equivalent without being evaluated.
+family members' supports, from which every member's P(phi) is summed.  A
+real expression or probabilistic formula is then one walk per member,
+reading each of its distinct nodes once.  The first counterexample is the
+one of the state-by-state loops (interpretation outer, state or member
+inner).  Equivalence of real terms is the validity of a = b.  Terms are
+hash-consed, so identical operands are one object, and they are equivalent
+without being evaluated.
 """
 
 from __future__ import annotations
@@ -28,11 +31,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Formula, Interpretation, EMPTY_INTERP, PAnd, PImplies, PNot, POr, PRel,
-    Prob, ProbFormula, RatConst, RealExpr, RealVar, RBin, State,
+    PTRUE, Prob, ProbFormula, RatConst, RealExpr, RealVar, RBin, State,
     SubDistribution, dag_walk, format_fraction, log_vars, parse_fraction,
     real_vars, _AOP_FUN, _ROP_FUN,
 )
 from .semantics import DEFAULT_QWINDOW, sat_det_batch
+
+DEFAULT_INT_WINDOW = (-8, 8)
 
 REAL_GRID: tuple[Fraction, ...] = (
     Fraction(-1), Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1),
@@ -70,10 +75,12 @@ class ProbEvaluator:
             truth.update(zip(new, sat_det_batch(phi, new, interp, self.qwindow)))
         return sum((p for s, p in dist.items() if truth[s]), _ZERO)
 
-    def real(self, r: RealExpr, dist: SubDistribution,
-             interp: Interpretation) -> Fraction:
-        """Exact rational value of a real expression against dist."""
-        def step(n: RealExpr, go) -> Fraction:
+    def value(self, n: RealExpr | ProbFormula, dist: SubDistribution,
+              interp: Interpretation) -> Fraction | bool:
+        """The exact rational value of a real expression, or the truth of a
+        probabilistic formula, against dist: one walk, each distinct node
+        read once, `&&` and `||` short-circuiting left to right."""
+        def step(n, go):
             if isinstance(n, RatConst):
                 return n.value
             if isinstance(n, RealVar):
@@ -82,24 +89,19 @@ class ProbEvaluator:
                 return self.prob(n.formula, dist, interp)
             if isinstance(n, RBin):
                 return _AOP_FUN[n.op](go(n.left), go(n.right))
-            raise TypeError(f"not a real expression: {n!r}")
+            if isinstance(n, PRel):
+                return _ROP_FUN[n.op](go(n.left), go(n.right))
+            if isinstance(n, PNot):
+                return not go(n.body)
+            if isinstance(n, PAnd):
+                return go(n.left) and go(n.right)
+            if isinstance(n, POr):
+                return go(n.left) or go(n.right)
+            if isinstance(n, PImplies):
+                return not go(n.left) or go(n.right)
+            raise TypeError(f"not a real expression or probabilistic formula: {n!r}")
 
-        return dag_walk(r, step)
-
-    def sat(self, f: ProbFormula, dist: SubDistribution,
-            interp: Interpretation) -> bool:
-        if isinstance(f, PRel):
-            return _ROP_FUN[f.op](self.real(f.left, dist, interp),
-                                  self.real(f.right, dist, interp))
-        if isinstance(f, PNot):
-            return not self.sat(f.body, dist, interp)
-        if isinstance(f, PAnd):
-            return self.sat(f.left, dist, interp) and self.sat(f.right, dist, interp)
-        if isinstance(f, POr):
-            return self.sat(f.left, dist, interp) or self.sat(f.right, dist, interp)
-        if isinstance(f, PImplies):
-            return (not self.sat(f.left, dist, interp)) or self.sat(f.right, dist, interp)
-        raise TypeError(f"not a probabilistic formula: {f!r}")
+        return dag_walk(n, step)
 
 
 _ZERO = Fraction(0)
@@ -113,13 +115,13 @@ def eval_real(r: RealExpr, dist: SubDistribution,
               interp: Interpretation = EMPTY_INTERP,
               qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> Fraction:
     """Exact rational value of a real expression against a sub-distribution."""
-    return ProbEvaluator(_support(dist), qwindow).real(r, dist, interp)
+    return ProbEvaluator(_support(dist), qwindow).value(r, dist, interp)
 
 
 def sat_prob(f: ProbFormula, dist: SubDistribution,
              interp: Interpretation = EMPTY_INTERP,
              qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
-    return ProbEvaluator(_support(dist), qwindow).sat(f, dist, interp)
+    return ProbEvaluator(_support(dist), qwindow).value(f, dist, interp)
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +135,12 @@ class StateWindow:
     bounds: tuple[tuple[str, int, int], ...]  # sorted by variable name
 
     @staticmethod
-    def make(names: Iterable[str], lo: int = -8, hi: int = 8,
-             per_var: Optional[dict[str, tuple[int, int]]] = None) -> "StateWindow":
-        out = []
-        for name in sorted(set(names)):
-            a, b = (per_var or {}).get(name, (lo, hi))
-            if a > b:
-                raise ValueError(f"empty interval for {name}: [{a}, {b}]")
-            out.append((name, a, b))
-        return StateWindow(tuple(out))
+    def make(names: Iterable[str], lo: int = DEFAULT_INT_WINDOW[0],
+             hi: int = DEFAULT_INT_WINDOW[1]) -> "StateWindow":
+        names = sorted(set(names))
+        if names and lo > hi:
+            raise ValueError(f"empty interval for {names[0]}: [{lo}, {hi}]")
+        return StateWindow(tuple((name, lo, hi) for name in names))
 
     def vars(self) -> tuple[str, ...]:
         return tuple(name for name, _, _ in self.bounds)
@@ -162,15 +161,14 @@ class StateWindow:
 def interpretations(log_vars: Iterable[str],
                     qwindow: tuple[int, int] = DEFAULT_QWINDOW,
                     real_vars: Iterable[str] = (),
-                    real_grid: Sequence[Fraction] = REAL_GRID,
                     ) -> Iterator[Interpretation]:
     """All interpretations with logical vars on the quantifier window and
-    real vars on the grid, in deterministic order."""
+    real vars on REAL_GRID, in deterministic order."""
     lnames = sorted(set(log_vars))
     rnames = sorted(set(real_vars))
     lo, hi = qwindow
     lranges = [range(lo, hi + 1)] * len(lnames)
-    rranges = [real_grid] * len(rnames)
+    rranges = [REAL_GRID] * len(rnames)
     for lvals in itertools.product(*lranges):
         log = dict(zip(lnames, lvals))
         for rvals in itertools.product(*rranges):
@@ -260,21 +258,19 @@ def check_valid_det(f: Formula, window: StateWindow,
 
 
 def check_valid_prob(f: ProbFormula, family: DistFamily,
-                     qwindow: tuple[int, int] = DEFAULT_QWINDOW,
-                     real_grid: Sequence[Fraction] = REAL_GRID) -> ValidityVerdict:
-    """Truth on every family member under every interpretation in the grids."""
+                     qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
+    """Truth on every family member under every interpretation."""
     scope = f"{family.description}, quantifiers over {list(qwindow)}"
     ev = ProbEvaluator(family.states(), qwindow)
-    for interp in interpretations(log_vars(f), qwindow, real_vars(f), real_grid):
+    for interp in interpretations(log_vars(f), qwindow, real_vars(f)):
         for label, dist in family:
-            if not ev.sat(f, dist, interp):
+            if not ev.value(f, dist, interp):
                 return ValidityVerdict(False, scope, (label, interp))
     return ValidityVerdict(True, scope)
 
 
 def prob_equivalent_on_family(f: ProbFormula, g: ProbFormula, family: DistFamily,
                               qwindow: tuple[int, int] = DEFAULT_QWINDOW,
-                              real_grid: Sequence[Fraction] = REAL_GRID,
                               ) -> ValidityVerdict:
     """Same truth value on every family member (used for WP-schema matching).
     One formula (terms are hash-consed) is equivalent to itself."""
@@ -284,30 +280,19 @@ def prob_equivalent_on_family(f: ProbFormula, g: ProbFormula, family: DistFamily
     lvars = log_vars(f) | log_vars(g)
     rvars = real_vars(f) | real_vars(g)
     ev = ProbEvaluator(family.states(), qwindow)
-    for interp in interpretations(lvars, qwindow, rvars, real_grid):
+    for interp in interpretations(lvars, qwindow, rvars):
         for label, dist in family:
-            if ev.sat(f, dist, interp) != ev.sat(g, dist, interp):
+            if ev.value(f, dist, interp) != ev.value(g, dist, interp):
                 return ValidityVerdict(False, scope, (label, interp))
     return ValidityVerdict(True, scope)
 
 
 def real_equivalent_on_family(a: RealExpr, b: RealExpr, family: DistFamily,
                               qwindow: tuple[int, int] = DEFAULT_QWINDOW,
-                              real_grid: Sequence[Fraction] = REAL_GRID,
                               ) -> ValidityVerdict:
-    """Same rational value on every family member; one expression is
-    equivalent to itself."""
-    scope = f"{family.description}, quantifiers over {list(qwindow)}"
-    if a is b:
-        return ValidityVerdict(True, scope)
-    lvars = log_vars(a) | log_vars(b)
-    rvars = real_vars(a) | real_vars(b)
-    ev = ProbEvaluator(family.states(), qwindow)
-    for interp in interpretations(lvars, qwindow, rvars, real_grid):
-        for label, dist in family:
-            if ev.real(a, dist, interp) != ev.real(b, dist, interp):
-                return ValidityVerdict(False, scope, (label, interp))
-    return ValidityVerdict(True, scope)
+    """Same rational value on every family member: the validity of a = b.
+    One expression (terms are hash-consed) is equivalent to itself."""
+    return check_valid_prob(PTRUE if a is b else PRel("=", a, b), family, qwindow)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ from .core import (
 )
 from .parser import (
     ParseError, parse_command, parse_det_formula, parse_prob_formula,
-    parse_real_expr, parse_state, parse_triple,
+    parse_real_expr, parse_state, parse_triple, tokenize,
 )
-from .semantics import execute
-from .assertions import DistFamily, StateWindow, load_dist
-from .wp import check_triple_det, default_window, wp
-from .preterm import check_triple_prob, pt, wp_prob
+from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute
+from .assertions import DEFAULT_INT_WINDOW, DistFamily, StateWindow, load_dist
+from .wp import DEFAULT_UNROLL, check_triple_det, default_window, wp
+from .preterm import DEFAULT_DEPTH, check_triple_prob, pt, wp_prob
 from .proofsys import check_derivation, derivation_vars, load_derivation
 
 CONFIG_ENV = "PHL_CONFIG"
@@ -34,11 +34,11 @@ CONFIG_ENV = "PHL_CONFIG"
 
 @dataclass
 class Config:
-    loop_bound: int = 64
-    unroll: int = 32
-    depth: int = 16
-    int_window: tuple[int, int] = (-8, 8)
-    quant_window: tuple[int, int] = (-8, 8)
+    loop_bound: int = DEFAULT_LOOP_BOUND
+    unroll: int = DEFAULT_UNROLL
+    depth: int = DEFAULT_DEPTH
+    int_window: tuple[int, int] = DEFAULT_INT_WINDOW
+    quant_window: tuple[int, int] = DEFAULT_QWINDOW
     seed: int = 0
     format: str = "text"
 
@@ -152,15 +152,20 @@ def cmd_run(args, cfg: Config) -> int:
     else:
         dist = load_dist(args.dists)
     result = execute(program, dist, cfg.loop_bound)
+    # `C1 [p] C2` tosses a fresh flag named unlike every identifier in the
+    # text, so keeping the input's and the text's variables drops only those
+    shown = {t.text for t in tokenize(args.program) if t.kind == "IDENT"}
+    shown.update(name for s, _ in dist.items() for name in s.vars())
+    output = result.output.project(shown)
     if cfg.format == "json":
         _emit_json({
-            "states": _dist_json(result.output),
+            "states": _dist_json(output),
             "residual": format_fraction(result.residual_mass),
             "iterations": result.iterations_used,
             "exact": result.exact,
         })
     else:
-        for state, p in sorted(result.output.items()):
+        for state, p in sorted(output.items()):
             print(f"  {format_fraction(p)}  {state}")
         print(f"residual mass: {format_fraction(result.residual_mass)}")
         print(f"iterations used: {result.iterations_used}")

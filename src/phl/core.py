@@ -233,13 +233,6 @@ def and_all(formulas: Iterable[Formula]) -> Formula:
     return TRUE if acc is None else acc
 
 
-def or_all(formulas: Iterable[Formula]) -> Formula:
-    acc: Optional[Formula] = None
-    for f in formulas:
-        acc = f if acc is None else Or(acc, f)
-    return FALSE if acc is None else acc
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -345,13 +338,6 @@ class While(Command):
 
     def _validate(self):
         _check_guard(self.guard)
-
-
-def seq_all(commands: Iterable[Command]) -> Command:
-    acc: Optional[Command] = None
-    for c in commands:
-        acc = c if acc is None else Seq(acc, c)
-    return Skip() if acc is None else acc
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +669,6 @@ def log_vars(node: Node) -> frozenset[str]:
 
 def real_vars(node: Node) -> frozenset[str]:
     return _free_vars(node, RealVar)
-
-
-# the formula-only names these collectors replace
-formula_prog_vars = prog_vars
-formula_log_vars = log_vars
 
 
 def _has_quantifier(node: Node) -> bool:

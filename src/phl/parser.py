@@ -38,10 +38,11 @@ parses in the other flavor raises the flavor-mixing error.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import (
     ABin, And, Assign, Command, DistSpec, Forall, Formula, If,
@@ -82,65 +83,50 @@ _DET_CONNECTIVES = (Not, And, Or, Implies)
 _PROB_CONNECTIVES = (PNot, PAnd, POr, PImplies)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "INT", "IDENT", "LIDENT", a keyword, a symbol, or "EOF"
     text: str
     line: int
     col: int
 
 
+# one named group per token class, tried in order; symbols longest-first.
+# Numerals and identifiers are ASCII: any other character is unexpected.
+_TOKEN_RE = re.compile("|".join((
+    r"(?P<NEWLINE>\n)",
+    r"(?P<SPACE>[^\S\n]+)",
+    r"(?P<DECIMAL>[0-9]+\.[0-9])",
+    r"(?P<INT>[0-9]+)",
+    r"(?P<IDENT>[A-Z_][A-Za-z0-9_]*)",
+    r"(?P<LIDENT>[a-z][A-Za-z0-9_]*)",
+    "(?P<SYMBOL>%s)" % "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))),
+    r"(?P<OTHER>.)",
+)))
+
+
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, start = 1, 0  # start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "SPACE":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
+            start = m.end()
             continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                raise ParseError(
-                    "decimal literals are rejected; write an exact fraction like 1/2",
-                    line, col)
-            toks.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in KEYWORDS:
-                kind = word
-            elif word[0].isupper() or word[0] == "_":
-                kind = "IDENT"
-            else:
-                kind = "LIDENT"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+        word = m.group()
+        col = m.start() - start + 1
+        if kind == "SYMBOL" or (kind == "LIDENT" and word in KEYWORDS):
+            kind = word
+        elif kind == "DECIMAL":
+            raise ParseError(
+                "decimal literals are rejected; write an exact fraction like 1/2",
+                line, col)
+        elif kind == "OTHER":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+        toks.append(Token(kind, word, line, col))
+    toks.append(Token("EOF", "", line, len(text) - start + 1))
     return toks
 
 
@@ -421,13 +407,9 @@ class _Parser:
             warnings.warn("duplicate values in distribution literal merged",
                           ParserWarning, stacklevel=4)
         total = sum(w for w, _ in pairs)
-        if total != 1:
+        if total != 1:  # frac() is never negative, so no weight exceeds 1
             raise ParseError(f"distribution weights sum to {total}, expected 1",
                              open_tok.line, open_tok.col)
-        for w, _ in pairs:
-            if w < 0 or w > 1:
-                raise ParseError(f"weight {w} outside [0, 1]",
-                                 open_tok.line, open_tok.col)
         return DistSpec.make(pairs)
 
     # -- real expressions and probabilistic formulas
@@ -586,7 +568,7 @@ def parse_triple(text: str) -> SourceTriple:
     body = _Parser(tokens)
     body.pos = close_pre + 1
     command = body.cmd()
-    open_post = body.expect("{")
+    body.expect("{")
     close_post = _formula_region(tokens, body.pos)
     post_toks = tokens[body.pos:close_post]
     body.pos = close_post

@@ -40,7 +40,7 @@ from .core import (
 )
 from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det_batch
 from .assertions import (
-    DistFamily, ProbEvaluator, REAL_GRID, StateWindow, eval_real,
+    DistFamily, ProbEvaluator, StateWindow, eval_real,
     interpretations,
 )
 from .wp import (
@@ -238,11 +238,9 @@ def wp_prob(c: Command, f: ProbFormula, unroll: int = DEFAULT_UNROLL,
 def check_triple_prob(pre: ProbFormula, c: Command, post: ProbFormula,
                       family: DistFamily,
                       qwindow: tuple[int, int] = DEFAULT_QWINDOW,
-                      loop_bound: int = DEFAULT_LOOP_BOUND,
-                      real_grid=None) -> TripleVerdict:
+                      loop_bound: int = DEFAULT_LOOP_BOUND) -> TripleVerdict:
     """Semantic triple check over a distribution family: every member
     satisfying pre must, after running c, satisfy post."""
-    grid = REAL_GRID if real_grid is None else real_grid
     lvars = log_vars(pre) | log_vars(post)
     rvars = real_vars(pre) | real_vars(post)
     scope = f"{family.description}, quantifiers over {list(qwindow)}, loop bound {loop_bound}"
@@ -250,14 +248,14 @@ def check_triple_prob(pre: ProbFormula, c: Command, post: ProbFormula,
     worst = Fraction(0)
     before = ProbEvaluator(family.states(), qwindow)
     after = ProbEvaluator((), qwindow)  # output states are met one run at a time
-    for interp in interpretations(lvars, qwindow, rvars, grid):
+    for interp in interpretations(lvars, qwindow, rvars):
         for label, dist in family:
-            if not before.sat(pre, dist, interp):
+            if not before.value(pre, dist, interp):
                 continue
             res = execute(c, dist, loop_bound)
             if not res.exact:
                 inexact = True
                 worst = max(worst, res.residual_mass)
-            if not after.sat(post, res.output, interp):
+            if not after.value(post, res.output, interp):
                 return TripleVerdict(False, scope, (label, interp), inexact, worst)
     return TripleVerdict(True, scope, None, inexact, worst)

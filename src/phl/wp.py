@@ -2,8 +2,8 @@
 
 The loop clause builds the approximant chain psi_0 = true,
 psi_{i+1} = (B && wp(body, psi_i)) || (!B && post) and stops when two
-successive approximants agree on the fixpoint window (both implication
-directions checked by enumeration) or when the unroll budget runs out; the
+successive approximants f and g agree on the fixpoint window (the validity
+of (f && g) || (!f && !g)) or when the unroll budget runs out; the
 returned formula is the conjunction of the approximants computed so far.
 Quantifier-free inputs stay quantifier-free, so every approximant can be
 decided exactly on a finite window.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ne
 from typing import Optional
 
 from .core import (
@@ -24,7 +23,9 @@ from .core import (
 from .semantics import (
     DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det_batch, sat_det_dist,
 )
-from .assertions import StateWindow, interpretations
+from .assertions import (
+    DEFAULT_INT_WINDOW, StateWindow, check_valid_det, interpretations,
+)
 
 DEFAULT_UNROLL = 32
 
@@ -41,20 +42,15 @@ class WpLoopTrace:
 
 def window_equivalent(f: Formula, g: Formula, window: StateWindow,
                       qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
-    """Same truth value at every window state under every interpretation.
-    One formula (terms are hash-consed) is equivalent to itself."""
-    if f is g:
-        return True
-    lvars = log_vars(f) | log_vars(g)
-    states = window.states()
-    for interp in interpretations(lvars, qwindow):
-        if any(map(ne, map(bool, sat_det_batch(f, states, interp, qwindow)),
-                   map(bool, sat_det_batch(g, states, interp, qwindow)))):
-            return False
-    return True
+    """Same truth value at every window state under every interpretation:
+    the validity of (f && g) || (!f && !g).  One formula (terms are
+    hash-consed) is equivalent to itself."""
+    return f is g or check_valid_det(
+        Or(And(f, g), And(Not(f), Not(g))), window, qwindow).valid
 
 
-def default_window(*nodes: Node, lo: int = -8, hi: int = 8) -> StateWindow:
+def default_window(*nodes: Node, lo: int = DEFAULT_INT_WINDOW[0],
+                   hi: int = DEFAULT_INT_WINDOW[1]) -> StateWindow:
     """The lo..hi window over every program variable of the given nodes."""
     return StateWindow.make(frozenset().union(*map(prog_vars, nodes)), lo, hi)
 

@@ -13,7 +13,7 @@ from phl import gen
 from phl.assertions import DistFamily, StateWindow, eval_real, interpretations
 from phl.core import (
     EMPTY_INTERP, And, If, Not, Prob, Skip, State, SubDistribution,
-    formula_log_vars, point_dist, simplify_formula,
+    point_dist, simplify_formula,
 )
 from phl.parser import parse_command, parse_real_expr, parse_triple
 from phl.preterm import (

@@ -8,16 +8,17 @@ from hypothesis import given
 
 from phl.core import (
     EMPTY_INTERP, Interpretation, Not, PRel, Prob, RatConst, State,
-    SubDistribution, UnboundVariable, point_dist,
+    SubDistribution, UnboundVariable, log_vars, point_dist, real_vars,
 )
 from phl.assertions import (
-    DistFamily, StateWindow, check_valid_det, check_valid_prob, dist_from_json,
-    dist_to_json, eval_real, interpretations, load_dist, prob_equivalent_on_family,
-    real_equivalent_on_family, sat_prob,
+    REAL_GRID, DistFamily, StateWindow, ValidityVerdict, check_valid_det,
+    check_valid_prob, dist_from_json, dist_to_json, eval_real, interpretations,
+    load_dist, prob_equivalent_on_family, real_equivalent_on_family, sat_prob,
 )
 from phl.parser import (
     parse_det_formula, parse_prob_formula, parse_real_expr, parse_triple,
 )
+from phl.semantics import sat_det
 from phl.wp import check_triple_det, window_equivalent
 
 import strategies as sts
@@ -73,6 +74,22 @@ class TestSatProb:
         f = parse_prob_formula("P(true) = 1 -> P(X = 5) > 0")
         assert sat_prob(f, mu, EMPTY_INTERP)
 
+    @pytest.mark.parametrize("text, want", [
+        ("P(X = 0) = 1 && P(Z = 0) = 1", False),
+        ("P(X = 0) < 1 || P(Z = 0) = 1", True),
+        ("P(X = 0) = 1 -> P(Z = 0) = 1", True),
+        ("P(Z = 0) = 1 && P(X = 0) = 1", UnboundVariable),
+        ("P(X = 0) = 1 || P(Z = 0) = 1", UnboundVariable),
+    ])
+    def test_short_circuit_left_to_right(self, text, want):
+        """The right operand is read only when the left does not decide."""
+        f = parse_prob_formula(text)
+        if want is UnboundVariable:
+            with pytest.raises(UnboundVariable):
+                sat_prob(f, mixture(), EMPTY_INTERP)
+        else:
+            assert sat_prob(f, mixture(), EMPTY_INTERP) is want
+
 
 class TestWindowsAndFamilies:
     def test_window_states(self):
@@ -81,10 +98,11 @@ class TestWindowsAndFamilies:
         assert got == [{"X": -1}, {"X": 0}, {"X": 1}]
 
     def test_window_states_are_made_states(self):
-        w = StateWindow.make(("Y", "X"), -2, 2, per_var={"Y": (0, 1)})
+        w = StateWindow.make(("Y", "X"), -2, 2)
         got = w.states()
         assert [s.items for s in got] == [
-            State.make({"X": x, "Y": y}).items for x in range(-2, 3) for y in (0, 1)]
+            State.make({"X": x, "Y": y}).items
+            for x in range(-2, 3) for y in range(-2, 3)]
         assert got == sorted(got)
 
     def test_family_states_in_first_seen_order(self):
@@ -94,10 +112,10 @@ class TestWindowsAndFamilies:
         assert got == [s for s in StateWindow.make(("X",), -1, 1).states()]
 
     def test_interpretations_cover_grid(self):
-        interps = list(interpretations(("k",), (-1, 1), ("eps",), (Fraction(0), HALF)))
-        assert len(interps) == 6
-        assert {(i.log_value("k"), i.real_value("eps")) for i in interps} \
-            == {(k, e) for k in (-1, 0, 1) for e in (Fraction(0), HALF)}
+        interps = list(interpretations(("k",), (-1, 1), ("eps",)))
+        assert len(interps) == 3 * len(REAL_GRID)
+        assert [(i.log_value("k"), i.real_value("eps")) for i in interps] \
+            == [(k, e) for k in (-1, 0, 1) for e in REAL_GRID]
 
     def test_family_contents(self):
         w = StateWindow.make(("X",), 0, 1)
@@ -186,6 +204,108 @@ class TestFirstCounterexample:
                              window=StateWindow.make(("X",), -3, 3), qwindow=(-1, 1))
         state, interp = v.counterexample
         assert state == State.make({"X": -1}) and interp.log == {"k": -1}
+
+
+def _outcome(check, *args):
+    """A check's result, with a counterexample as (label, log, real), or
+    the name of the unbound variable it raised."""
+    try:
+        got = check(*args)
+    except UnboundVariable as err:
+        return ("unbound", err.args[0])
+    if isinstance(got, ValidityVerdict):
+        if got.valid:
+            return None
+        label, interp = got.counterexample
+        return label, interp.log, interp.real
+    return got
+
+
+def _family_reference(value, a, b, fam, qwindow):
+    """Interpretation outer, member inner: the first member where a and b
+    differ, evaluating one member at a time."""
+    lvars = log_vars(a) | log_vars(b)
+    rvars = real_vars(a) | real_vars(b)
+    for interp in interpretations(lvars, qwindow, rvars):
+        for label, mu in fam:
+            if value(a, mu, interp, qwindow) != value(b, mu, interp, qwindow):
+                return label, interp.log, interp.real
+    return None
+
+
+def _window_reference(f, g, w, qwindow):
+    for interp in interpretations(log_vars(f) | log_vars(g), qwindow):
+        for s in w.states():
+            if sat_det(f, s, interp, qwindow) != sat_det(g, s, interp, qwindow):
+                return False
+    return True
+
+
+class TestEquivalenceOrder:
+    """The equivalence checks report what a loop over interpretations, then
+    members or states, reading the first operand before the second, would:
+    the first differing point, or the first unbound read."""
+
+    FAM = DistFamily.build(StateWindow.make(("X",), -2, 2), seed=0, mixtures=8)
+    WINDOW = StateWindow.make(("X", "Y"), -1, 1)
+    QW = (-2, 2)
+
+    @pytest.mark.parametrize("a, b", [
+        ("P(X <= k) + @eps", "P(X < k) + @eps"),
+        ("P(X = 0) * @eps", "P(X = 0) * 1/4"),
+        ("P(X >= 0) + P(X >= 0)", "2 * P(X > 0)"),
+        ("P(X = k)", "P(X = k) + 0"),
+        ("P(X < 5 || Z = 0)", "P(X > -2 || W = 0)"),
+        ("P(Z = 0)", "P(W = 0)"),
+        ("P(W = 0)", "P(Z = 0)"),
+    ])
+    def test_real(self, a, b):
+        a, b = parse_real_expr(a), parse_real_expr(b)
+        assert _outcome(real_equivalent_on_family, a, b, self.FAM, self.QW) \
+            == _outcome(_family_reference, eval_real, a, b, self.FAM, self.QW)
+
+    @pytest.mark.parametrize("f, g", [
+        ("P(X <= k) >= @eps", "P(X < k) >= @eps"),
+        ("P(X = 0) >= @eps || P(X = 1) >= @eps", "P(X = 0) + P(X = 1) >= @eps"),
+        ("P(X < 5 || Z = 0) = 1", "P(X > -2 || W = 0) = 1"),
+        ("P(Z = 0) = 1", "P(W = 0) = 1"),
+        ("P(true) = 1 || P(Z = 0) = 1", "P(X > -2 || W = 0) >= 0"),
+    ])
+    def test_prob(self, f, g):
+        f, g = parse_prob_formula(f), parse_prob_formula(g)
+        assert _outcome(prob_equivalent_on_family, f, g, self.FAM, self.QW) \
+            == _outcome(_family_reference, sat_prob, f, g, self.FAM, self.QW)
+
+    @pytest.mark.parametrize("f, g", [
+        ("X <= k", "X < k"),
+        ("X = -1 || Z > 0", "X > 5"),
+        ("X < 0 || Z > 0", "X > 0 || W > 0"),
+        ("Z > 0", "W > 0"),
+        ("W > 0", "Z > 0"),
+        ("X > k || Z > 0", "X >= k && Y > 0"),
+    ])
+    def test_window(self, f, g):
+        f, g = parse_det_formula(f), parse_det_formula(g)
+        assert _outcome(window_equivalent, f, g, self.WINDOW, self.QW) \
+            == _outcome(_window_reference, f, g, self.WINDOW, self.QW)
+
+    def test_pinned_outcomes(self):
+        """Several members differ, and the first one is reported; at a
+        state where both operands read an unbound variable, the first
+        operand's is raised, and the second's where the first is decided."""
+        a, b = parse_real_expr("P(X <= k) + @eps"), parse_real_expr("P(X < k) + @eps")
+        differing = {label for interp in interpretations(("k",), self.QW, ("eps",))
+                     for label, mu in self.FAM
+                     if eval_real(a, mu, interp) != eval_real(b, mu, interp)}
+        assert len(differing) > 3
+        assert _outcome(real_equivalent_on_family, a, b, self.FAM, self.QW) \
+            == ("point{X=-2}", {"k": -2}, {"eps": Fraction(-1)})
+        cases = (("Z > 0", "W > 0", "Z"), ("W > 0", "Z > 0", "W"),
+                 ("X < 0 || Z > 0", "X > 0 || W > 0", "W"))
+        for f, g, name in cases:
+            assert _outcome(window_equivalent, parse_det_formula(f),
+                            parse_det_formula(g), self.WINDOW, self.QW) \
+                == ("unbound", name)
 
 
 class TestIdenticalOperands:

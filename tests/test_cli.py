@@ -54,6 +54,34 @@ class TestRun:
         assert json.loads(out)["states"] == [
             {"prob": "1/2", "vars": {"X": 0}}, {"prob": "1/2", "vars": {"X": 6}}]
 
+    def test_choice_flags_are_not_shown(self, capsys):
+        rc, out, _ = run_cli(capsys, "run", "--program", "X := 1 [1/2] X := 2",
+                             "--state", "X=0")
+        assert rc == 0
+        assert out.splitlines()[:2] == ["  1/2  {X=1}", "  1/2  {X=2}"]
+        assert "_F" not in out
+
+    def test_choice_flags_merge_json(self, capsys):
+        rc, out, _ = run_cli(capsys, "run", "--program", "X := 1 [1/2] X := 1",
+                             "--state", "X=0", "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["states"] == [{"prob": "1", "vars": {"X": 1}}]
+
+    def test_written_and_input_variables_are_shown(self, capsys, tmp_path):
+        rc, out, _ = run_cli(
+            capsys, "run", "--program", "_F0 := 5; Y := 1 [1/3] Y := 2",
+            "--state", "X=7", "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["states"] == [
+            {"prob": "1/3", "vars": {"X": 7, "Y": 1, "_F0": 5}},
+            {"prob": "2/3", "vars": {"X": 7, "Y": 2, "_F0": 5}}]
+        p = tmp_path / "mu.json"
+        p.write_text(json.dumps([{"state": {"X": 0, "Z": 1}, "prob": "1"}]))
+        rc, out, _ = run_cli(capsys, "run", "--program", "skip [1/2] skip",
+                             "--dists", str(p), "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["states"] == [{"prob": "1", "vars": {"X": 0, "Z": 1}}]
+
     def test_state_and_dists_conflict(self, capsys):
         rc, _, err = run_cli(capsys, "run", "--program", "skip",
                              "--state", "X=0", "--dists", "nope.json")

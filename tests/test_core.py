@@ -18,8 +18,8 @@ from phl.core import (
     ABin, And, Assign, BoolLit, DistSpec, FALSE, Forall, IntConst,
     Interpretation, LogVar, Node, Not, Or, Implies, Prob, ProgVar, RatConst,
     RBin, Rel, Skip, State, SubDistribution, TRUE, UnboundVariable, While,
-    and_all, arith_to_source, format_fraction, formula_log_vars,
-    formula_prog_vars, log_vars, normalize_real, parse_fraction, point_dist,
+    and_all, arith_to_source, format_fraction, log_vars, normalize_real,
+    parse_fraction, point_dist,
     prog_vars, real_vars, simplify_formula, subst_prog_var,
 )
 from phl.assertions import StateWindow
@@ -141,8 +141,8 @@ class TestVariableCollection:
     def test_free_vars(self):
         phi = Forall("x", And(Rel("=", LogVar("x"), ProgVar("X")),
                               Rel("<", LogVar("y"), IntConst(0))))
-        assert formula_prog_vars(phi) == {"X"}
-        assert formula_log_vars(phi) == {"y"}
+        assert prog_vars(phi) == {"X"}
+        assert log_vars(phi) == {"y"}
 
     def test_any_node(self):
         c = parse_command("Z :=$ {1/2:0, 1/2:1}; while X > 0 do { Y := X }")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from phl.core import (
     ABin, And, Assign, DistSpec, Forall, If, IntConst, LogVar, Not, Or,
@@ -14,8 +15,8 @@ from phl.core import (
 )
 from phl.parser import (
     FlavorMixError, ParseError, ParserWarning, parse_command,
-    parse_det_formula, parse_prob_formula, parse_real_expr, parse_state,
-    parse_triple,
+    Token, parse_det_formula, parse_prob_formula, parse_real_expr, parse_state,
+    parse_triple, tokenize,
 )
 from phl.semantics import execute
 
@@ -243,3 +244,57 @@ class TestRoundTrips:
         from phl.parser import SourceTriple
         t = SourceTriple(PRel("<", Prob(pre), r), c, PRel("=", r, r), True)
         assert parse_triple(str(t)) == t
+
+
+_GAPS = st.text(alphabet=" \t\n", min_size=1, max_size=3)
+
+
+@st.composite
+def spaced_sources(draw):
+    """A printed term whose spaces are redrawn as runs of spaces, tabs and
+    newlines, with more of them around it."""
+    source = draw(st.one_of(
+        sts.det_formulas(lv=("k",)).map(formula_to_source),
+        sts.commands(loops=True).map(command_to_source),
+        sts.real_exprs().map(real_to_source),
+        sts.prob_formulas().map(prob_to_source)))
+    words = source.split(" ")
+    out = [draw(st.text(alphabet=" \t\n", max_size=3)), words[0]]
+    for word in words[1:]:
+        out += [draw(_GAPS), word]
+    out.append(draw(st.text(alphabet=" \t\n", max_size=3)))
+    return "".join(out)
+
+
+class TestLexer:
+    @given(spaced_sources())
+    def test_tokens_sit_at_their_positions(self, text):
+        toks = tokenize(text)
+        lines = text.split("\n")
+        for t in toks[:-1]:
+            assert lines[t.line - 1][t.col - 1:t.col - 1 + len(t.text)] == t.text
+        assert "".join(t.text for t in toks) == "".join(text.split())
+        eof = toks[-1]
+        assert (eof.kind, eof.line, eof.col) == ("EOF", len(lines), len(lines[-1]) + 1)
+        assert [(t.kind, t.text) for t in toks] \
+            == [(t.kind, t.text) for t in tokenize(" ".join(text.split()))]
+
+    def test_kinds(self):
+        toks = tokenize("while x do { X_1 :=$ {1/2: -3} }; _F0 := 12")
+        assert [t.kind for t in toks] == [
+            "while", "LIDENT", "do", "{", "IDENT", ":=$", "{", "INT", "/", "INT",
+            ":", "-", "INT", "}", "}", ";", "IDENT", ":=", "INT", "EOF"]
+        assert toks[4] == Token("IDENT", "X_1", 1, 14)
+        assert tokenize("X\n\t<=  2")[1:] == [
+            Token("<=", "<=", 2, 2), Token("INT", "2", 2, 6), Token("EOF", "", 2, 7)]
+
+    def test_non_ascii_is_unexpected(self):
+        """Numerals and identifiers are ASCII; other letters and digits are
+        rejected where they stand."""
+        for text, char, col in (("X := é", "é", 6), ("Äpfel := 1", "Ä", 1),
+                                ("Xé := 1", "é", 2), ("X := ٣", "٣", 6),
+                                ("X := 1²", "²", 7)):
+            with pytest.raises(ParseError) as err:
+                tokenize(text)
+            assert str(err.value) == f"1:{col}: unexpected character {char!r}"
+        assert [t.kind for t in tokenize("X := 1")] == ["IDENT", ":=", "INT", "EOF"]

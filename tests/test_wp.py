@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from phl.core import (
-    EMPTY_INTERP, TRUE, And, Formula, Not, Or, Rel, formula_log_vars,
+    EMPTY_INTERP, TRUE, And, Formula, Not, Or, Rel, log_vars,
     formula_to_source, point_dist,
 )
 from phl.assertions import StateWindow, interpretations
@@ -24,7 +24,7 @@ def wp_matches_run(c, post, window, qwindow=QW, loop_bound=24):
     lands every output state in post."""
     f, traces = wp(c, post, unroll=16, window=window, qwindow=qwindow)
     assert all(t.converged for t in traces)
-    for interp in interpretations(formula_log_vars(post) | formula_log_vars(f),
+    for interp in interpretations(log_vars(post) | log_vars(f),
                                   qwindow):
         for s in window.states():
             out = execute(c, point_dist(s.as_dict()), loop_bound=loop_bound)
