@@ -23,7 +23,8 @@ from .parser import (
     parse_triple,
 )
 from .semantics import (
-    ExecResult, eval_arith, execute, restrict, sat_det, sat_det_batch, sat_det_dist,
+    ExecResult, eval_arith, eval_batch, execute, restrict, sat_det, sat_det_batch,
+    sat_det_dist,
 )
 from .assertions import (
     DistFamily, StateWindow, ValidityVerdict, check_valid_det,

@@ -7,14 +7,15 @@ sub-distributions, and a small grid of rational values for free real
 variables.  Verdicts carry their scope so "valid" always reads as "valid on
 this domain".
 
-Each check decides a formula one node per domain, not one state at a time:
-under each interpretation, a deterministic formula is one batch over the
-window's states, and each P(phi) body one batch over the union of the
-family members' supports, from which every member's P(phi) is summed.  A
-real expression or probabilistic formula is then one walk per member,
-reading each of its distinct nodes once.  The first counterexample is the
-one of the state-by-state loops (interpretation outer, state or member
-inner).  Equivalence of real terms is the validity of a = b.  Terms are
+Each check decides a formula one node per domain, not one state at a time,
+through the one evaluator in `semantics`: under each interpretation, a
+deterministic formula is one column over the window's states, and a
+probabilistic formula one column over the family's members, whose P(phi)
+bodies are decided once over the union of the members' supports.
+`eval_real` and `sat_prob` are batches of one distribution.  The first
+counterexample is the one of the state-by-state loops (interpretation
+outer, state or member inner).  Equivalence is validity: of a = b for real
+terms, of (f && g) || (!f && !g) for probabilistic formulas.  Terms are
 hash-consed, so identical operands are one object, and they are equivalent
 without being evaluated.
 """
@@ -27,15 +28,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import not_
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .core import (
-    Formula, Interpretation, EMPTY_INTERP, PAnd, PImplies, PNot, POr, PRel,
-    PTRUE, Prob, ProbFormula, RatConst, RealExpr, RealVar, RBin, State,
-    SubDistribution, dag_walk, format_fraction, log_vars, parse_fraction,
-    real_vars, _AOP_FUN, _ROP_FUN,
+    Formula, Interpretation, EMPTY_INTERP, PAnd, PNot, POr, PRel, PTRUE,
+    ProbFormula, RealExpr, State, SubDistribution, format_fraction, log_vars,
+    parse_fraction, real_vars,
 )
-from .semantics import DEFAULT_QWINDOW, sat_det_batch
+from .parser import ParseError, parse_state
+from .semantics import DEFAULT_QWINDOW, eval_batch, sat_det_batch
 
 DEFAULT_INT_WINDOW = (-8, 8)
 
@@ -44,84 +45,20 @@ REAL_GRID: tuple[Fraction, ...] = (
 )
 
 
-class ProbEvaluator:
-    """Evaluates probabilistic assertions on distributions over a known set
-    of states.  Each body phi of a P(phi) is decided in one batch over
-    those states, under one interpretation's logical values at a time;
-    P(phi) on a distribution is then its weight on the states where phi
-    holds.  States met outside the set are decided in a further batch.
-    Nothing is kept beyond the evaluator, which lives for one call."""
-
-    __slots__ = ("states", "qwindow", "log", "truth")
-
-    def __init__(self, states: Sequence[State],
-                 qwindow: tuple[int, int] = DEFAULT_QWINDOW):
-        self.states = states
-        self.qwindow = qwindow
-        self.log = None
-        self.truth: dict[Formula, dict[State, bool]] = {}
-
-    def prob(self, phi: Formula, dist: SubDistribution,
-             interp: Interpretation) -> Fraction:
-        if interp.log != self.log:
-            self.log = interp.log
-            self.truth = {}
-        truth = self.truth.get(phi)
-        if truth is None:
-            truth = self.truth[phi] = dict(zip(
-                self.states, sat_det_batch(phi, self.states, interp, self.qwindow)))
-        new = [s for s, _ in dist.items() if s not in truth]
-        if new:
-            truth.update(zip(new, sat_det_batch(phi, new, interp, self.qwindow)))
-        return sum((p for s, p in dist.items() if truth[s]), _ZERO)
-
-    def value(self, n: RealExpr | ProbFormula, dist: SubDistribution,
-              interp: Interpretation) -> Fraction | bool:
-        """The exact rational value of a real expression, or the truth of a
-        probabilistic formula, against dist: one walk, each distinct node
-        read once, `&&` and `||` short-circuiting left to right."""
-        def step(n, go):
-            if isinstance(n, RatConst):
-                return n.value
-            if isinstance(n, RealVar):
-                return interp.real_value(n.name)
-            if isinstance(n, Prob):
-                return self.prob(n.formula, dist, interp)
-            if isinstance(n, RBin):
-                return _AOP_FUN[n.op](go(n.left), go(n.right))
-            if isinstance(n, PRel):
-                return _ROP_FUN[n.op](go(n.left), go(n.right))
-            if isinstance(n, PNot):
-                return not go(n.body)
-            if isinstance(n, PAnd):
-                return go(n.left) and go(n.right)
-            if isinstance(n, POr):
-                return go(n.left) or go(n.right)
-            if isinstance(n, PImplies):
-                return not go(n.left) or go(n.right)
-            raise TypeError(f"not a real expression or probabilistic formula: {n!r}")
-
-        return dag_walk(n, step)
-
-
-_ZERO = Fraction(0)
-
-
-def _support(dist: SubDistribution) -> list[State]:
-    return [s for s, _ in dist.items()]
-
-
 def eval_real(r: RealExpr, dist: SubDistribution,
               interp: Interpretation = EMPTY_INTERP,
               qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> Fraction:
-    """Exact rational value of a real expression against a sub-distribution."""
-    return ProbEvaluator(_support(dist), qwindow).value(r, dist, interp)
+    """Exact rational value of a real expression against a sub-distribution:
+    a batch of one."""
+    value = eval_batch(r, (dist,), interp, qwindow)[0]
+    bool(value)  # raises UnboundVariable if the value is an unbound read
+    return value
 
 
 def sat_prob(f: ProbFormula, dist: SubDistribution,
              interp: Interpretation = EMPTY_INTERP,
              qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
-    return ProbEvaluator(_support(dist), qwindow).value(f, dist, interp)
+    return bool(eval_batch(f, (dist,), interp, qwindow)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -130,31 +67,27 @@ def sat_prob(f: ProbFormula, dist: SubDistribution,
 
 @dataclass(frozen=True)
 class StateWindow:
-    """Finite grid of stores: each variable ranges over an inclusive interval."""
+    """Finite grid of stores: each variable ranges over [lo, hi]."""
 
-    bounds: tuple[tuple[str, int, int], ...]  # sorted by variable name
+    names: tuple[str, ...]  # sorted
+    lo: int
+    hi: int
 
     @staticmethod
     def make(names: Iterable[str], lo: int = DEFAULT_INT_WINDOW[0],
              hi: int = DEFAULT_INT_WINDOW[1]) -> "StateWindow":
-        names = sorted(set(names))
+        names = tuple(sorted(set(names)))
         if names and lo > hi:
             raise ValueError(f"empty interval for {names[0]}: [{lo}, {hi}]")
-        return StateWindow(tuple((name, lo, hi) for name in names))
-
-    def vars(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _ in self.bounds)
+        return StateWindow(names, lo, hi)
 
     def states(self) -> list[State]:
-        ranges = [range(a, b + 1) for _, a, b in self.bounds]
-        names = self.vars()
-        return [State(tuple(zip(names, values)))
-                for values in itertools.product(*ranges)]
+        values = range(self.lo, self.hi + 1)
+        return [State(tuple(zip(self.names, point)))
+                for point in itertools.product(values, repeat=len(self.names))]
 
     def __str__(self) -> str:
-        if not self.bounds:
-            return "window {}"
-        parts = ", ".join(f"{n} in [{a}, {b}]" for n, a, b in self.bounds)
+        parts = ", ".join(f"{n} in [{self.lo}, {self.hi}]" for n in self.names)
         return f"window {{{parts}}}"
 
 
@@ -261,30 +194,25 @@ def check_valid_prob(f: ProbFormula, family: DistFamily,
                      qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
     """Truth on every family member under every interpretation."""
     scope = f"{family.description}, quantifiers over {list(qwindow)}"
-    ev = ProbEvaluator(family.states(), qwindow)
+    labels = [label for label, _ in family]
+    dists = family.dists()
     for interp in interpretations(log_vars(f), qwindow, real_vars(f)):
-        for label, dist in family:
-            if not ev.value(f, dist, interp):
-                return ValidityVerdict(False, scope, (label, interp))
+        truth = eval_batch(f, dists, interp, qwindow)
+        witness = next(itertools.compress(labels, map(not_, truth)), None)
+        if witness is not None:
+            return ValidityVerdict(False, scope, (witness, interp))
     return ValidityVerdict(True, scope)
 
 
 def prob_equivalent_on_family(f: ProbFormula, g: ProbFormula, family: DistFamily,
                               qwindow: tuple[int, int] = DEFAULT_QWINDOW,
                               ) -> ValidityVerdict:
-    """Same truth value on every family member (used for WP-schema matching).
-    One formula (terms are hash-consed) is equivalent to itself."""
-    scope = f"{family.description}, quantifiers over {list(qwindow)}"
-    if f is g:
-        return ValidityVerdict(True, scope)
-    lvars = log_vars(f) | log_vars(g)
-    rvars = real_vars(f) | real_vars(g)
-    ev = ProbEvaluator(family.states(), qwindow)
-    for interp in interpretations(lvars, qwindow, rvars):
-        for label, dist in family:
-            if ev.value(f, dist, interp) != ev.value(g, dist, interp):
-                return ValidityVerdict(False, scope, (label, interp))
-    return ValidityVerdict(True, scope)
+    """Same truth value on every family member (used for WP-schema
+    matching): the validity of (f && g) || (!f && !g).  One formula (terms
+    are hash-consed) is equivalent to itself."""
+    return check_valid_prob(
+        PTRUE if f is g else POr(PAnd(f, g), PAnd(PNot(f), PNot(g))),
+        family, qwindow)
 
 
 def real_equivalent_on_family(a: RealExpr, b: RealExpr, family: DistFamily,
@@ -306,12 +234,26 @@ def dist_from_json(data) -> SubDistribution:
     for item in data:
         if not isinstance(item, dict) or set(item) != {"state", "prob"}:
             raise ValueError(f"bad distribution entry: {item!r}")
-        state = State.make({k: int(v) for k, v in item["state"].items()})
+        state = _state_from_json(item["state"])
         p = parse_fraction(str(item["prob"]))
         if p <= 0:
             raise ValueError(f"non-positive probability {p} at {state}")
         entries[state] = entries.get(state, Fraction(0)) + p
     return SubDistribution(entries)  # rejects total mass > 1
+
+
+def _state_from_json(data) -> State:
+    """A JSON object mapping program variables, named as `parse_state`
+    reads them, to JSON integers (not booleans or floats)."""
+    if isinstance(data, dict) and all(type(v) is int for v in data.values()):
+        try:  # the text parses back to data iff every key is a variable name
+            state = parse_state(", ".join(f"{k}={v}" for k, v in data.items()))
+        except ParseError:
+            state = None
+        if state is not None and state.as_dict() == data:
+            return state
+    raise ValueError(f"a distribution entry's state must map program variables "
+                     f"to integers, got {data!r}")
 
 
 def dist_to_json(dist: SubDistribution) -> list:

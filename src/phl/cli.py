@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .core import (
-    SubDistribution, UnboundVariable, format_fraction,
+    SubDistribution, UnboundVariable, format_fraction, prog_vars,
 )
 from .parser import (
     ParseError, parse_command, parse_det_formula, parse_prob_formula,
@@ -151,12 +151,16 @@ def cmd_run(args, cfg: Config) -> int:
         dist = SubDistribution.point(parse_state(args.state))
     else:
         dist = load_dist(args.dists)
-    result = execute(program, dist, cfg.loop_bound)
     # `C1 [p] C2` tosses a fresh flag named unlike every identifier in the
-    # text, so keeping the input's and the text's variables drops only those
-    shown = {t.text for t in tokenize(args.program) if t.kind == "IDENT"}
-    shown.update(name for s, _ in dist.items() for name in s.vars())
-    output = result.output.project(shown)
+    # text; it must not overwrite an input variable, and it is not shown
+    written = {t.text for t in tokenize(args.program) if t.kind == "IDENT"}
+    given = {name for s, _ in dist.items() for name in s.vars()}
+    clash = sorted((prog_vars(program) - written) & given)
+    if clash:
+        raise UsageError(f"input variable {clash[0]} has the name of the flag "
+                         f"generated for a `[p]` choice; rename it")
+    result = execute(program, dist, cfg.loop_bound)
+    output = result.output.project(written | given)
     if cfg.format == "json":
         _emit_json({
             "states": _dist_json(output),

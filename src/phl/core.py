@@ -29,9 +29,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 AOPS = ("+", "-", "*")
 ROPS = ("<", "<=", "=", ">=", ">")
 
-_ROP_FUN = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
-            ">=": operator.ge, ">": operator.gt}
-_AOP_FUN = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+ROP_FUN = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+           ">=": operator.ge, ">": operator.gt}
+AOP_FUN = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -43,6 +43,8 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not an exact fraction (decimals are rejected): {text!r}")
     if "/" in s:
         num, _, den = s.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 
@@ -717,7 +719,7 @@ def _complementary(a: Formula, b: Formula) -> bool:
 def _simplify_step(n: Formula, go) -> Formula:
     if isinstance(n, Rel):
         if isinstance(n.left, IntConst) and isinstance(n.right, IntConst):
-            return BoolLit(_ROP_FUN[n.op](n.left.value, n.right.value))
+            return BoolLit(ROP_FUN[n.op](n.left.value, n.right.value))
         return n
     if isinstance(n, Not):
         body = go(n.body)
@@ -781,7 +783,7 @@ def _normalize_step(n: RealExpr, go) -> RealExpr:
     lc = left.value if isinstance(left, RatConst) else None
     rc = right.value if isinstance(right, RatConst) else None
     if lc is not None and rc is not None:
-        return RatConst(_AOP_FUN[n.op](lc, rc))
+        return RatConst(AOP_FUN[n.op](lc, rc))
     if n.op == "+" and lc == _ZERO:
         return right
     if n.op in ("+", "-") and rc == _ZERO:

@@ -38,10 +38,11 @@ from .core import (
     and_all, dag_walk, log_vars, node_size, normalize_real, real_sum,
     real_vars, simplify_formula, subst_prog_var,
 )
-from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det_batch
+from .semantics import (
+    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, eval_batch, execute, sat_det_batch,
+)
 from .assertions import (
-    DistFamily, ProbEvaluator, StateWindow, eval_real,
-    interpretations,
+    DistFamily, StateWindow, eval_real, interpretations, sat_prob,
 )
 from .wp import (
     DEFAULT_UNROLL, TripleVerdict, default_window, wp,
@@ -246,16 +247,15 @@ def check_triple_prob(pre: ProbFormula, c: Command, post: ProbFormula,
     scope = f"{family.description}, quantifiers over {list(qwindow)}, loop bound {loop_bound}"
     inexact = False
     worst = Fraction(0)
-    before = ProbEvaluator(family.states(), qwindow)
-    after = ProbEvaluator((), qwindow)  # output states are met one run at a time
+    dists = family.dists()
     for interp in interpretations(lvars, qwindow, rvars):
-        for label, dist in family:
-            if not before.value(pre, dist, interp):
+        for (label, dist), ok in zip(family, eval_batch(pre, dists, interp, qwindow)):
+            if not ok:
                 continue
             res = execute(c, dist, loop_bound)
             if not res.exact:
                 inexact = True
                 worst = max(worst, res.residual_mass)
-            if not after.value(post, res.output, interp):
+            if not sat_prob(post, res.output, interp, qwindow):
                 return TripleVerdict(False, scope, (label, interp), inexact, worst)
     return TripleVerdict(True, scope, None, inexact, worst)

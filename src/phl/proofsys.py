@@ -57,10 +57,13 @@ def derivation_from_json(data) -> Derivation:
         conclusion = parse_triple(str(data["conclusion"]))
     except KeyError as missing:
         raise ValueError(f"derivation node lacks {missing}") from None
-    premises = tuple(derivation_from_json(p) for p in data.get("premises", ()))
+    premises, side = data.get("premises", []), data.get("side", [])
+    if not (isinstance(premises, list) and isinstance(side, list)):
+        raise ValueError("derivation premises and side conditions must be JSON lists")
     parse_side = parse_prob_formula if conclusion.prob else parse_det_formula
-    side = tuple(parse_side(str(s)) for s in data.get("side", ()))
-    return Derivation(rule, conclusion, premises, side)
+    return Derivation(rule, conclusion,
+                      tuple(derivation_from_json(p) for p in premises),
+                      tuple(parse_side(str(s)) for s in side))
 
 
 def derivation_to_json(d: Derivation) -> dict:
@@ -349,9 +352,7 @@ def rule_soundness_suite(count: int = 300, seed: int = 0,
     pv = ("X", "Y")
     if window is None:
         window = StateWindow.make(pv, -2, 2)
-    lo = min(a for _, a, _ in window.bounds)
-    hi = max(b for _, _, b in window.bounds)
-    values = tuple(range(lo, hi + 1))
+    values = tuple(range(window.lo, window.hi + 1))
     per_rule: dict[str, int] = {r: 0 for r in DET_RULES}
     failures: list[str] = []
 
@@ -409,7 +410,7 @@ def rule_soundness_suite(count: int = 300, seed: int = 0,
                   and semantic(pre, c, post))
             record(rule, ok, pre, c, post)
         elif rule == "WHILE":
-            loop = gen.gen_safe_loop(rng, pv, lo, hi)
+            loop = gen.gen_safe_loop(rng, pv, window.lo, window.hi)
             inv = None
             for _ in range(4):
                 cand = gen.gen_formula(rng, pv, 1)

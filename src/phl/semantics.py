@@ -6,12 +6,16 @@ lost mass is exactly the probability of running past the iteration bound.
 Satisfaction is possibility-style: a distribution satisfies a formula when
 every support state does, so the zero distribution satisfies everything.
 
-Formulas are decided set-at-a-time.  `sat_det_batch` evaluates a formula over
-a whole sequence of states and decides each distinct DAG node once for the
-batch; `sat_det` is a batch of one state, and `sat_det_dist`, `restrict`, the
-interpreter's guards and the checkers in `assertions`, `wp` and `preterm`
-each run one batch over their domain.  The answers, the first failing state
-and the `UnboundVariable` raised are those of evaluating state by state.
+One engine evaluates every expression level set-at-a-time: a batch decides
+each distinct DAG node once for a whole sequence of states (integer terms,
+deterministic formulas) or of sub-distributions (real expressions,
+probabilistic formulas, whose P(phi) bodies are decided once over the union
+of the supports).  `sat_det_batch` and `eval_batch` are its entry points;
+`eval_arith`, `sat_det`, the interpreter's assignments and guards and every
+checker run one batch over their domain.  The answers, the first failing
+state or distribution and the `UnboundVariable` raised are those of
+evaluating one at a time, left to right with short-circuit connectives.
+The interpreter passes plain `{State: Fraction}` weight maps between steps.
 """
 
 from __future__ import annotations
@@ -23,39 +27,30 @@ from operator import and_, is_, or_, xor
 from typing import Sequence
 
 from .core import (
-    ABin, And, Assign, BoolLit, Command, EMPTY_INTERP, Forall, Formula, If,
-    IntConst, Interpretation, LogVar, Not, Or, Implies, ProgVar, RandAssign,
-    Rel, Seq, Skip, State, SubDistribution, UnboundVariable, While,
-    _AOP_FUN, _ROP_FUN,
+    AOP_FUN, ROP_FUN, ABin, And, Assign, BoolLit, Command, EMPTY_INTERP,
+    Forall, Formula, If, IntConst, Interpretation, LogVar, Not, Or, Implies,
+    PAnd, PImplies, PNot, POr, PRel, Prob, ProbFormula, ProgVar, RandAssign,
+    RatConst, RBin, RealExpr, RealVar, Rel, Seq, Skip, State, SubDistribution,
+    UnboundVariable, While,
 )
 
 DEFAULT_QWINDOW = (-8, 8)
 DEFAULT_LOOP_BOUND = 64
 
-
-def eval_arith(e, state: State, interp: Interpretation = EMPTY_INTERP) -> int:
-    if isinstance(e, IntConst):
-        return e.value
-    if isinstance(e, ProgVar):
-        return state[e.name]
-    if isinstance(e, LogVar):
-        return interp.log_value(e.name)
-    if isinstance(e, ABin):
-        return _AOP_FUN[e.op](eval_arith(e.left, state, interp),
-                              eval_arith(e.right, state, interp))
-    raise TypeError(f"not an arithmetic expression: {e!r}")
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
-# Set-at-a-time satisfaction.  Each distinct DAG node gets one column, one
-# value per state, built by C-level `map` over its children's columns with
-# the `operator` functions; negation is `x ^ True` and an implication
-# `(a ^ True) | b`.  Reading a variable that is not bound gives an `_Unbound`
-# value instead of raising.  It absorbs every operation it is the left
-# operand of, and every one whose left operand does not already decide the
-# result (`False & u` is False, `True | u` is True), so it ends up exactly
-# where the per-state, left-to-right, short-circuit evaluation would have
-# raised; reading it as a truth value raises `UnboundVariable` there.
+# Set-at-a-time evaluation.  Each distinct DAG node gets one column, one
+# value per state or distribution, built by C-level `map` over its
+# children's columns with the `operator` functions; negation is `x ^ True`
+# and an implication `(a ^ True) | b`.  Reading a variable that is not bound
+# gives an `_Unbound` value instead of raising.  It absorbs every operation
+# it is the left operand of, and every one whose left operand does not
+# already decide the result (`False & u` is False, `True | u` is True), so
+# it ends up exactly where the one-at-a-time, left-to-right, short-circuit
+# evaluation would have raised; reading it as a truth value or an integer
+# raises `UnboundVariable` there.
 
 
 class _Unbound:
@@ -68,6 +63,8 @@ class _Unbound:
 
     def __bool__(self):
         raise UnboundVariable(self.name)
+
+    __int__ = __bool__
 
     def _absorb(self, other):
         return self
@@ -85,34 +82,39 @@ class _Unbound:
 
 
 class _Batch:
-    """One evaluation: the states, the logical variables' values, the
-    quantifier window and a column per distinct node.  Program-variable
-    columns do not depend on the logical values, so the batches of a
-    quantifier's body share them with the enclosing one."""
+    """One evaluation: its rows, the values of the variables the rows do
+    not bind, the quantifier window and a column per distinct node.  Rows
+    are states, with logical variables' values, or distributions, with real
+    variables' values; a distribution is a list of (state's index in
+    `union`, weight) pairs, and `union` is the batch over the union of the
+    supports that decides the bodies of P(phi).  Program-variable columns do
+    not depend on the logical values, so the batches of a quantifier's body
+    share them with the enclosing one."""
 
-    __slots__ = ("states", "log", "qwindow", "prog", "memo")
+    __slots__ = ("rows", "values", "qwindow", "prog", "union", "memo")
 
-    def __init__(self, states, log, qwindow, prog):
-        self.states = states
-        self.log = log
+    def __init__(self, rows, values, qwindow, prog, union=None):
+        self.rows = rows
+        self.values = values
         self.qwindow = qwindow
         self.prog = prog
+        self.union = union
         self.memo = {}
 
 
 def _column(b: _Batch, n) -> list:
     got = b.memo.get(n)
     if got is None:
-        got = b.memo[n] = _COLUMN.get(type(n), _not_a_formula)(b, n)
+        got = b.memo[n] = _COLUMN.get(type(n), _not_an_expression)(b, n)
     return got
 
 
-def _not_a_formula(b: _Batch, n):
-    raise TypeError(f"not a formula: {n!r}")
+def _not_an_expression(b: _Batch, n):
+    raise TypeError(f"not an expression or formula: {n!r}")
 
 
 def _const(b: _Batch, n) -> list:
-    return [n.value] * len(b.states)
+    return [n.value] * len(b.rows)
 
 
 def _prog_var(b: _Batch, n: ProgVar) -> list:
@@ -120,7 +122,7 @@ def _prog_var(b: _Batch, n: ProgVar) -> list:
     out = b.prog.get(name)
     if out is None:
         out = b.prog[name] = []
-        for s in b.states:
+        for s in b.rows:
             for k, v in s.items:
                 if k == name:
                     out.append(v)
@@ -130,51 +132,68 @@ def _prog_var(b: _Batch, n: ProgVar) -> list:
     return out
 
 
-def _log_var(b: _Batch, n: LogVar) -> list:
-    value = b.log.get(n.name)
-    return [_Unbound(n.name) if value is None else value] * len(b.states)
+def _var(b: _Batch, n: LogVar | RealVar) -> list:
+    value = b.values.get(n.name)
+    return [_Unbound(n.name) if value is None else value] * len(b.rows)
 
 
-def _abin(b: _Batch, n: ABin) -> list:
-    return [*map(_AOP_FUN[n.op], _column(b, n.left), _column(b, n.right))]
+def _abin(b: _Batch, n: ABin | RBin) -> list:
+    return [*map(AOP_FUN[n.op], _column(b, n.left), _column(b, n.right))]
 
 
-def _rel(b: _Batch, n: Rel) -> list:
-    return [*map(_ROP_FUN[n.op], _column(b, n.left), _column(b, n.right))]
+def _rel(b: _Batch, n: Rel | PRel) -> list:
+    return [*map(ROP_FUN[n.op], _column(b, n.left), _column(b, n.right))]
 
 
-def _not(b: _Batch, n: Not) -> list:
+def _not(b: _Batch, n: Not | PNot) -> list:
     return [*map(xor, _column(b, n.body), repeat(True))]
 
 
-def _conj(b: _Batch, n: And) -> list:
+def _conj(b: _Batch, n: And | PAnd) -> list:
     return [*map(and_, _column(b, n.left), _column(b, n.right))]
 
 
-def _disj(b: _Batch, n: Or) -> list:
+def _disj(b: _Batch, n: Or | POr) -> list:
     return [*map(or_, _column(b, n.left), _column(b, n.right))]
 
 
-def _implies(b: _Batch, n: Implies) -> list:
+def _implies(b: _Batch, n: Implies | PImplies) -> list:
     return [*map(or_, map(xor, _column(b, n.left), repeat(True)),
                  _column(b, n.right))]
 
 
 def _forall(b: _Batch, n: Forall) -> list:
     lo, hi = b.qwindow
-    out = [True] * len(b.states)
+    out = [True] * len(b.rows)
     for value in range(lo, hi + 1):
-        body = _Batch(b.states, {**b.log, n.var: value}, b.qwindow, b.prog)
+        body = _Batch(b.rows, {**b.values, n.var: value}, b.qwindow, b.prog)
         out = [*map(and_, out, _column(body, n.body))]
         if not any(map(is_, out, repeat(True))):
             break  # every state is decided: false, or unbound from here on
     return out
 
 
+def _prob(b: _Batch, n: Prob) -> list:
+    """Each distribution's mass on the states where the body holds; the
+    first of its support states to read an unbound variable stops its sum."""
+    truth = _column(b.union, n.formula)
+    out = []
+    for weights in b.rows:
+        try:
+            held = [p for i, p in weights if truth[i]]
+        except UnboundVariable as unbound:
+            out.append(_Unbound(unbound.args[0]))
+            continue
+        out.append(sum(held[1:], held[0]) if held else _ZERO)  # one addition fewer
+    return out
+
+
 _COLUMN = {
-    IntConst: _const, BoolLit: _const, ProgVar: _prog_var, LogVar: _log_var,
+    IntConst: _const, BoolLit: _const, ProgVar: _prog_var, LogVar: _var,
     ABin: _abin, Rel: _rel, Not: _not, And: _conj, Or: _disj,
     Implies: _implies, Forall: _forall,
+    RatConst: _const, RealVar: _var, Prob: _prob, RBin: _abin, PRel: _rel,
+    PNot: _not, PAnd: _conj, POr: _disj, PImplies: _implies,
 }
 
 
@@ -187,6 +206,27 @@ def sat_det_batch(f: Formula, states: Sequence[State],
     scanning the result in order fails at the same state as scanning the
     states one by one."""
     return _column(_Batch(states, interp.log, qwindow, {}), f)
+
+
+def eval_batch(n: RealExpr | ProbFormula, dists: Sequence[SubDistribution],
+               interp: Interpretation = EMPTY_INTERP,
+               qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list:
+    """The exact rational value of a real expression, or the truth of a
+    probabilistic formula, on each distribution, in order.  Each distinct
+    node is read once for the whole batch and each P(phi) body decided once
+    over the union of the supports.  Where evaluating one distribution at a
+    time would raise `UnboundVariable`, the entry raises it when read as a
+    truth value."""
+    index: dict[State, int] = {}  # the union of the supports, in first-seen order
+    rows = [[(index.setdefault(s, len(index)), p) for s, p in dist.items()]
+            for dist in dists]
+    union = _Batch(list(index), interp.log, qwindow, {})
+    return _column(_Batch(rows, interp.real, qwindow, None, union), n)
+
+
+def eval_arith(e, state: State, interp: Interpretation = EMPTY_INTERP) -> int:
+    """The value of an integer term at a state: a batch of one state."""
+    return int(_column(_Batch((state,), interp.log, DEFAULT_QWINDOW, {}), e)[0])
 
 
 def sat_det(f: Formula, state: State, interp: Interpretation = EMPTY_INTERP,
@@ -209,20 +249,21 @@ def sat_det_dist(f: Formula, dist: SubDistribution,
 def restrict(dist: SubDistribution, f: Formula,
              qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> SubDistribution:
     """Keep only the mass sitting on states that satisfy f."""
-    return _split(dist, f, qwindow)[0]
+    return SubDistribution(_split(dict(dist.items()), f, qwindow)[0])
 
 
-def _split(dist: SubDistribution, f: Formula,
-           qwindow: tuple[int, int] = DEFAULT_QWINDOW,
-           ) -> tuple[SubDistribution, SubDistribution]:
-    """The mass on states that satisfy f, and the rest, from one batch."""
-    entries = list(dist.items())
-    truth = sat_det_batch(f, [s for s, _ in entries], EMPTY_INTERP, qwindow)
-    yes: dict[State, Fraction] = {}
-    no: dict[State, Fraction] = {}
-    for (s, p), ok in zip(entries, truth):
+Weights = dict[State, Fraction]
+
+
+def _split(dist: Weights, f: Formula,
+           qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> tuple[Weights, Weights]:
+    """The weights on states that satisfy f, and the rest, from one batch."""
+    truth = sat_det_batch(f, list(dist), EMPTY_INTERP, qwindow)
+    yes: Weights = {}
+    no: Weights = {}
+    for (s, p), ok in zip(dist.items(), truth):
         (yes if ok else no)[s] = p
-    return SubDistribution(yes), SubDistribution(no)
+    return yes, no
 
 
 @dataclass(frozen=True)
@@ -246,29 +287,39 @@ def execute(c: Command, dist: SubDistribution,
     """
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
-    out, iters = _run(c, dist, loop_bound)
-    residual = dist.mass - out.mass
-    return ExecResult(out, residual, iters, residual == 0)
+    out, iters = _run(c, dict(dist.items()), loop_bound)
+    output = SubDistribution(out)
+    residual = dist.mass - output.mass
+    return ExecResult(output, residual, iters, residual == 0)
 
 
-def _run(c: Command, dist: SubDistribution, loop_bound: int) -> tuple[SubDistribution, int]:
+def _add_into(acc: Weights, weights: Weights) -> Weights:
+    for s, p in weights.items():
+        acc[s] = acc.get(s, _ZERO) + p
+    return acc
+
+
+def _run(c: Command, dist: Weights, loop_bound: int) -> tuple[Weights, int]:
+    """The output weights and the deepest unrolling.  The input is never
+    changed; the output is the input itself or a map made here."""
     if not dist:
         return dist, 0
     if isinstance(c, Skip):
         return dist, 0
     if isinstance(c, Assign):
-        acc: dict[State, Fraction] = {}
-        for s, p in dist.items():
-            t = s.set(c.var, eval_arith(c.expr, s))
-            acc[t] = acc.get(t, Fraction(0)) + p
-        return SubDistribution(acc), 0
+        values = _column(_Batch(list(dist), {}, DEFAULT_QWINDOW, {}), c.expr)
+        acc: Weights = {}
+        for (s, p), v in zip(dist.items(), values):
+            t = s.set(c.var, v)  # reads v with int(): an unbound read raises
+            acc[t] = acc.get(t, _ZERO) + p
+        return acc, 0
     if isinstance(c, RandAssign):
         acc = {}
         for s, p in dist.items():
             for weight, value in c.dist.pairs:
                 t = s.set(c.var, value)
-                acc[t] = acc.get(t, Fraction(0)) + p * weight
-        return SubDistribution(acc), 0
+                acc[t] = acc.get(t, _ZERO) + p * weight
+        return acc, 0
     if isinstance(c, Seq):
         mid, i1 = _run(c.first, dist, loop_bound)
         out, i2 = _run(c.second, mid, loop_bound)
@@ -277,20 +328,16 @@ def _run(c: Command, dist: SubDistribution, loop_bound: int) -> tuple[SubDistrib
         then_in, else_in = _split(dist, c.guard)
         then_out, i1 = _run(c.then_branch, then_in, loop_bound)
         else_out, i2 = _run(c.else_branch, else_in, loop_bound)
-        return then_out + else_out, max(i1, i2)
+        return _add_into(then_out, else_out), max(i1, i2)  # then_out is made here
     if isinstance(c, While):
         # output = sum over i of the mass that exits after exactly i bodies
-        exited = SubDistribution.zero()
-        cur = dist
+        exited: Weights = {}
         inner = 0
         for i in range(loop_bound + 1):
-            live, done = _split(cur, c.guard)
-            exited = exited + done
-            if not live:
+            dist, done = _split(dist, c.guard)
+            _add_into(exited, done)
+            if not dist or i == loop_bound:
                 return exited, max(i, inner)
-            if i == loop_bound:
-                return exited, max(i, inner)
-            cur, used = _run(c.body, live, loop_bound)
+            dist, used = _run(c.body, dist, loop_bound)
             inner = max(inner, used)
-        raise AssertionError("unreachable")
     raise TypeError(f"not a command: {c!r}")

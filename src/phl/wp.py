@@ -17,7 +17,7 @@ from typing import Optional
 
 from .core import (
     And, Assign, Command, Formula, If, IntConst, Node, Not, Or, RandAssign, Seq,
-    Skip, State, SubDistribution, TRUE, While, and_all, log_vars, prog_vars,
+    Skip, SubDistribution, TRUE, While, and_all, log_vars, prog_vars,
     simplify_formula, subst_prog_var,
 )
 from .semantics import (

@@ -15,8 +15,8 @@ from fractions import Fraction
 from phl import gen
 from phl.assertions import StateWindow
 from phl.core import (
-    ROPS, And, Forall, Implies, Interpretation, Not, Or, PAnd, PImplies, PNot,
-    POr, PRel, State,
+    AOPS, ROPS, And, Forall, Implies, Interpretation, Not, Or, PAnd, PImplies,
+    PNot, POr, PRel, Prob, RatConst, RBin, RealVar, State,
 )
 
 PV = ("X", "Y")
@@ -73,20 +73,45 @@ def real_exprs(draw):
     return gen.gen_real_expr(_rng(draw(seeds)), PV, depth=draw(st.integers(0, 2)))
 
 
-def gen_prob_formula(rng: random.Random, depth: int):
+def _closed_real_expr(rng: random.Random):
+    return gen.gen_real_expr(rng, PV, rng.randint(0, 2))
+
+
+def gen_open_real_expr(rng: random.Random, depth: int = 2):
+    """Real expressions over the real variable @eps and P(phi) terms whose
+    bodies read X, Y, Z, j and k, any of which may be left unbound."""
+    if depth <= 0 or rng.random() < 0.5:
+        pick = rng.random()
+        if pick < 0.2:
+            return RealVar("eps")
+        if pick < 0.4:
+            return RatConst(Fraction(rng.randint(-2, 4), rng.choice((1, 2, 4))))
+        return Prob(gen_quantified_formula(rng, rng.randint(0, 2)))
+    return RBin(rng.choice(AOPS), gen_open_real_expr(rng, depth - 1),
+                gen_open_real_expr(rng, depth - 1))
+
+
+def gen_prob_formula(rng: random.Random, depth: int, real=_closed_real_expr):
     """Probabilistic connectives over relations between real expressions."""
     if depth <= 0 or rng.random() < 0.3:
-        return PRel(rng.choice(ROPS), gen.gen_real_expr(rng, PV, rng.randint(0, 2)),
-                    gen.gen_real_expr(rng, PV, rng.randint(0, 2)))
+        return PRel(rng.choice(ROPS), real(rng), real(rng))
     ctor = rng.choice((PNot, PAnd, POr, PImplies))
     if ctor is PNot:
-        return PNot(gen_prob_formula(rng, depth - 1))
-    return ctor(gen_prob_formula(rng, depth - 1), gen_prob_formula(rng, depth - 1))
+        return PNot(gen_prob_formula(rng, depth - 1, real))
+    return ctor(gen_prob_formula(rng, depth - 1, real),
+                gen_prob_formula(rng, depth - 1, real))
 
 
 @st.composite
-def prob_formulas(draw):
-    return gen_prob_formula(_rng(draw(seeds)), draw(st.integers(0, 4)))
+def open_real_exprs(draw):
+    return gen_open_real_expr(_rng(draw(seeds)), draw(st.integers(0, 2)))
+
+
+@st.composite
+def prob_formulas(draw, free=False):
+    """With free, the relations compare `gen_open_real_expr` terms."""
+    real = gen_open_real_expr if free else _closed_real_expr
+    return gen_prob_formula(_rng(draw(seeds)), draw(st.integers(0, 4)), real)
 
 
 def gen_quantified_formula(rng: random.Random, depth: int, pv=PV + ("Z",),

@@ -4,11 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phl.core import (
-    EMPTY_INTERP, Interpretation, Not, PRel, Prob, RatConst, State,
-    SubDistribution, UnboundVariable, log_vars, point_dist, real_vars,
+    AOP_FUN, EMPTY_INTERP, ROP_FUN, Interpretation, Not, PAnd, PImplies, PNot,
+    POr, PRel, Prob, RatConst, RBin, RealVar, State, SubDistribution,
+    UnboundVariable, log_vars, point_dist, real_vars,
 )
 from phl.assertions import (
     REAL_GRID, DistFamily, StateWindow, ValidityVerdict, check_valid_det,
@@ -18,10 +20,11 @@ from phl.assertions import (
 from phl.parser import (
     parse_det_formula, parse_prob_formula, parse_real_expr, parse_triple,
 )
-from phl.semantics import sat_det
+from phl.semantics import eval_batch, sat_det
 from phl.wp import check_triple_det, window_equivalent
 
 import strategies as sts
+from test_semantics import reference_sat
 
 HALF = Fraction(1, 2)
 
@@ -91,11 +94,83 @@ class TestSatProb:
             assert sat_prob(f, mixture(), EMPTY_INTERP) is want
 
 
+def reference_value(n, mu, interp, qwindow):
+    """One member at a time, left to right with short-circuit connectives;
+    an unbound variable raises where it is read."""
+    def value(n):
+        if isinstance(n, RatConst):
+            return n.value
+        if isinstance(n, RealVar):
+            return interp.real_value(n.name)
+        if isinstance(n, Prob):
+            return sum((p for s, p in mu.items()
+                        if reference_sat(n.formula, s, interp.log, qwindow)),
+                       Fraction(0))
+        if isinstance(n, RBin):
+            return AOP_FUN[n.op](value(n.left), value(n.right))
+        if isinstance(n, PRel):
+            return ROP_FUN[n.op](value(n.left), value(n.right))
+        if isinstance(n, PNot):
+            return not value(n.body)
+        if isinstance(n, PAnd):
+            return value(n.left) and value(n.right)
+        if isinstance(n, POr):
+            return value(n.left) or value(n.right)
+        assert isinstance(n, PImplies)
+        return not value(n.left) or value(n.right)
+
+    return value(n)
+
+
+def _read(entry):
+    """An entry of a column as a plain value, or the unbound variable's name."""
+    try:
+        bool(entry)
+    except UnboundVariable as err:
+        return ("unbound", err.args[0])
+    return entry
+
+
+members = st.lists(st.lists(sts.partial_states(), max_size=3), max_size=5).map(
+    lambda family: [SubDistribution({s: Fraction(1, 4) for s in support})
+                    for support in family])
+
+
+class TestEvalBatch:
+    """A column over a family agrees, member by member, with evaluating one
+    member at a time: the value, or the variable whose read raised."""
+
+    @given(st.one_of(sts.prob_formulas(free=True), sts.open_real_exprs()),
+           members,
+           st.dictionaries(st.sampled_from(("j", "k")), st.integers(-2, 2)),
+           st.dictionaries(st.just("eps"), st.sampled_from(REAL_GRID)))
+    @settings(deadline=None, max_examples=300)
+    def test_agrees_with_per_member_reference(self, n, dists, log, real):
+        interp, qwindow = Interpretation(log, real), (-2, 2)
+        got = eval_batch(n, dists, interp, qwindow)
+        assert len(got) == len(dists)
+        for mu, entry in zip(dists, got):
+            want = _outcome(reference_value, n, mu, interp, qwindow)
+            assert _read(entry) == want
+
+    def test_first_unbound_state_of_a_member(self):
+        """A member's P(phi) raises at its first support state that reads
+        an unbound variable, in the member's own order."""
+        f = parse_prob_formula("P(Z = 0 || W = 0) >= 0")
+        lacks_w, lacks_z = State.make({"Z": 1}), State.make({"W": 1})
+        first_w = SubDistribution({lacks_w: HALF, lacks_z: HALF})
+        first_z = SubDistribution({lacks_z: HALF, lacks_w: HALF})
+        got = eval_batch(f, [first_w, first_z, point_dist({"Z": 0})])
+        assert [_read(v) for v in got] == [("unbound", "W"), ("unbound", "Z"), True]
+
+
 class TestWindowsAndFamilies:
     def test_window_states(self):
         w = StateWindow.make(("X",), -1, 1)
         got = [s.as_dict() for s in w.states()]
         assert got == [{"X": -1}, {"X": 0}, {"X": 1}]
+        assert str(w) == "window {X in [-1, 1]}"
+        assert str(StateWindow.make((), 3, 1)) == "window {}"
 
     def test_window_states_are_made_states(self):
         w = StateWindow.make(("Y", "X"), -2, 2)

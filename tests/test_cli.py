@@ -256,6 +256,50 @@ class TestWindowsAndBounds:
         assert err == "error: loop_bound must be non-negative, got -1\n"
 
 
+def assert_usage_error(rc, out, err):
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestBadInputs:
+    """Malformed inputs exit 2 with one error line, never a traceback or a
+    wrong answer."""
+
+    @pytest.mark.parametrize("entry", [
+        {"state": [1], "prob": "1"}, {"state": {"X": [1]}, "prob": "1"},
+        {"state": {"X": 0}, "prob": "1/0"}, {"state": {"X": 1.5}, "prob": "1"},
+        {"state": {"X": True}, "prob": "1"}, {"state": {"x": 0}, "prob": "1"},
+        {"state": {"P": 0}, "prob": "1"}, {"state": {"X=1, Y": 0}, "prob": "1"},
+    ])
+    def test_dists(self, capsys, tmp_path, entry):
+        p = tmp_path / "mu.json"
+        p.write_text(json.dumps([entry]))
+        assert_usage_error(*run_cli(capsys, "run", "--program", "skip",
+                                    "--dists", str(p)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("premises", 5), ("premises", {"rule": "SKIP"}), ("premises", "AS"),
+        ("side", 5), ("side", "X = 0"),
+    ])
+    def test_derivation(self, capsys, tmp_path, field, value):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps({**DIVERGE_DERIV, field: value}))
+        assert_usage_error(*run_cli(capsys, "prove", "--derivation", str(p)))
+
+    @pytest.mark.parametrize("given", [
+        ("--state", "_F0=1"), ("--state", "X=0, _F0=1"), ("--dists", "mu.json"),
+    ])
+    def test_choice_flag_named_like_an_input(self, capsys, tmp_path, monkeypatch, given):
+        """`[p]` tosses a generated flag; an input variable of that name
+        would be overwritten."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mu.json").write_text(json.dumps(
+            [{"state": {"_F0": 1}, "prob": "1"}]))
+        assert_usage_error(*run_cli(capsys, "run", "--program", "skip [1/2] skip",
+                                    *given))
+
+
 class TestInstalledScript:
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -228,6 +228,24 @@ class TestExecute:
         with pytest.raises(KeyError):
             execute(parse_command("X := Y"), point_dist({"X": 0}))
 
+    def test_unbound_read_at_first_state_in_support_order(self):
+        has_z, has_w = State.make({"Z": 1}), State.make({"W": 1})
+        with pytest.raises(UnboundVariable, match="Z"):
+            execute(parse_command("Y := Z"), SubDistribution({has_z: HALF, has_w: HALF}))
+        c = parse_command("Y := Z + W")
+        with pytest.raises(UnboundVariable, match="W"):
+            execute(c, SubDistribution({has_z: HALF, has_w: HALF}))
+        with pytest.raises(UnboundVariable, match="Z"):
+            execute(c, SubDistribution({has_w: HALF, has_z: HALF}))
+
+    def test_output_in_insertion_order(self):
+        """Then-branch states first, each branch in the order its states
+        were made."""
+        c = parse_command("X :=$ {1/4:2, 1/4:0, 1/2:1}; if X = 0 then { Y := 1 } else { skip }")
+        r = execute(c, point_dist({"X": 5, "Y": 0}))
+        assert [s.as_dict() for s, _ in r.output.items()] == [
+            {"X": 0, "Y": 1}, {"X": 2, "Y": 0}, {"X": 1, "Y": 0}]
+
 
 class TestExecuteProperties:
     @given(sts.loopfree_commands(), sts.subdists())
