@@ -14,7 +14,8 @@ operator.
 AST nodes are hash-consed: structurally equal nodes are one object, so `==`
 is `is` and terms built by the transformers share every common subterm.
 Free variables come from one collector per sort, each accepting any node:
-`prog_vars`, `log_vars` and `real_vars`.
+`prog_vars`, `log_vars` and `real_vars`.  One printer, `to_source`, gives
+`str()` of every node and prints each distinct node once per call.
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ class Node:
     def _validate(self) -> None:
         """Raise ValueError for an ill-formed node; runs before interning."""
 
+    def __str__(self) -> str:
+        return to_source(self)
+
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
@@ -131,9 +135,6 @@ class ArithExpr(Node):
     """Integer-valued expression over program and logical variables."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return arith_to_source(self)
 
 
 @_node
@@ -172,9 +173,6 @@ class Formula(Node):
     """First-order assertion over integer expressions."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return formula_to_source(self)
 
 
 @_node
@@ -241,9 +239,6 @@ def and_all(formulas: Iterable[Formula]) -> Formula:
 
 class Command(Node):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return command_to_source(self)
 
 
 @dataclass(frozen=True)
@@ -351,9 +346,6 @@ class RealExpr(Node):
 
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return real_to_source(self)
-
 
 @_node
 class RatConst(RealExpr):
@@ -384,9 +376,6 @@ class RBin(RealExpr):
 
 class ProbFormula(Node):
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return prob_to_source(self)
 
 
 @_node
@@ -773,12 +762,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _normalize_step(n: RealExpr, go) -> RealExpr:
+def _normalize_step(n: Node, go) -> Node:
     if isinstance(n, Prob):
-        body = simplify_formula(n.formula)
+        body = go(n.formula)
         return RatConst(_ZERO) if body is FALSE else Prob(body)
     if not isinstance(n, RBin):
-        return n
+        return _simplify_step(n, go)
     left, right = go(n.left), go(n.right)
     lc = left.value if isinstance(left, RatConst) else None
     rc = right.value if isinstance(right, RatConst) else None
@@ -798,7 +787,8 @@ def _normalize_step(n: RealExpr, go) -> RealExpr:
 
 
 def normalize_real(r: RealExpr) -> RealExpr:
-    """Constant folding plus dropping of zero summands and unit factors."""
+    """Constant folding plus dropping of zero summands and unit factors; the
+    body of each P(phi) is simplified in the same walk."""
     return dag_walk(r, _normalize_step)
 
 
@@ -810,99 +800,76 @@ def real_sum(terms: Iterable[RealExpr]) -> RealExpr:
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax output.  Printers parenthesize by the precedence levels that
-# the parser encodes by rule nesting, so parse(to_source(ast)) returns an
-# equal AST.
+# Concrete syntax output: one printer for every node class.  A child is
+# parenthesized exactly when its level is below the level its slot needs.
+# The levels follow the parser's rule nesting, so parse(to_source(ast))
+# returns an equal AST: `;` and forall 0, `->` 1, `||` 2, `&&` and relations
+# 3; arithmetic has its own scale, `+`/`-` 1 and `*` 2.
 
+_ATOM = 5  # atoms, `!`, P(...), assignments, if and while: never wrapped
+# connective: (separator, level, left slot, right slot)
+_INFIX = {And: (" && ", 3, 3, 4), PAnd: (" && ", 3, 3, 4),
+          Or: (" || ", 2, 2, 3), POr: (" || ", 2, 2, 3),
+          Implies: (" -> ", 1, 2, 1), PImplies: (" -> ", 1, 2, 1)}
 _APREC = {"+": 1, "-": 1, "*": 2}
 
 
-def arith_to_source(e: ArithExpr, prec: int = 0) -> str:
-    if isinstance(e, IntConst):
-        return str(e.value)
-    if isinstance(e, ProgVar):
-        return e.name
-    if isinstance(e, LogVar):
-        return e.name
-    if isinstance(e, ABin):
-        p = _APREC[e.op]
-        s = f"{arith_to_source(e.left, p)} {e.op} {arith_to_source(e.right, p + 1)}"
-        return f"({s})" if p < prec else s
-    raise TypeError(f"not an arithmetic expression: {e!r}")
+def _show(n: Node, memo: dict, need: int) -> str:
+    """n's text in a slot that needs level `need`; memo maps each node
+    printed so far to (text, level).  One frame per nesting level."""
+    cls = type(n)
+    if cls is ProgVar or cls is LogVar:
+        return n.name
+    if cls is IntConst or cls is RatConst:
+        return str(n.value)
+    if cls is RealVar:
+        return "@" + n.name
+    if cls is BoolLit:
+        return "true" if n.value else "false"
+    got = memo.get(n)
+    if got is None:
+        infix = _INFIX.get(cls)
+        if infix is not None:
+            sep, level, left, right = infix
+            got = (_show(n.left, memo, left) + sep + _show(n.right, memo, right), level)
+        elif cls is ABin or cls is RBin:
+            p = _APREC[n.op]
+            got = (f"{_show(n.left, memo, p)} {n.op} {_show(n.right, memo, p + 1)}", p)
+        elif cls is Rel or cls is PRel:
+            got = (f"{_show(n.left, memo, 0)} {n.op} {_show(n.right, memo, 0)}", 3)
+        elif cls is Not or cls is PNot:
+            got = ("!" + _show(n.body, memo, 4), _ATOM)
+        elif cls is Prob:
+            got = (f"P({_show(n.formula, memo, 0)})", _ATOM)
+        elif cls is Forall:
+            got = (f"forall {n.var}. {_show(n.body, memo, 0)}", 0)
+        elif cls is Seq:
+            got = (f"{_show(n.first, memo, 1)}; {_show(n.second, memo, 0)}", 0)
+        elif cls is Skip:
+            got = ("skip", _ATOM)
+        elif cls is Assign:
+            got = (f"{n.var} := {_show(n.expr, memo, 0)}", _ATOM)
+        elif cls is RandAssign:
+            body = ", ".join(f"{format_fraction(w)}:{v}" for w, v in n.dist.pairs)
+            got = (f"{n.var} :=$ {{{body}}}", _ATOM)
+        elif cls is If:
+            got = (f"if {_show(n.guard, memo, 0)} "
+                   f"then {{ {_show(n.then_branch, memo, 0)} }} "
+                   f"else {{ {_show(n.else_branch, memo, 0)} }}", _ATOM)
+        elif cls is While:
+            got = (f"while {_show(n.guard, memo, 0)} "
+                   f"do {{ {_show(n.body, memo, 0)} }}", _ATOM)
+        else:
+            raise TypeError(f"not an AST node: {n!r}")
+        memo[n] = got
+    text, level = got
+    return f"({text})" if level < need else text
 
 
-# precedence levels: -> 1 (right assoc), || 2, && 3, ! 4, atoms 5
-def formula_to_source(f: Formula, prec: int = 0) -> str:
-    if isinstance(f, BoolLit):
-        return "true" if f.value else "false"
-    if isinstance(f, Rel):
-        s = f"{arith_to_source(f.left)} {f.op} {arith_to_source(f.right)}"
-        return f"({s})" if prec >= 4 else s
-    if isinstance(f, Not):
-        return f"!{formula_to_source(f.body, 4)}"
-    if isinstance(f, And):
-        s = f"{formula_to_source(f.left, 3)} && {formula_to_source(f.right, 4)}"
-        return f"({s})" if prec > 3 else s
-    if isinstance(f, Or):
-        s = f"{formula_to_source(f.left, 2)} || {formula_to_source(f.right, 3)}"
-        return f"({s})" if prec > 2 else s
-    if isinstance(f, Implies):
-        s = f"{formula_to_source(f.left, 2)} -> {formula_to_source(f.right, 1)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(f, Forall):
-        s = f"forall {f.var}. {formula_to_source(f.body, 0)}"
-        return f"({s})" if prec > 0 else s
-    raise TypeError(f"not a formula: {f!r}")
+def to_source(node: Node) -> str:
+    """Concrete syntax of any AST node; each distinct node is printed once."""
+    return _show(node, {}, 0)
 
 
-def command_to_source(c: Command, prec: int = 0) -> str:
-    if isinstance(c, Skip):
-        return "skip"
-    if isinstance(c, Assign):
-        return f"{c.var} := {arith_to_source(c.expr)}"
-    if isinstance(c, RandAssign):
-        body = ", ".join(f"{format_fraction(w)}:{v}" for w, v in c.dist.pairs)
-        return f"{c.var} :=$ {{{body}}}"
-    if isinstance(c, Seq):
-        s = f"{command_to_source(c.first, 1)}; {command_to_source(c.second, 0)}"
-        return f"({s})" if prec > 0 else s
-    if isinstance(c, If):
-        return (f"if {formula_to_source(c.guard)} "
-                f"then {{ {command_to_source(c.then_branch)} }} "
-                f"else {{ {command_to_source(c.else_branch)} }}")
-    if isinstance(c, While):
-        return (f"while {formula_to_source(c.guard)} "
-                f"do {{ {command_to_source(c.body)} }}")
-    raise TypeError(f"not a command: {c!r}")
-
-
-def real_to_source(r: RealExpr, prec: int = 0) -> str:
-    if isinstance(r, RatConst):
-        return format_fraction(r.value)
-    if isinstance(r, RealVar):
-        return f"@{r.name}"
-    if isinstance(r, Prob):
-        return f"P({formula_to_source(r.formula)})"
-    if isinstance(r, RBin):
-        p = _APREC[r.op]
-        s = f"{real_to_source(r.left, p)} {r.op} {real_to_source(r.right, p + 1)}"
-        return f"({s})" if p < prec else s
-    raise TypeError(f"not a real expression: {r!r}")
-
-
-def prob_to_source(f: ProbFormula, prec: int = 0) -> str:
-    if isinstance(f, PRel):
-        s = f"{real_to_source(f.left)} {f.op} {real_to_source(f.right)}"
-        return f"({s})" if prec >= 4 else s
-    if isinstance(f, PNot):
-        return f"!{prob_to_source(f.body, 4)}"
-    if isinstance(f, PAnd):
-        s = f"{prob_to_source(f.left, 3)} && {prob_to_source(f.right, 4)}"
-        return f"({s})" if prec > 3 else s
-    if isinstance(f, POr):
-        s = f"{prob_to_source(f.left, 2)} || {prob_to_source(f.right, 3)}"
-        return f"({s})" if prec > 2 else s
-    if isinstance(f, PImplies):
-        s = f"{prob_to_source(f.left, 2)} -> {prob_to_source(f.right, 1)}"
-        return f"({s})" if prec > 1 else s
-    raise TypeError(f"not a probabilistic formula: {f!r}")
+arith_to_source = formula_to_source = command_to_source = to_source
+real_to_source = prob_to_source = to_source

@@ -242,8 +242,8 @@ def sat_det(f: Formula, state: State, interp: Interpretation = EMPTY_INTERP,
 def sat_det_dist(f: Formula, dist: SubDistribution,
                  interp: Interpretation = EMPTY_INTERP,
                  qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
-    """Every support state satisfies f (vacuously true for the zero dist)."""
-    return all(sat_det_batch(f, tuple(dist.support()), interp, qwindow))
+    """Every support state satisfies f, tested in insertion order."""
+    return all(sat_det_batch(f, [s for s, _ in dist.items()], interp, qwindow))
 
 
 def restrict(dist: SubDistribution, f: Formula,

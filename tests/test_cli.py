@@ -299,6 +299,16 @@ class TestBadInputs:
         assert_usage_error(*run_cli(capsys, "run", "--program", "skip [1/2] skip",
                                     *given))
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--program", "; ".join(["X := X + 1"] * 3000), "--state", "X=0"),
+        ("wp", "--program", "; ".join(["X := X + 1"] * 3000), "--post", "X > 0"),
+        ("pt", "--program", "skip", "--term", " + ".join(["P(X = 0)"] * 1200)),
+    ], ids=["run-chain", "wp-chain", "pt-sum"])
+    def test_nested_too_deeply(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert_usage_error(rc, out, err)
+        assert "nested too deeply" in err
+
 
 class TestInstalledScript:
     def test_console_entry_point(self):

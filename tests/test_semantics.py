@@ -1,6 +1,10 @@
 """Evaluator and the exact interpreter over sub-distributions."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from phl.semantics import (
 import strategies as sts
 
 HALF = Fraction(1, 2)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def states(mu):
@@ -59,6 +64,24 @@ class TestEvalAndSat:
 
     def test_sat_dist_vacuous_on_zero(self):
         assert sat_det_dist(FALSE, SubDistribution.zero(), EMPTY_INTERP)
+
+    def test_sat_dist_order_is_insertion_order(self):
+        # {X=0, Z=1} falsifies Z = 5 and {X=1} reads an unbound Z: the
+        # answer is the first state's in insertion order, whatever the
+        # string hash seed of the process
+        script = (
+            "from fractions import Fraction\n"
+            "from phl.core import State, SubDistribution\n"
+            "from phl.parser import parse_det_formula\n"
+            "from phl.semantics import sat_det_dist\n"
+            "mu = SubDistribution({State.make({'X': 0, 'Z': 1}): Fraction(1, 2),\n"
+            "                      State.make({'X': 1}): Fraction(1, 2)})\n"
+            "print(sat_det_dist(parse_det_formula('Z = 5'), mu))\n")
+        for seed in range(8):
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+            out = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert (seed, out.stdout, out.stderr) == (seed, "False\n", "")
 
 
 def reference_sat(f, state, log, qwindow):
