@@ -31,7 +31,7 @@ from operator import not_
 from typing import Iterable, Iterator, Optional
 
 from .core import (
-    Formula, Interpretation, EMPTY_INTERP, PAnd, PNot, POr, PRel, PTRUE,
+    Formula, Interpretation, EMPTY_INTERP, PAnd, PNot, POr, PRel,
     ProbFormula, RealExpr, State, SubDistribution, format_fraction, log_vars,
     parse_fraction, real_vars,
 )
@@ -190,10 +190,14 @@ def check_valid_det(f: Formula, window: StateWindow,
     return ValidityVerdict(True, scope)
 
 
+def _family_scope(family: DistFamily, qwindow: tuple[int, int]) -> str:
+    return f"{family.description}, quantifiers over {list(qwindow)}"
+
+
 def check_valid_prob(f: ProbFormula, family: DistFamily,
                      qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
     """Truth on every family member under every interpretation."""
-    scope = f"{family.description}, quantifiers over {list(qwindow)}"
+    scope = _family_scope(family, qwindow)
     labels = [label for label, _ in family]
     dists = family.dists()
     for interp in interpretations(log_vars(f), qwindow, real_vars(f)):
@@ -209,18 +213,21 @@ def prob_equivalent_on_family(f: ProbFormula, g: ProbFormula, family: DistFamily
                               ) -> ValidityVerdict:
     """Same truth value on every family member (used for WP-schema
     matching): the validity of (f && g) || (!f && !g).  One formula (terms
-    are hash-consed) is equivalent to itself."""
-    return check_valid_prob(
-        PTRUE if f is g else POr(PAnd(f, g), PAnd(PNot(f), PNot(g))),
-        family, qwindow)
+    are hash-consed) is equivalent to itself, with nothing evaluated."""
+    if f is g:
+        return ValidityVerdict(True, _family_scope(family, qwindow))
+    return check_valid_prob(POr(PAnd(f, g), PAnd(PNot(f), PNot(g))), family, qwindow)
 
 
 def real_equivalent_on_family(a: RealExpr, b: RealExpr, family: DistFamily,
                               qwindow: tuple[int, int] = DEFAULT_QWINDOW,
                               ) -> ValidityVerdict:
     """Same rational value on every family member: the validity of a = b.
-    One expression (terms are hash-consed) is equivalent to itself."""
-    return check_valid_prob(PTRUE if a is b else PRel("=", a, b), family, qwindow)
+    One expression (terms are hash-consed) is equivalent to itself, with
+    nothing evaluated."""
+    if a is b:
+        return ValidityVerdict(True, _family_scope(family, qwindow))
+    return check_valid_prob(PRel("=", a, b), family, qwindow)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Subcommands: run, wp, pt, wpp, check, prove.  Exit status 0 means the
 requested property holds (or printing succeeded), 1 means a counterexample
 was found or a derivation was rejected, 2 means bad usage or a parse error.
-Defaults can be preloaded from a JSON file named by the PHL_CONFIG
-environment variable; explicit flags win.  JSON output is byte-identical for
-identical input and configuration.
+Each subcommand's handler returns its exit status, its JSON payload and its
+text lines; `main` alone prints them, in the chosen format, and turns every
+usage or input error into one `error:` line.  Each setting is written once,
+in SETTINGS, with its default: a flag wins over the JSON file named by the
+PHL_CONFIG environment variable, which wins over the default.  JSON output
+is byte-identical for identical input and configuration.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
 
 from .core import (
     SubDistribution, UnboundVariable, format_fraction, prog_vars,
@@ -32,15 +34,8 @@ from .proofsys import check_derivation, derivation_vars, load_derivation
 CONFIG_ENV = "PHL_CONFIG"
 
 
-@dataclass
-class Config:
-    loop_bound: int = DEFAULT_LOOP_BOUND
-    unroll: int = DEFAULT_UNROLL
-    depth: int = DEFAULT_DEPTH
-    int_window: tuple[int, int] = DEFAULT_INT_WINDOW
-    quant_window: tuple[int, int] = DEFAULT_QWINDOW
-    seed: int = 0
-    format: str = "text"
+class UsageError(ValueError):
+    pass
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -56,58 +51,65 @@ def _parse_window(text: str) -> tuple[int, int]:
     return bounds
 
 
-def _config_value(key: str, value):
-    """The Config field for one PHL_CONFIG entry; UsageError if malformed."""
-    def fail(shape: str):
-        raise UsageError(f"{CONFIG_ENV} {key} must be {shape}, got {json.dumps(value)}")
-    if key in ("loop_bound", "unroll", "depth", "seed"):
-        if type(value) is not int:  # JSON true and 1.5 are not integers
-            fail("an integer")
-        return value
-    if key in ("int_window", "quant_window"):
-        if not (isinstance(value, list) and len(value) == 2
-                and all(type(v) is int for v in value) and value[0] <= value[1]):
-            fail("[MIN, MAX] with integers MIN <= MAX")
-        return tuple(value)
-    if key == "format":
-        if value not in ("text", "json"):
-            fail('"text" or "json"')
-        return value
-    raise UsageError(f"{CONFIG_ENV} has an unknown key {key!r}")
+def _is_window(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2
+            and all(type(v) is int for v in value) and value[0] <= value[1])
 
 
-def load_config() -> Config:
-    cfg = Config()
+# A kind of setting: (argparse options of its flag, the shape a PHL_CONFIG
+# value must have, the test of that shape).  JSON true and 1.5 are not
+# integers; a window [MIN, MAX] is read as the tuple (MIN, MAX).
+_INT = ({"type": int}, "an integer", lambda v: type(v) is int)
+_WINDOW = ({"type": _parse_window, "metavar": "MIN..MAX"},
+           "[MIN, MAX] with integers MIN <= MAX", _is_window)
+_FORMATS = ("text", "json")
+_FORMAT = ({"choices": _FORMATS}, '"text" or "json"', lambda v: v in _FORMATS)
+
+# name: (default, kind, must be non-negative).  The flag is --name with `-`
+# for `_`; the PHL_CONFIG key is the name.
+SETTINGS = {
+    "loop_bound": (DEFAULT_LOOP_BOUND, _INT, True),
+    "unroll": (DEFAULT_UNROLL, _INT, True),
+    "depth": (DEFAULT_DEPTH, _INT, True),
+    "int_window": (DEFAULT_INT_WINDOW, _WINDOW, False),
+    "quant_window": (DEFAULT_QWINDOW, _WINDOW, False),
+    "seed": (0, _INT, False),
+    "format": ("text", _FORMAT, False),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def load_config() -> dict:
+    """The settings in the PHL_CONFIG file; UsageError if it is malformed."""
     path = os.environ.get(CONFIG_ENV)
     if not path:
-        return cfg
+        return {}
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise UsageError(f"{CONFIG_ENV} must hold a JSON object")
-    return replace(cfg, **{k: _config_value(k, v) for k, v in data.items()})
+    for key, value in data.items():
+        if key not in SETTINGS:
+            raise UsageError(f"{CONFIG_ENV} has an unknown key {key!r}")
+        _, shape, valid = SETTINGS[key][1]
+        if not valid(value):
+            raise UsageError(f"{CONFIG_ENV} {key} must be {shape}, got {json.dumps(value)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
-def apply_flags(cfg: Config, args: argparse.Namespace) -> Config:
-    fields = {}
-    for key in ("loop_bound", "unroll", "depth", "seed",
-                "int_window", "quant_window", "format"):
-        value = getattr(args, key, None)
-        if value is not None:
-            fields[key] = value
-    return replace(cfg, **fields)
-
-
-def check_bounds(cfg: Config) -> None:
-    """Bounds from flags or the config file must be non-negative."""
-    for key in ("loop_bound", "unroll", "depth"):
-        value = getattr(cfg, key)
-        if value < 0:
-            raise UsageError(f"{key} must be non-negative, got {value}")
-
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
+def resolve_settings(args: argparse.Namespace) -> None:
+    """Give each setting that no flag gave its PHL_CONFIG value, or else its
+    default; bounds from either must be non-negative."""
+    config = load_config()
+    for name, (default, _, bound) in SETTINGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, config.get(name, default))
+        value = getattr(args, name)
+        if bound and value < 0:
+            raise UsageError(f"{name} must be non-negative, got {value}")
 
 
 def _dist_json(dist: SubDistribution) -> list[dict]:
@@ -140,10 +142,17 @@ def _triple_verdict_payload(verdict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (exit status, JSON payload, text lines)
+
+Outcome = tuple[int, dict, list[str]]
 
 
-def cmd_run(args, cfg: Config) -> int:
+def _window(args, *nodes) -> StateWindow:
+    lo, hi = args.int_window
+    return default_window(*nodes, lo=lo, hi=hi)
+
+
+def cmd_run(args) -> Outcome:
     program = parse_command(args.program)
     if (args.state is None) == (args.dists is None):
         raise UsageError("run needs exactly one of --state or --dists")
@@ -159,148 +168,98 @@ def cmd_run(args, cfg: Config) -> int:
     if clash:
         raise UsageError(f"input variable {clash[0]} has the name of the flag "
                          f"generated for a `[p]` choice; rename it")
-    result = execute(program, dist, cfg.loop_bound)
+    result = execute(program, dist, args.loop_bound)
     output = result.output.project(written | given)
-    if cfg.format == "json":
-        _emit_json({
-            "states": _dist_json(output),
-            "residual": format_fraction(result.residual_mass),
-            "iterations": result.iterations_used,
-            "exact": result.exact,
-        })
-    else:
-        for state, p in sorted(output.items()):
-            print(f"  {format_fraction(p)}  {state}")
-        print(f"residual mass: {format_fraction(result.residual_mass)}")
-        print(f"iterations used: {result.iterations_used}")
-        print(f"exact: {result.exact}")
-    return 0
+    residual = format_fraction(result.residual_mass)
+    payload = {"states": _dist_json(output), "residual": residual,
+               "iterations": result.iterations_used, "exact": result.exact}
+    lines = [f"  {format_fraction(p)}  {state}" for state, p in sorted(output.items())]
+    return 0, payload, lines + [f"residual mass: {residual}",
+                                f"iterations used: {result.iterations_used}",
+                                f"exact: {result.exact}"]
 
 
-def cmd_wp(args, cfg: Config) -> int:
+def cmd_wp(args) -> Outcome:
     program = parse_command(args.program)
     post = parse_det_formula(args.post)
-    lo, hi = cfg.int_window
-    window = default_window(program, post, lo=lo, hi=hi)
-    formula, traces = wp(program, post, cfg.unroll, window, cfg.quant_window)
-    if cfg.format == "json":
-        _emit_json({
-            "wp": str(formula),
-            "loops": [{
-                "converged": t.converged,
-                "fixpoint_index": t.fixpoint_index,
-                "approximants": [str(a) for a in t.approximants],
-            } for t in traces],
-        })
-    else:
-        print(str(formula))
-        for i, t in enumerate(traces):
-            status = (f"converged at {t.fixpoint_index}" if t.converged
-                      else f"no fixpoint within {len(t.approximants) - 1} unrollings")
-            print(f"loop {i} ({t.loop.guard}): {status}, "
-                  f"{len(t.approximants)} approximants")
-    return 0
+    formula, traces = wp(program, post, args.unroll, _window(args, program, post),
+                         args.quant_window)
+    payload = {"wp": str(formula), "loops": [{
+        "converged": t.converged,
+        "fixpoint_index": t.fixpoint_index,
+        "approximants": [str(a) for a in t.approximants],
+    } for t in traces]}
+    lines = [payload["wp"]]
+    for i, t in enumerate(traces):
+        status = (f"converged at {t.fixpoint_index}" if t.converged
+                  else f"no fixpoint within {len(t.approximants) - 1} unrollings")
+        lines.append(f"loop {i} ({t.loop.guard}): {status}, "
+                     f"{len(t.approximants)} approximants")
+    return 0, payload, lines
 
 
-def cmd_pt(args, cfg: Config) -> int:
+def cmd_pt(args) -> Outcome:
     program = parse_command(args.program)
     expr = parse_real_expr(args.term)
-    lo, hi = cfg.int_window
-    window = default_window(program, expr, lo=lo, hi=hi)
-    term, expansions = pt(program, expr, cfg.unroll, cfg.depth, window,
-                          cfg.quant_window)
-    if cfg.format == "json":
-        _emit_json({
-            "preterm": str(term),
-            "loops": [{
-                "exhaustive": e.exhaustive,
-                "unroll": e.unroll,
-                "depth": e.depth,
-                "sum": str(e.sum_term),
-                "tails": [str(t) for t in e.tail_terms],
-            } for e in expansions],
-        })
-    else:
-        print(str(term))
-        for i, e in enumerate(expansions):
-            print(f"loop {i} ({e.loop.guard}): "
-                  f"{'exhaustive' if e.exhaustive else 'non-exhaustive'} "
-                  f"on {e.window}, {e.unroll} classes, {e.depth} tail terms")
-    return 0
+    term, expansions = pt(program, expr, args.unroll, args.depth,
+                          _window(args, program, expr), args.quant_window)
+    payload = {"preterm": str(term), "loops": [{
+        "exhaustive": e.exhaustive,
+        "unroll": e.unroll,
+        "depth": e.depth,
+        "sum": str(e.sum_term),
+        "tails": [str(t) for t in e.tail_terms],
+    } for e in expansions]}
+    return 0, payload, [payload["preterm"]] + [
+        f"loop {i} ({e.loop.guard}): "
+        f"{'exhaustive' if e.exhaustive else 'non-exhaustive'} "
+        f"on {e.window}, {e.unroll} classes, {e.depth} tail terms"
+        for i, e in enumerate(expansions)]
 
 
-def cmd_wpp(args, cfg: Config) -> int:
+def cmd_wpp(args) -> Outcome:
     program = parse_command(args.program)
     post = parse_prob_formula(args.post)
-    lo, hi = cfg.int_window
-    window = default_window(program, post, lo=lo, hi=hi)
-    formula, expansions = wp_prob(program, post, cfg.unroll, cfg.depth, window,
-                                  cfg.quant_window)
-    if cfg.format == "json":
-        _emit_json({
-            "wp": str(formula),
-            "loops": [{"exhaustive": e.exhaustive, "unroll": e.unroll,
-                       "depth": e.depth} for e in expansions],
-        })
-    else:
-        print(str(formula))
-        for i, e in enumerate(expansions):
-            print(f"loop {i} ({e.loop.guard}): "
-                  f"{'exhaustive' if e.exhaustive else 'non-exhaustive'} on {e.window}")
-    return 0
+    formula, expansions = wp_prob(program, post, args.unroll, args.depth,
+                                  _window(args, program, post), args.quant_window)
+    payload = {"wp": str(formula), "loops": [
+        {"exhaustive": e.exhaustive, "unroll": e.unroll, "depth": e.depth}
+        for e in expansions]}
+    return 0, payload, [payload["wp"]] + [
+        f"loop {i} ({e.loop.guard}): "
+        f"{'exhaustive' if e.exhaustive else 'non-exhaustive'} on {e.window}"
+        for i, e in enumerate(expansions)]
 
 
-def cmd_check(args, cfg: Config) -> int:
+def cmd_check(args) -> Outcome:
     triple = parse_triple(args.triple)
-    lo, hi = cfg.int_window
-    window = default_window(triple.command, triple.pre, triple.post, lo=lo, hi=hi)
+    window = _window(args, triple.command, triple.pre, triple.post)
     if triple.prob:
         extra = [load_dist(args.dists)] if args.dists else []
-        family = DistFamily.build(window, cfg.seed, extra=extra)
+        family = DistFamily.build(window, args.seed, extra=extra)
         verdict = check_triple_prob(triple.pre, triple.command, triple.post,
-                                    family, cfg.quant_window, cfg.loop_bound)
+                                    family, args.quant_window, args.loop_bound)
     else:
         verdict = check_triple_det(triple.pre, triple.command, triple.post,
-                                   window, cfg.quant_window, cfg.loop_bound)
-    if cfg.format == "json":
-        _emit_json(_triple_verdict_payload(verdict))
-    else:
-        print(str(verdict))
-    return 0 if verdict.holds else 1
+                                   window, args.quant_window, args.loop_bound)
+    return (0 if verdict.holds else 1), _triple_verdict_payload(verdict), [str(verdict)]
 
 
-def cmd_prove(args, cfg: Config) -> int:
+def cmd_prove(args) -> Outcome:
     derivation = load_derivation(args.derivation)
-    window = StateWindow.make(derivation_vars(derivation), *cfg.int_window)
-    verdict = check_derivation(derivation, window, qwindow=cfg.quant_window,
-                               unroll=cfg.unroll, depth=cfg.depth,
-                               seed=cfg.seed)
-    if cfg.format == "json":
-        _emit_json({
-            "accepted": verdict.accepted,
-            "scope": verdict.scope,
-            "failures": list(verdict.failures),
-        })
-    else:
-        print(str(verdict))
-    return 0 if verdict.accepted else 1
-
-
-class UsageError(ValueError):
-    pass
+    window = StateWindow.make(derivation_vars(derivation), *args.int_window)
+    verdict = check_derivation(derivation, window, qwindow=args.quant_window,
+                               unroll=args.unroll, depth=args.depth,
+                               seed=args.seed)
+    payload = {"accepted": verdict.accepted, "scope": verdict.scope,
+               "failures": list(verdict.failures)}
+    return (0 if verdict.accepted else 1), payload, [str(verdict)]
 
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--loop-bound", dest="loop_bound", type=int)
-    shared.add_argument("--unroll", type=int)
-    shared.add_argument("--depth", type=int)
-    shared.add_argument("--int-window", dest="int_window", type=_parse_window,
-                        metavar="MIN..MAX")
-    shared.add_argument("--quant-window", dest="quant_window", type=_parse_window,
-                        metavar="MIN..MAX")
-    shared.add_argument("--seed", type=int)
-    shared.add_argument("--format", choices=("text", "json"))
+    for name, (_, (options, _, _), _) in SETTINGS.items():
+        shared.add_argument(_flag(name), dest=name, **options)
 
     top = argparse.ArgumentParser(
         prog="phl",
@@ -346,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_WINDOW_FLAGS = ("--int-window", "--quant-window")
+_WINDOW_FLAGS = {_flag(name) for name, (_, kind, _) in SETTINGS.items()
+                 if kind is _WINDOW}
 
 
 def _join_window_values(argv: list[str]) -> list[str]:
@@ -369,9 +329,13 @@ def main(argv=None) -> int:
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        cfg = apply_flags(load_config(), args)
-        check_bounds(cfg)
-        return args.handler(args, cfg)
+        resolve_settings(args)
+        status, payload, lines = args.handler(args)
+        if args.format == "json":
+            print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
+        else:
+            print(*lines, sep="\n")
+        return status
     except (ParseError, UsageError, UnboundVariable, ValueError, OSError,
             json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

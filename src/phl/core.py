@@ -771,6 +771,8 @@ def _normalize_step(n: Node, go) -> Node:
     left, right = go(n.left), go(n.right)
     lc = left.value if isinstance(left, RatConst) else None
     rc = right.value if isinstance(right, RatConst) else None
+    if lc is None and rc is None:
+        return RBin(n.op, left, right)
     if lc is not None and rc is not None:
         return RatConst(AOP_FUN[n.op](lc, rc))
     if n.op == "+" and lc == _ZERO:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
-    And, Assign, Command, Formula, If, Implies, IntConst, Not, Or, PImplies,
+    And, Assign, Command, Formula, If, Implies, Not, Or, PImplies,
     ProbFormula, RandAssign, Seq, Skip, While, and_all, prog_vars,
     subst_prog_var,
 )
@@ -34,7 +34,9 @@ from .assertions import (
     DistFamily, StateWindow, check_valid_det,
     check_valid_prob, prob_equivalent_on_family,
 )
-from .wp import DEFAULT_UNROLL, check_triple_det, default_window, wp
+from .wp import (
+    DEFAULT_UNROLL, check_triple_det, default_window, pas_precondition, wp,
+)
 from .preterm import DEFAULT_DEPTH, wp_prob
 
 DET_RULES = ("SKIP", "AS", "PAS", "SEQ", "IF", "WHILE", "CONS", "AND", "OR")
@@ -233,8 +235,7 @@ def _check_node(node: Derivation, window: StateWindow,
     if rule == "PAS":
         if not isinstance(c, RandAssign):
             return "PAS applies to random assignments only"
-        expected = and_all(
-            subst_prog_var(t.post, c.var, IntConst(v)) for v in c.dist.values())
+        expected = pas_precondition(c, t.post)
         if t.pre != expected:
             return f"PAS precondition must be {expected}"
         return _arity(node, 0)
@@ -384,10 +385,8 @@ def rule_soundness_suite(count: int = 300, seed: int = 0,
         elif rule == "PAS":
             post = gen.gen_formula(rng, pv, 2)
             var = rng.choice(pv)
-            dist = gen.gen_dist_spec(rng, values)
-            pre = and_all(subst_prog_var(post, var, IntConst(v))
-                          for v in dist.values())
-            c = RandAssign(var, dist)
+            c = RandAssign(var, gen.gen_dist_spec(rng, values))
+            pre = pas_precondition(c, post)
             record(rule, semantic(pre, c, post), pre, c, post)
         elif rule == "SEQ":
             c1 = gen.gen_loopfree(rng, pv, 2, values)

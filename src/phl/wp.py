@@ -55,6 +55,12 @@ def default_window(*nodes: Node, lo: int = DEFAULT_INT_WINDOW[0],
     return StateWindow.make(frozenset().union(*map(prog_vars, nodes)), lo, hi)
 
 
+def pas_precondition(c: RandAssign, post: Formula) -> Formula:
+    """The PAS schema's precondition: post[var/v] for each value v of the
+    literal, conjoined left-folded and not simplified."""
+    return and_all(subst_prog_var(post, c.var, IntConst(v)) for v in c.dist.values())
+
+
 def wp(c: Command, post: Formula, unroll: int = DEFAULT_UNROLL,
        window: Optional[StateWindow] = None,
        qwindow: tuple[int, int] = DEFAULT_QWINDOW,
@@ -70,9 +76,7 @@ def wp(c: Command, post: Formula, unroll: int = DEFAULT_UNROLL,
         if isinstance(c, Assign):
             return subst_prog_var(post, c.var, c.expr)
         if isinstance(c, RandAssign):
-            return simplify_formula(and_all(
-                subst_prog_var(post, c.var, IntConst(v))
-                for v in c.dist.values()))
+            return simplify_formula(pas_precondition(c, post))
         if isinstance(c, Seq):
             return go(c.first, go(c.second, post))
         if isinstance(c, If):

@@ -12,6 +12,7 @@ from phl.core import (
     POr, PRel, Prob, RatConst, RBin, RealVar, State, SubDistribution,
     UnboundVariable, log_vars, point_dist, real_vars,
 )
+from phl import assertions
 from phl.assertions import (
     REAL_GRID, DistFamily, StateWindow, ValidityVerdict, check_valid_det,
     check_valid_prob, dist_from_json, dist_to_json, eval_real, interpretations,
@@ -405,6 +406,20 @@ class TestIdenticalOperands:
         assert window_equivalent(f, parse_det_formula("Z > 0"), w)
         with pytest.raises(UnboundVariable):
             window_equivalent(f, parse_det_formula("Z > 1"), w)
+
+    def test_family_checks_evaluate_nothing(self, monkeypatch):
+        fam = DistFamily.build(StateWindow.make(("X",), -1, 1), seed=0, mixtures=4)
+        scope = check_valid_prob(parse_prob_formula("true"), fam, (-2, 2)).scope
+
+        def refuse(*args):
+            raise AssertionError("eval_batch called")
+
+        monkeypatch.setattr(assertions, "eval_batch", refuse)
+        f = parse_prob_formula("P(X = 0) <= 1/2")
+        a = parse_real_expr("P(X = 0) + 1")
+        for verdict in (prob_equivalent_on_family(f, f, fam, (-2, 2)),
+                        real_equivalent_on_family(a, a, fam, (-2, 2))):
+            assert verdict == ValidityVerdict(True, scope)
 
 
 class TestDistJson:

@@ -319,3 +319,156 @@ class TestInstalledScript:
             env={**os.environ, "PHL_CONFIG": ""})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["exact"] is True
+
+
+# ---------------------------------------------------------------------------
+# Full output: stdout and exit status of the README examples and of failing,
+# inexact and rejected cases, in both formats, byte for byte.
+
+PINNED_ARGV = {
+    "run": ("run", "--program", "while X = 0 do { X :=$ {1/2:0, 1/2:1}; Y := Y + 1 }",
+            "--state", "X=0, Y=0", "--loop-bound", "20"),
+    "wp": ("wp", "--program", "while X = 0 do { X := 1 }", "--post", "X = 1"),
+    "pt": ("pt", "--program", "while true do { skip }", "--term", "P(true)"),
+    "wpp": ("wpp", "--program", "X := X + 1", "--post", "P(X = 2) <= 1/2"),
+    "check": ("check", "--triple", "{ X >= 0 } X := X + 1 { X >= 1 }"),
+    "prove": ("prove", "--derivation", "accept.json"),
+    "check-det-fails": ("check", "--triple", "{ X >= 0 } X := X - 1 { X >= 0 }"),
+    "check-prob-fails": ("check", "--triple",
+                         "{ true } X :=$ {1/2:0, 1/2:1} { P(X = 0) = 1 }"),
+    "check-inexact": ("check", "--triple",
+                      "{ P(X >= 0) = 1 } while X > 0 do { X := X - 1 [1/2] skip } "
+                      "{ P(X = 0) = 1 }", "--int-window=0..8"),
+    "prove-rejects": ("prove", "--derivation", "reject.json"),
+    "run-dists": ("run", "--program", "X := X * 2", "--dists", "mu.json"),
+}
+PINNED_FILES = {
+    "accept.json": DIVERGE_DERIV,
+    "reject.json": {"rule": "AS", "conclusion": "{ X = 2 } X := X + 1 { X = 2 }"},
+    "mu.json": [{"state": {"X": 0}, "prob": "1/2"}, {"state": {"X": 3}, "prob": "1/2"}],
+}
+PINNED = {
+    ("run", "text"): (0, """\
+  1/2  {X=1, Y=1}
+  1/4  {X=1, Y=2}
+  1/8  {X=1, Y=3}
+  1/16  {X=1, Y=4}
+  1/32  {X=1, Y=5}
+  1/64  {X=1, Y=6}
+  1/128  {X=1, Y=7}
+  1/256  {X=1, Y=8}
+  1/512  {X=1, Y=9}
+  1/1024  {X=1, Y=10}
+  1/2048  {X=1, Y=11}
+  1/4096  {X=1, Y=12}
+  1/8192  {X=1, Y=13}
+  1/16384  {X=1, Y=14}
+  1/32768  {X=1, Y=15}
+  1/65536  {X=1, Y=16}
+  1/131072  {X=1, Y=17}
+  1/262144  {X=1, Y=18}
+  1/524288  {X=1, Y=19}
+  1/1048576  {X=1, Y=20}
+residual mass: 1/1048576
+iterations used: 20
+exact: False
+"""),
+    ("run", "json"): (0,
+        '{"exact": false, "iterations": 20, "residual": "1/1048576", "states": '
+        '[{"prob": "1/2", "vars": {"X": 1, "Y": 1}}, {"prob": "1/4", "vars": {"X": 1, '
+        '"Y": 2}}, {"prob": "1/8", "vars": {"X": 1, "Y": 3}}, {"prob": "1/16", '
+        '"vars": {"X": 1, "Y": 4}}, {"prob": "1/32", "vars": {"X": 1, "Y": 5}}, '
+        '{"prob": "1/64", "vars": {"X": 1, "Y": 6}}, {"prob": "1/128", "vars": {"X": '
+        '1, "Y": 7}}, {"prob": "1/256", "vars": {"X": 1, "Y": 8}}, {"prob": "1/512", '
+        '"vars": {"X": 1, "Y": 9}}, {"prob": "1/1024", "vars": {"X": 1, "Y": 10}}, '
+        '{"prob": "1/2048", "vars": {"X": 1, "Y": 11}}, {"prob": "1/4096", "vars": '
+        '{"X": 1, "Y": 12}}, {"prob": "1/8192", "vars": {"X": 1, "Y": 13}}, {"prob": '
+        '"1/16384", "vars": {"X": 1, "Y": 14}}, {"prob": "1/32768", "vars": {"X": 1, '
+        '"Y": 15}}, {"prob": "1/65536", "vars": {"X": 1, "Y": 16}}, {"prob": '
+        '"1/131072", "vars": {"X": 1, "Y": 17}}, {"prob": "1/262144", "vars": {"X": '
+        '1, "Y": 18}}, {"prob": "1/524288", "vars": {"X": 1, "Y": 19}}, {"prob": '
+        '"1/1048576", "vars": {"X": 1, "Y": 20}}]}\n'),
+    ("wp", "text"): (0, """\
+X = 0 || !(X = 0) && (X = 1)
+loop 0 (X = 0): converged at 2, 3 approximants
+"""),
+    ("wp", "json"): (0,
+        '{"loops": [{"approximants": ["true", "X = 0 || !(X = 0) && (X = 1)", "X = 0 '
+        '|| !(X = 0) && (X = 1)"], "converged": true, "fixpoint_index": 2}], "wp": "X '
+        '= 0 || !(X = 0) && (X = 1)"}\n'),
+    ("pt", "text"): (0, """\
+0
+loop 0 (true): non-exhaustive on window {}, 32 classes, 16 tail terms
+"""),
+    ("pt", "json"): (0,
+        '{"loops": [{"depth": 16, "exhaustive": false, "sum": "0", "tails": ["0", '
+        '"0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", "0", '
+        '"0"], "unroll": 32}], "preterm": "0"}\n'),
+    ("wpp", "text"): (0, 'P(X + 1 = 2) <= 1/2\n'),
+    ("wpp", "json"): (0, '{"loops": [], "wp": "P(X + 1 = 2) <= 1/2"}\n'),
+    ("check", "text"): (0,
+        'holds on window {X in [-8, 8]}, quantifiers over [-8, 8], loop bound 64\n'),
+    ("check", "json"): (0,
+        '{"counterexample": null, "holds": true, "inexact": false, "residual": "0", '
+        '"scope": "window {X in [-8, 8]}, quantifiers over [-8, 8], loop bound 64"}\n'),
+    ("prove", "text"): (0, 'accepted on family(seed=0, size=35) on window {}\n'),
+    ("prove", "json"): (0,
+        '{"accepted": true, "failures": [], "scope": "family(seed=0, size=35) on '
+        'window {}"}\n'),
+    ("check-det-fails", "text"): (1,
+        'fails on window {X in [-8, 8]}, quantifiers over [-8, 8], loop bound 64: '
+        'counterexample {X=0} under []\n'),
+    ("check-det-fails", "json"): (1,
+        '{"counterexample": {"interpretation": {"log": {}, "real": {}}, "state": '
+        '{"X": 0}}, "holds": false, "inexact": false, "residual": "0", "scope": '
+        '"window {X in [-8, 8]}, quantifiers over [-8, 8], loop bound 64"}\n'),
+    ("check-prob-fails", "text"): (1,
+        'fails on family(seed=0, size=51) on window {X in [-8, 8]}, quantifiers over '
+        '[-8, 8], loop bound 64: counterexample point{X=-8} under []\n'),
+    ("check-prob-fails", "json"): (1,
+        '{"counterexample": {"interpretation": {"log": {}, "real": {}}, "member": '
+        '"point{X=-8}"}, "holds": false, "inexact": false, "residual": "0", "scope": '
+        '"family(seed=0, size=51) on window {X in [-8, 8]}, quantifiers over [-8, 8], '
+        'loop bound 64"}\n'),
+    ("check-inexact", "text"): (1,
+        'fails on family(seed=0, size=115) on window {X in [0, 8], _F0 in [0, 8]}, '
+        'quantifiers over [-8, 8], loop bound 64: counterexample point{X=1, _F0=0} '
+        'under [] (loop truncation left residual mass up to 1/18446744073709551616; '
+        'verdict is up to that residual)\n'),
+    ("check-inexact", "json"): (1,
+        '{"counterexample": {"interpretation": {"log": {}, "real": {}}, "member": '
+        '"point{X=1, _F0=0}"}, "holds": false, "inexact": true, "residual": '
+        '"1/18446744073709551616", "scope": "family(seed=0, size=115) on window {X in '
+        '[0, 8], _F0 in [0, 8]}, quantifiers over [-8, 8], loop bound 64"}\n'),
+    ("prove-rejects", "text"): (1, """\
+rejected:
+  root: AS precondition must be X + 1 = 2
+"""),
+    ("prove-rejects", "json"): (1,
+        '{"accepted": false, "failures": ["root: AS precondition must be X + 1 = 2"], '
+        '"scope": "window {X in [-8, 8]}"}\n'),
+    ("run-dists", "text"): (0, """\
+  1/2  {X=0}
+  1/2  {X=6}
+residual mass: 0
+iterations used: 0
+exact: True
+"""),
+    ("run-dists", "json"): (0,
+        '{"exact": true, "iterations": 0, "residual": "0", "states": [{"prob": "1/2", '
+        '"vars": {"X": 0}}, {"prob": "1/2", "vars": {"X": 6}}]}\n'),
+}
+
+
+
+@pytest.mark.parametrize("case, fmt", list(PINNED), ids="-".join)
+def test_pinned_output(capsys, tmp_path, monkeypatch, case, fmt):
+    """Exit status and stdout byte for byte, and nothing on stderr.  CI runs
+    this test under two PYTHONHASHSEED values: the output must not depend on
+    the string hash seed."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PHL_CONFIG", raising=False)
+    for name, data in PINNED_FILES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, *PINNED_ARGV[case], "--format", fmt)
+    assert (rc, out, err) == (*PINNED[case, fmt], "")
