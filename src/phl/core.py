@@ -15,16 +15,20 @@ AST nodes are hash-consed: structurally equal nodes are one object, so `==`
 is `is` and terms built by the transformers share every common subterm.
 Free variables come from one collector per sort, each accepting any node:
 `prog_vars`, `log_vars` and `real_vars`.  One printer, `to_source`, gives
-`str()` of every node and prints each distinct node once per call.
+`str()` of every node and prints each distinct node once per call.  The term
+transforms (substitution, simplification, normalization) memoize per
+distinct node; inside a public transformer call (`memo_scoped`) their memos
+are shared by every call it makes and dropped when it ends.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import partial
+from functools import partial, wraps
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 AOPS = ("+", "-", "*")
@@ -597,13 +601,51 @@ EMPTY_INTERP = Interpretation()
 # ---------------------------------------------------------------------------
 # DAG walks.  The loop transformers build terms whose tree size is
 # exponential but whose DAG is small, so every traversal visits each
-# distinct node once.
+# distinct node once.  The term transforms (substitution, simplification,
+# normalization and r/B) also share their memo across calls: pt, wp,
+# wp_prob and build_wp_derivation call them thousands of times on terms
+# that share almost every subterm.  The outermost of those public calls
+# opens one memo scope, a dict of tables keyed by transform and arguments,
+# and drops it when it returns or raises; nested public calls reuse it.
+# Each memoized transform is a pure function of its interned node, so a
+# shared table changes no result.  Outside a scope every call gets a fresh
+# table, and no cache outlives the outermost public call.
+
+_SCOPE: ContextVar[Optional[dict]] = ContextVar("phl_memo_scope", default=None)
 
 
-def dag_walk(root: Node, step: Callable) -> object:
+def memo_scoped(fn: Callable) -> Callable:
+    """fn opens the memo scope for the transforms it calls, unless a caller
+    already has; the scope closes when that outermost call ends."""
+    @wraps(fn)
+    def scoped(*args, **kwargs):
+        if _SCOPE.get() is not None:
+            return fn(*args, **kwargs)
+        token = _SCOPE.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _SCOPE.reset(token)
+    return scoped
+
+
+def memo_table(*key) -> dict:
+    """The open scope's table for key, or a fresh one outside any scope."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return {}
+    table = scope.get(key)
+    if table is None:
+        table = scope[key] = {}
+    return table
+
+
+def dag_walk(root: Node, step: Callable, memo: Optional[dict] = None) -> object:
     """step(node, go) once per distinct node under root, bottom-up: step
-    reads a child's result through go(child).  Returns root's result."""
-    memo: dict[Node, object] = {}
+    reads a child's result through go(child).  Returns root's result.
+    memo maps nodes to results already known (a fresh dict by default)."""
+    if memo is None:
+        memo = {}
 
     def go(n: Node):
         got = memo.get(n)
@@ -678,7 +720,7 @@ def _subst(node: Node, name: str, repl: ArithExpr) -> Node:
         if type(n) is ProgVar and n.name == name:
             return repl
         return n.map(go)
-    return dag_walk(node, step)
+    return dag_walk(node, step, memo_table("subst", name, repl))
 
 
 def subst_arith(e: ArithExpr, name: str, repl: ArithExpr) -> ArithExpr:
@@ -755,7 +797,9 @@ def _simplify_step(n: Formula, go) -> Formula:
 
 
 def simplify_formula(f: Formula) -> Formula:
-    return dag_walk(f, _simplify_step)
+    # shares normalize_real's table: _normalize_step hands every formula
+    # node to _simplify_step, so the two agree on every formula node
+    return dag_walk(f, _simplify_step, memo_table("simplify"))
 
 
 _ZERO = Fraction(0)
@@ -775,23 +819,28 @@ def _normalize_step(n: Node, go) -> Node:
         return RBin(n.op, left, right)
     if lc is not None and rc is not None:
         return RatConst(AOP_FUN[n.op](lc, rc))
-    if n.op == "+" and lc == _ZERO:
-        return right
-    if n.op in ("+", "-") and rc == _ZERO:
+    # one constant operand: 0 + x, x + 0 and x - 0 are x, a factor 0 gives
+    # 0, a factor 1 is dropped, and 0 - x stays
+    op = n.op
+    if rc is None:
+        if op == "+" and lc == _ZERO:
+            return right
+        if op == "*":
+            if lc == _ZERO:
+                return RatConst(_ZERO)
+            if lc == _ONE:
+                return right
+    elif rc == _ZERO:
+        return RatConst(_ZERO) if op == "*" else left
+    elif op == "*" and rc == _ONE:
         return left
-    if n.op == "*" and (lc == _ZERO or rc == _ZERO):
-        return RatConst(_ZERO)
-    if n.op == "*" and lc == _ONE:
-        return right
-    if n.op == "*" and rc == _ONE:
-        return left
-    return RBin(n.op, left, right)
+    return RBin(op, left, right)
 
 
 def normalize_real(r: RealExpr) -> RealExpr:
     """Constant folding plus dropping of zero summands and unit factors; the
     body of each P(phi) is simplified in the same walk."""
-    return dag_walk(r, _normalize_step)
+    return dag_walk(r, _normalize_step, memo_table("simplify"))
 
 
 def real_sum(terms: Iterable[RealExpr]) -> RealExpr:

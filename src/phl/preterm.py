@@ -35,8 +35,8 @@ from .core import (
     And, Assign, Command, EMPTY_INTERP, Formula, If, IntConst, Not, PRel, Prob,
     ProbFormula, RandAssign, RatConst, RealExpr, RBin, Seq, Skip,
     SubDistribution, TRUE, While,
-    and_all, dag_walk, log_vars, node_size, normalize_real, real_sum,
-    real_vars, simplify_formula, subst_prog_var,
+    and_all, dag_walk, log_vars, memo_scoped, memo_table, node_size,
+    normalize_real, real_sum, real_vars, simplify_formula, subst_prog_var,
 )
 from .semantics import (
     DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, eval_batch, execute, sat_det_batch,
@@ -60,7 +60,7 @@ def cond_term(r: RealExpr, b: Formula) -> RealExpr:
             return Prob(And(n.formula, b))
         return n.map(go)  # constants and real variables carry no probability
 
-    return dag_walk(r, step)
+    return dag_walk(r, step, memo_table("cond", b))
 
 
 def pas_preterm_subset_sum(dist, var: str, phi: Formula) -> RealExpr:
@@ -110,6 +110,7 @@ class WhileExpansion:
     window: StateWindow
 
 
+@memo_scoped
 def pt(c: Command, r: RealExpr, unroll: int = DEFAULT_UNROLL,
        depth: int = DEFAULT_DEPTH, window: Optional[StateWindow] = None,
        qwindow: tuple[int, int] = DEFAULT_QWINDOW,
@@ -212,6 +213,7 @@ def pt_semantic_oracle(c: Command, r: RealExpr, dist: SubDistribution,
     return eval_real(r, res.output, interp or EMPTY_INTERP, qwindow)
 
 
+@memo_scoped
 def wp_prob(c: Command, f: ProbFormula, unroll: int = DEFAULT_UNROLL,
             depth: int = DEFAULT_DEPTH, window: Optional[StateWindow] = None,
             qwindow: tuple[int, int] = DEFAULT_QWINDOW,

@@ -25,8 +25,8 @@ from typing import Optional, Union
 
 from .core import (
     And, Assign, Command, Formula, If, Implies, Not, Or, PImplies,
-    ProbFormula, RandAssign, Seq, Skip, While, and_all, prog_vars,
-    subst_prog_var,
+    ProbFormula, RandAssign, Seq, Skip, While, and_all, memo_scoped,
+    prog_vars, subst_prog_var,
 )
 from .parser import SourceTriple, parse_det_formula, parse_prob_formula, parse_triple
 from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW
@@ -290,6 +290,7 @@ def _check_node(node: Derivation, window: StateWindow,
 # Mechanical derivations for {WP(C, Phi)} C {Phi}
 
 
+@memo_scoped
 def build_wp_derivation(c: Command, post: ProbFormula,
                         window: Optional[StateWindow] = None,
                         qwindow: tuple[int, int] = DEFAULT_QWINDOW,

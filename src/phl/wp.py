@@ -17,8 +17,8 @@ from typing import Optional
 
 from .core import (
     And, Assign, Command, Formula, If, IntConst, Node, Not, Or, RandAssign, Seq,
-    Skip, SubDistribution, TRUE, While, and_all, log_vars, prog_vars,
-    simplify_formula, subst_prog_var,
+    Skip, SubDistribution, TRUE, While, and_all, log_vars, memo_scoped,
+    prog_vars, simplify_formula, subst_prog_var,
 )
 from .semantics import (
     DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det_batch, sat_det_dist,
@@ -61,6 +61,7 @@ def pas_precondition(c: RandAssign, post: Formula) -> Formula:
     return and_all(subst_prog_var(post, c.var, IntConst(v)) for v in c.dist.values())
 
 
+@memo_scoped
 def wp(c: Command, post: Formula, unroll: int = DEFAULT_UNROLL,
        window: Optional[StateWindow] = None,
        qwindow: tuple[int, int] = DEFAULT_QWINDOW,

@@ -1,6 +1,7 @@
 """Acceptance gate: ten end-to-end criteria, each one test with exact
 rational tolerances (plain == on Fraction-valued objects, never approximate)
-and a wall-clock budget asserted inside the test.
+and a wall-clock budget asserted inside the test, plus a wall-clock budget
+for the preterm of a loop with a probabilistic body.
 
 Run with -v to get one pass/fail line per criterion.
 """
@@ -13,7 +14,7 @@ from phl import gen
 from phl.assertions import DistFamily, StateWindow, eval_real, interpretations
 from phl.core import (
     EMPTY_INTERP, And, If, Not, Prob, Skip, State, SubDistribution,
-    point_dist, simplify_formula,
+    node_size, point_dist, simplify_formula,
 )
 from phl.parser import parse_command, parse_real_expr, parse_triple
 from phl.preterm import (
@@ -35,6 +36,7 @@ GEOMETRIC = "while X = 0 do { X :=$ {1/2:0, 1/2:1}; Y := Y + 1 }"
 DIVERGE = "while true do { skip }"
 CSTAR = ("X :=$ {1/3:0, 2/3:1}; "
          "if X = 0 then { while true do { skip } } else { skip }")
+COIN = "while X > 0 do { X := X - 1 [1/2] skip }"
 
 DIVERGE_DERIV = {
     "rule": "CONS",
@@ -235,3 +237,16 @@ def test_criterion_10_rule_soundness_suite():
         for rule in ("SKIP", "AS", "PAS", "SEQ", "IF", "WHILE", "CONS",
                      "AND", "OR"):
             assert report.per_rule.get(rule, 0) > 0, rule
+
+
+def test_coin_countdown_preterm_budget():
+    """The coin countdown's preterm at unroll 16 and depth 8: every class and
+    tail term rewrites terms the earlier ones share, so the call's one memo
+    scope does each rewrite once.  The term is not printed: its text is far
+    larger than its DAG."""
+    with Budget(1.0):
+        term, expansions = pt(parse_command(COIN), parse_real_expr("P(X = 0)"),
+                              unroll=16, depth=8,
+                              window=StateWindow.make(("X", "_F0"), -4, 4))
+        assert node_size(term) == 3626
+        assert [e.exhaustive for e in expansions] == [False]

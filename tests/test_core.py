@@ -161,6 +161,7 @@ def rebuilt(n):
 
 
 COUNTDOWN = "while X > 0 do { X := X - 1; Y := Y + X }"
+COIN = "while X > 0 do { X := X - 1 [1/2] skip }"
 
 
 class TestInterning:
@@ -211,6 +212,14 @@ class TestInterning:
         term, expansions = pt(c, r, window=window)
         assert len(core._TABLE) > size
         del term, expansions
+        gc.collect()
+        assert len(core._TABLE) == size
+        # a probabilistic loop body fills the substitution, r/B and
+        # simplify tables of the call's memo scope; they go with the call
+        c, r = parse_command(COIN), parse_real_expr("P(X = 0)")
+        gc.collect()
+        size = len(core._TABLE)
+        pt(c, r, unroll=8, depth=4, window=StateWindow.make(("X", "_F0"), -3, 3))
         gc.collect()
         assert len(core._TABLE) == size
 
@@ -266,10 +275,17 @@ class TestSimplify:
 class TestNormalizeReal:
     def test_folds_constants_and_zeros(self):
         p = Prob(Rel("=", ProgVar("X"), IntConst(0)))
-        zero = RatConst(Fraction(0))
+        zero, one = RatConst(Fraction(0)), RatConst(Fraction(1))
         assert normalize_real(RBin("+", zero, p)) == p
-        assert normalize_real(RBin("*", RatConst(Fraction(1)), p)) == p
+        assert normalize_real(RBin("+", p, zero)) == p
+        assert normalize_real(RBin("-", p, zero)) == p
+        assert normalize_real(RBin("*", one, p)) == p
+        assert normalize_real(RBin("*", p, one)) == p
         assert normalize_real(RBin("*", zero, p)) == zero
+        assert normalize_real(RBin("*", p, zero)) == zero
+        for kept in (RBin("-", zero, p), RBin("+", one, p), RBin("-", p, one),
+                     RBin("-", one, p)):
+            assert normalize_real(kept) is kept
         assert normalize_real(Prob(FALSE)) == zero
         assert normalize_real(
             RBin("+", RatConst(Fraction(1, 2)), RatConst(Fraction(1, 3)))

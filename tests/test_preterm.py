@@ -1,10 +1,13 @@
 """Weakest preterms, conditional terms, and probabilistic triple checking."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
+from phl import core, gen
 from phl.core import (
     EMPTY_INTERP, Not, PRel, Prob, RatConst, Rel, SubDistribution, point_dist,
     prob_to_source, real_to_source,
@@ -21,6 +24,7 @@ from phl.preterm import (
     check_triple_prob, cond_term, pas_preterm_linear, pas_preterm_subset_sum,
     pt, pt_semantic_oracle, wp_prob,
 )
+from phl.wp import wp
 
 import strategies as sts
 
@@ -28,6 +32,7 @@ HALF = Fraction(1, 2)
 DIVERGE = "while true do { skip }"
 CSTAR = ("X :=$ {1/3:0, 2/3:1}; "
          "if X = 0 then { while true do { skip } } else { skip }")
+COIN = "while X > 0 do { X := X - 1 [1/2] skip }"
 
 
 def family(names=("X",), lo=-2, hi=2, seed=0, mixtures=12):
@@ -224,3 +229,57 @@ class TestCheckTripleProb:
             ": counterexample point{X=1, _F0=0} under [] (loop truncation left "
             "residual mass up to 1/18446744073709551616; verdict is up to that "
             "residual)")
+
+
+class TestMemoScope:
+    """One memo scope per public transformer call: the term transforms share
+    their tables across every call made inside it, and the scope closes when
+    the outermost call ends."""
+
+    LOOPS = {
+        "coin": (parse_command(COIN), StateWindow.make(("X", "_F0"), -3, 3)),
+        "generated": (gen.gen_safe_loop(random.Random(3), ("X", "Y")),
+                      StateWindow.make(("X", "Y"), -2, 2)),
+    }
+    CALLS = {
+        "pt": lambda c, w: pt(c, parse_real_expr("P(X = 0)"), unroll=8, depth=4,
+                              window=w),
+        "wp": lambda c, w: wp(c, parse_det_formula("X = 0"), unroll=8, window=w),
+        "wp_prob": lambda c, w: wp_prob(c, parse_prob_formula("P(X = 0) >= 1/2"),
+                                        unroll=8, depth=4, window=w),
+    }
+
+    @pytest.mark.parametrize("loop", sorted(LOOPS))
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_each_node_simplified_once_per_call(self, monkeypatch, loop, call):
+        seen = {}
+        for name in ("_simplify_step", "_normalize_step"):
+            counter = seen[name] = Counter()
+
+            def counted(n, go, step=getattr(core, name), counter=counter):
+                counter[n] += 1
+                return step(n, go)
+            monkeypatch.setattr(core, name, counted)
+        self.CALLS[call](*self.LOOPS[loop])
+        assert seen["_simplify_step"]
+        for name, counter in seen.items():
+            assert max(counter.values(), default=0) <= 1, name
+
+    def test_scope_closes_on_return_and_on_raise(self, monkeypatch):
+        c, r = parse_command(COIN), parse_real_expr("P(X = 0)")
+        assert core._SCOPE.get() is None
+        pt(c, r, unroll=8, depth=4)
+        assert core._SCOPE.get() is None
+        scopes = []
+
+        def failing(n, go):
+            scopes.append(core._SCOPE.get())
+            raise RuntimeError("step failed")
+        monkeypatch.setattr(core, "_simplify_step", failing)
+        with pytest.raises(RuntimeError, match="step failed"):
+            pt(c, r, unroll=8, depth=4)
+        assert scopes and scopes[0] is not None
+        assert core._SCOPE.get() is None
+
+    def test_no_table_is_shared_outside_a_scope(self):
+        assert core.memo_table("simplify") is not core.memo_table("simplify")
