@@ -31,15 +31,11 @@ from .assertions import (
     check_valid_prob, eval_real, prob_equivalent_on_family,
     real_equivalent_on_family, sat_prob,
 )
-from .wp import TripleVerdict, WpLoopTrace, check_triple_det, iterate_cmd, wp
-from .preterm import (
-    WhileExpansion, check_triple_prob, cond_term, pt, pt_semantic_oracle,
-    wp_prob,
-)
+from .wp import TripleVerdict, WpLoopTrace, check_triple_det, wp
+from .preterm import WhileExpansion, check_triple_prob, cond_term, pt, wp_prob
 from .proofsys import (
-    Derivation, DerivationVerdict, SoundnessReport, build_wp_derivation,
-    check_derivation, conseq_over, derivation_from_json, derivation_to_json,
-    rule_soundness_suite,
+    Derivation, DerivationVerdict, build_wp_derivation, check_derivation,
+    conseq_over, derivation_from_json, derivation_to_json,
 )
 
 __version__ = "0.1.0"

@@ -3,12 +3,13 @@
 Subcommands: run, wp, pt, wpp, check, prove.  Exit status 0 means the
 requested property holds (or printing succeeded), 1 means a counterexample
 was found or a derivation was rejected, 2 means bad usage or a parse error.
-Each subcommand's handler returns its exit status, its JSON payload and its
-text lines; `main` alone prints them, in the chosen format, and turns every
-usage or input error into one `error:` line.  Each setting is written once,
-in SETTINGS, with its default: a flag wins over the JSON file named by the
-PHL_CONFIG environment variable, which wins over the default.  JSON output
-is byte-identical for identical input and configuration.
+Each subcommand's handler returns its exit status, a function that builds
+its JSON payload, and its text lines; `main` alone prints them, in the chosen
+format, builds the payload only for JSON, and turns every usage or input
+error, and running out of memory, into one `error:` line.  Each setting is
+written once, in SETTINGS, with its default: a flag wins over the JSON file
+named by the PHL_CONFIG environment variable, which wins over the default.
+JSON output is byte-identical for identical input and configuration.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .core import (
     SubDistribution, UnboundVariable, format_fraction, prog_vars,
@@ -142,9 +144,9 @@ def _triple_verdict_payload(verdict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each returns (exit status, JSON payload, text lines)
+# Subcommands: each returns (exit status, JSON payload builder, text lines)
 
-Outcome = tuple[int, dict, list[str]]
+Outcome = tuple[int, Callable[[], dict], list[str]]
 
 
 def _window(args, *nodes) -> StateWindow:
@@ -171,8 +173,8 @@ def cmd_run(args) -> Outcome:
     result = execute(program, dist, args.loop_bound)
     output = result.output.project(written | given)
     residual = format_fraction(result.residual_mass)
-    payload = {"states": _dist_json(output), "residual": residual,
-               "iterations": result.iterations_used, "exact": result.exact}
+    payload = lambda: {"states": _dist_json(output), "residual": residual,
+                       "iterations": result.iterations_used, "exact": result.exact}
     lines = [f"  {format_fraction(p)}  {state}" for state, p in sorted(output.items())]
     return 0, payload, lines + [f"residual mass: {residual}",
                                 f"iterations used: {result.iterations_used}",
@@ -184,12 +186,13 @@ def cmd_wp(args) -> Outcome:
     post = parse_det_formula(args.post)
     formula, traces = wp(program, post, args.unroll, _window(args, program, post),
                          args.quant_window)
-    payload = {"wp": str(formula), "loops": [{
+    text = str(formula)
+    payload = lambda: {"wp": text, "loops": [{
         "converged": t.converged,
         "fixpoint_index": t.fixpoint_index,
         "approximants": [str(a) for a in t.approximants],
     } for t in traces]}
-    lines = [payload["wp"]]
+    lines = [text]
     for i, t in enumerate(traces):
         status = (f"converged at {t.fixpoint_index}" if t.converged
                   else f"no fixpoint within {len(t.approximants) - 1} unrollings")
@@ -203,14 +206,15 @@ def cmd_pt(args) -> Outcome:
     expr = parse_real_expr(args.term)
     term, expansions = pt(program, expr, args.unroll, args.depth,
                           _window(args, program, expr), args.quant_window)
-    payload = {"preterm": str(term), "loops": [{
+    text = str(term)
+    payload = lambda: {"preterm": text, "loops": [{
         "exhaustive": e.exhaustive,
         "unroll": e.unroll,
         "depth": e.depth,
         "sum": str(e.sum_term),
         "tails": [str(t) for t in e.tail_terms],
     } for e in expansions]}
-    return 0, payload, [payload["preterm"]] + [
+    return 0, payload, [text] + [
         f"loop {i} ({e.loop.guard}): "
         f"{'exhaustive' if e.exhaustive else 'non-exhaustive'} "
         f"on {e.window}, {e.unroll} classes, {e.depth} tail terms"
@@ -222,10 +226,11 @@ def cmd_wpp(args) -> Outcome:
     post = parse_prob_formula(args.post)
     formula, expansions = wp_prob(program, post, args.unroll, args.depth,
                                   _window(args, program, post), args.quant_window)
-    payload = {"wp": str(formula), "loops": [
+    text = str(formula)
+    payload = lambda: {"wp": text, "loops": [
         {"exhaustive": e.exhaustive, "unroll": e.unroll, "depth": e.depth}
         for e in expansions]}
-    return 0, payload, [payload["wp"]] + [
+    return 0, payload, [text] + [
         f"loop {i} ({e.loop.guard}): "
         f"{'exhaustive' if e.exhaustive else 'non-exhaustive'} on {e.window}"
         for i, e in enumerate(expansions)]
@@ -242,7 +247,8 @@ def cmd_check(args) -> Outcome:
     else:
         verdict = check_triple_det(triple.pre, triple.command, triple.post,
                                    window, args.quant_window, args.loop_bound)
-    return (0 if verdict.holds else 1), _triple_verdict_payload(verdict), [str(verdict)]
+    payload = lambda: _triple_verdict_payload(verdict)
+    return (0 if verdict.holds else 1), payload, [str(verdict)]
 
 
 def cmd_prove(args) -> Outcome:
@@ -251,8 +257,8 @@ def cmd_prove(args) -> Outcome:
     verdict = check_derivation(derivation, window, qwindow=args.quant_window,
                                unroll=args.unroll, depth=args.depth,
                                seed=args.seed)
-    payload = {"accepted": verdict.accepted, "scope": verdict.scope,
-               "failures": list(verdict.failures)}
+    payload = lambda: {"accepted": verdict.accepted, "scope": verdict.scope,
+                       "failures": list(verdict.failures)}
     return (0 if verdict.accepted else 1), payload, [str(verdict)]
 
 
@@ -332,7 +338,7 @@ def main(argv=None) -> int:
         resolve_settings(args)
         status, payload, lines = args.handler(args)
         if args.format == "json":
-            print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
+            print(json.dumps(payload(), sort_keys=True, separators=(", ", ": ")))
         else:
             print(*lines, sep="\n")
         return status
@@ -342,6 +348,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -14,11 +14,12 @@ operator.
 AST nodes are hash-consed: structurally equal nodes are one object, so `==`
 is `is` and terms built by the transformers share every common subterm.
 Free variables come from one collector per sort, each accepting any node:
-`prog_vars`, `log_vars` and `real_vars`.  One printer, `to_source`, gives
-`str()` of every node and prints each distinct node once per call.  The term
-transforms (substitution, simplification, normalization) memoize per
-distinct node; inside a public transformer call (`memo_scoped`) their memos
-are shared by every call it makes and dropped when it ends.
+`prog_vars`, `log_vars` and `real_vars`.  One printer, `to_source`, serves
+every node class: it gives `str()` of every node and prints each distinct
+node once per call.  The term transforms (substitution, simplification,
+normalization) memoize per distinct node; inside a public transformer call
+(`memo_scoped`) their memos are shared by every call it makes and dropped
+when it ends.
 """
 
 from __future__ import annotations
@@ -920,7 +921,3 @@ def _show(n: Node, memo: dict, need: int) -> str:
 def to_source(node: Node) -> str:
     """Concrete syntax of any AST node; each distinct node is printed once."""
     return _show(node, {}, 0)
-
-
-arith_to_source = formula_to_source = command_to_source = to_source
-real_to_source = prob_to_source = to_source

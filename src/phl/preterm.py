@@ -26,30 +26,25 @@ underapproximation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .core import (
     And, Assign, Command, EMPTY_INTERP, Formula, If, IntConst, Not, PRel, Prob,
-    ProbFormula, RandAssign, RatConst, RealExpr, RBin, Seq, Skip,
-    SubDistribution, TRUE, While,
-    and_all, dag_walk, log_vars, memo_scoped, memo_table, node_size,
-    normalize_real, real_sum, real_vars, simplify_formula, subst_prog_var,
+    ProbFormula, RandAssign, RatConst, RealExpr, RBin, Seq, Skip, TRUE, While,
+    dag_walk, log_vars, memo_scoped, memo_table, node_size, normalize_real,
+    real_sum, real_vars, simplify_formula, subst_prog_var,
 )
 from .semantics import (
     DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, eval_batch, execute, sat_det_batch,
 )
-from .assertions import (
-    DistFamily, StateWindow, eval_real, interpretations, sat_prob,
-)
+from .assertions import DistFamily, StateWindow, interpretations, sat_prob
 from .wp import (
     DEFAULT_UNROLL, TripleVerdict, default_window, wp,
 )
 
 DEFAULT_DEPTH = 16
-SUBSET_SUM_LIMIT = 12
 TAIL_NODE_BUDGET = 20000
 
 
@@ -63,33 +58,8 @@ def cond_term(r: RealExpr, b: Formula) -> RealExpr:
     return dag_walk(r, step, memo_table("cond", b))
 
 
-def pas_preterm_subset_sum(dist, var: str, phi: Formula) -> RealExpr:
-    """Random-assignment preterm, written as the sum over nonempty value
-    subsets T of (sum of weights in T) * P(phi holds exactly at T's values).
-
-    Exponential in the number of values; refuses more than SUBSET_SUM_LIMIT.
-    """
-    pairs = dist.pairs
-    if len(pairs) > SUBSET_SUM_LIMIT:
-        raise ValueError(
-            f"subset-sum preterm over {len(pairs)} values would need "
-            f"{2 ** len(pairs) - 1} terms; limit is {SUBSET_SUM_LIMIT}")
-    substituted = [(w, subst_prog_var(phi, var, IntConst(v))) for w, v in pairs]
-    terms: list[RealExpr] = []
-    for pattern in itertools.product((True, False), repeat=len(pairs)):
-        if not any(pattern):
-            continue
-        weight = sum((w for (w, _), inside in zip(substituted, pattern) if inside),
-                     Fraction(0))
-        shape = and_all(
-            inst if inside else Not(inst)
-            for (_, inst), inside in zip(substituted, pattern))
-        terms.append(RBin("*", RatConst(weight), Prob(shape)))
-    return real_sum(terms)
-
-
 def pas_preterm_linear(dist, var: str, phi: Formula) -> RealExpr:
-    """Equivalent linear form: sum of weight_i * P(phi[var/value_i])."""
+    """Random-assignment preterm: sum of weight_i * P(phi[var/value_i])."""
     return real_sum(
         RBin("*", RatConst(w), Prob(subst_prog_var(phi, var, IntConst(v))))
         for w, v in dist.pairs)
@@ -203,14 +173,6 @@ def pt(c: Command, r: RealExpr, unroll: int = DEFAULT_UNROLL,
         return normalize_real(real_sum(tails))
 
     return normalize_real(go(c, r)), expansions
-
-
-def pt_semantic_oracle(c: Command, r: RealExpr, dist: SubDistribution,
-                       interp=None, loop_bound: int = DEFAULT_LOOP_BOUND,
-                       qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> Fraction:
-    """Run C, then evaluate r on the output: the value pt must reproduce."""
-    res = execute(c, dist, loop_bound)
-    return eval_real(r, res.output, interp or EMPTY_INTERP, qwindow)
 
 
 @memo_scoped

@@ -19,24 +19,21 @@ Derivations serialize as JSON:
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
     And, Assign, Command, Formula, If, Implies, Not, Or, PImplies,
-    ProbFormula, RandAssign, Seq, Skip, While, and_all, memo_scoped,
-    prog_vars, subst_prog_var,
+    ProbFormula, RandAssign, Seq, Skip, While, memo_scoped, prog_vars,
+    subst_prog_var,
 )
 from .parser import SourceTriple, parse_det_formula, parse_prob_formula, parse_triple
-from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW
+from .semantics import DEFAULT_QWINDOW
 from .assertions import (
     DistFamily, StateWindow, check_valid_det,
     check_valid_prob, prob_equivalent_on_family,
 )
-from .wp import (
-    DEFAULT_UNROLL, check_triple_det, default_window, pas_precondition, wp,
-)
+from .wp import DEFAULT_UNROLL, default_window, pas_precondition
 from .preterm import DEFAULT_DEPTH, wp_prob
 
 DET_RULES = ("SKIP", "AS", "PAS", "SEQ", "IF", "WHILE", "CONS", "AND", "OR")
@@ -322,126 +319,3 @@ def conseq_over(d: Derivation, pre: ProbFormula,
     t = d.conclusion
     new = SourceTriple(pre, t.command, post if post is not None else t.post, t.prob)
     return Derivation("CONS", new, (d,))
-
-
-# ---------------------------------------------------------------------------
-# Rule soundness: generated valid instances of every deterministic rule must
-# yield conclusions the semantic checker accepts.
-
-
-@dataclass
-class SoundnessReport:
-    instances: int
-    per_rule: dict[str, int]
-    failures: tuple[str, ...]
-    scope: str
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def rule_soundness_suite(count: int = 300, seed: int = 0,
-                         window: Optional[StateWindow] = None,
-                         qwindow: tuple[int, int] = (-3, 3),
-                         loop_bound: int = DEFAULT_LOOP_BOUND,
-                         ) -> SoundnessReport:
-    """Generate valid instances across all deterministic rules (premises are
-    verified semantically, not assumed) and check every conclusion."""
-    from . import gen
-
-    rng = random.Random(seed)
-    pv = ("X", "Y")
-    if window is None:
-        window = StateWindow.make(pv, -2, 2)
-    values = tuple(range(window.lo, window.hi + 1))
-    per_rule: dict[str, int] = {r: 0 for r in DET_RULES}
-    failures: list[str] = []
-
-    def semantic(pre, c, post) -> bool:
-        return check_triple_det(pre, c, post, window, qwindow, loop_bound).holds
-
-    def wp_of(c, post):
-        return wp(c, post, window=window, qwindow=qwindow)[0]
-
-    def record(rule: str, ok: bool, pre, c, post):
-        per_rule[rule] += 1
-        if not ok:
-            failures.append(f"{rule}: {{ {pre} }} {c} {{ {post} }}")
-
-    made = 0
-    rules = list(DET_RULES)
-    while made < count:
-        rule = rules[made % len(rules)]
-        if rule == "SKIP":
-            phi = gen.gen_formula(rng, pv, 2)
-            record(rule, semantic(phi, Skip(), phi), phi, Skip(), phi)
-        elif rule == "AS":
-            post = gen.gen_formula(rng, pv, 2, lv=("k",) if rng.random() < 0.3 else ())
-            var = rng.choice(pv)
-            expr = gen.gen_aexp(rng, pv, 2)
-            pre = subst_prog_var(post, var, expr)
-            c = Assign(var, expr)
-            record(rule, semantic(pre, c, post), pre, c, post)
-        elif rule == "PAS":
-            post = gen.gen_formula(rng, pv, 2)
-            var = rng.choice(pv)
-            c = RandAssign(var, gen.gen_dist_spec(rng, values))
-            pre = pas_precondition(c, post)
-            record(rule, semantic(pre, c, post), pre, c, post)
-        elif rule == "SEQ":
-            c1 = gen.gen_loopfree(rng, pv, 2, values)
-            c2 = gen.gen_loopfree(rng, pv, 2, values)
-            post = gen.gen_formula(rng, pv, 2)
-            mid = wp_of(c2, post)
-            pre = wp_of(c1, mid)
-            ok = (semantic(pre, c1, mid) and semantic(mid, c2, post)
-                  and semantic(pre, Seq(c1, c2), post))
-            record(rule, ok, pre, Seq(c1, c2), post)
-        elif rule == "IF":
-            guard = gen.gen_guard(rng, pv)
-            c1 = gen.gen_loopfree(rng, pv, 2, values)
-            c2 = gen.gen_loopfree(rng, pv, 2, values)
-            post = gen.gen_formula(rng, pv, 2)
-            c = If(guard, c1, c2)
-            pre = wp_of(c, post)
-            ok = (semantic(And(pre, guard), c1, post)
-                  and semantic(And(pre, Not(guard)), c2, post)
-                  and semantic(pre, c, post))
-            record(rule, ok, pre, c, post)
-        elif rule == "WHILE":
-            loop = gen.gen_safe_loop(rng, pv, window.lo, window.hi)
-            inv = None
-            for _ in range(4):
-                cand = gen.gen_formula(rng, pv, 1)
-                if semantic(And(cand, loop.guard), loop.body, cand):
-                    inv = cand
-                    break
-            if inv is None:
-                inv = and_all(())  # true preserves itself
-            ok = semantic(inv, loop, And(inv, Not(loop.guard)))
-            record(rule, ok, inv, loop, And(inv, Not(loop.guard)))
-        elif rule == "CONS":
-            c = gen.gen_loopfree(rng, pv, 2, values)
-            post = gen.gen_formula(rng, pv, 2)
-            pre = wp_of(c, post)
-            stronger = And(pre, gen.gen_formula(rng, pv, 1))
-            weaker = Or(post, gen.gen_formula(rng, pv, 1))
-            ok = (check_valid_det(Implies(stronger, pre), window, qwindow).valid
-                  and check_valid_det(Implies(post, weaker), window, qwindow).valid
-                  and semantic(pre, c, post)
-                  and semantic(stronger, c, weaker))
-            record(rule, ok, stronger, c, weaker)
-        else:  # AND / OR
-            c = gen.gen_loopfree(rng, pv, 2, values)
-            post1 = gen.gen_formula(rng, pv, 2)
-            post2 = gen.gen_formula(rng, pv, 2)
-            pre1, pre2 = wp_of(c, post1), wp_of(c, post2)
-            ctor = And if rule == "AND" else Or
-            ok = (semantic(pre1, c, post1) and semantic(pre2, c, post2)
-                  and semantic(ctor(pre1, pre2), c, ctor(post1, post2)))
-            record(rule, ok, ctor(pre1, pre2), c, ctor(post1, post2))
-        made += 1
-
-    scope = f"{window}, quantifiers over {list(qwindow)}, seed {seed}"
-    return SoundnessReport(made, per_rule, tuple(failures), scope)

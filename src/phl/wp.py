@@ -104,18 +104,6 @@ def wp(c: Command, post: Formula, unroll: int = DEFAULT_UNROLL,
     return go(c, post), traces
 
 
-def iterate_cmd(c: Command, n: int) -> Command:
-    """n-fold sequential composition; zero iterations is skip."""
-    if n < 0:
-        raise ValueError("negative iteration count")
-    if n == 0:
-        return Skip()
-    out = c
-    for _ in range(n - 1):
-        out = Seq(c, out)
-    return out
-
-
 @dataclass(frozen=True)
 class TripleVerdict:
     holds: bool

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .core import (
+from phl.core import (
     ABin, And, Assign, Command, DistSpec, Formula, If, IntConst, LogVar, Not,
     Or, Implies, Prob, ProgVar, RandAssign, RatConst, RealExpr, RBin, Rel,
     Seq, Skip, State, SubDistribution, While, TRUE, FALSE,

@@ -1,0 +1,196 @@
+"""Reference forms and generated suites that only the tests use.
+
+The library computes each of these another way; the tests check it
+against them:
+
+- `iterate_cmd` builds C^n, the n-fold composition the termination-class
+  key lemma unrolls a loop into;
+- `pas_preterm_subset_sum` writes the random-assignment preterm as the
+  exponential sum over value subsets, against `pas_preterm_linear`;
+- `pt_semantic_oracle` runs a program and evaluates the term on its output,
+  the value `pt` must reproduce;
+- `rule_soundness_suite` generates valid instances of every deterministic
+  proof rule from `gen` and checks each conclusion semantically.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
+
+import gen
+from phl.assertions import StateWindow, check_valid_det, eval_real
+from phl.core import (
+    And, Assign, Command, EMPTY_INTERP, Formula, If, Implies, IntConst, Not,
+    Or, Prob, RandAssign, RatConst, RealExpr, RBin, Seq, Skip,
+    SubDistribution, and_all, real_sum, subst_prog_var,
+)
+from phl.proofsys import DET_RULES
+from phl.semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute
+from phl.wp import check_triple_det, pas_precondition, wp
+
+SUBSET_SUM_LIMIT = 12
+
+
+def iterate_cmd(c: Command, n: int) -> Command:
+    """n-fold sequential composition; zero iterations is skip."""
+    if n < 0:
+        raise ValueError("negative iteration count")
+    if n == 0:
+        return Skip()
+    out = c
+    for _ in range(n - 1):
+        out = Seq(c, out)
+    return out
+
+
+def pas_preterm_subset_sum(dist, var: str, phi: Formula) -> RealExpr:
+    """Random-assignment preterm, written as the sum over nonempty value
+    subsets T of (sum of weights in T) * P(phi holds exactly at T's values).
+
+    Exponential in the number of values; refuses more than SUBSET_SUM_LIMIT.
+    """
+    pairs = dist.pairs
+    if len(pairs) > SUBSET_SUM_LIMIT:
+        raise ValueError(
+            f"subset-sum preterm over {len(pairs)} values would need "
+            f"{2 ** len(pairs) - 1} terms; limit is {SUBSET_SUM_LIMIT}")
+    substituted = [(w, subst_prog_var(phi, var, IntConst(v))) for w, v in pairs]
+    terms: list[RealExpr] = []
+    for pattern in itertools.product((True, False), repeat=len(pairs)):
+        if not any(pattern):
+            continue
+        weight = sum((w for (w, _), inside in zip(substituted, pattern) if inside),
+                     Fraction(0))
+        shape = and_all(
+            inst if inside else Not(inst)
+            for (_, inst), inside in zip(substituted, pattern))
+        terms.append(RBin("*", RatConst(weight), Prob(shape)))
+    return real_sum(terms)
+
+
+def pt_semantic_oracle(c: Command, r: RealExpr, dist: SubDistribution,
+                       interp=None, loop_bound: int = DEFAULT_LOOP_BOUND,
+                       qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> Fraction:
+    """Run C, then evaluate r on the output: the value pt must reproduce."""
+    res = execute(c, dist, loop_bound)
+    return eval_real(r, res.output, interp or EMPTY_INTERP, qwindow)
+
+
+@dataclass
+class SoundnessReport:
+    instances: int
+    per_rule: dict[str, int]
+    failures: tuple[str, ...]
+    scope: str
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def rule_soundness_suite(count: int = 300, seed: int = 0,
+                         window: Optional[StateWindow] = None,
+                         qwindow: tuple[int, int] = (-3, 3),
+                         loop_bound: int = DEFAULT_LOOP_BOUND,
+                         ) -> SoundnessReport:
+    """Generate valid instances across all deterministic rules (premises are
+    verified semantically, not assumed) and check every conclusion."""
+    rng = random.Random(seed)
+    pv = ("X", "Y")
+    if window is None:
+        window = StateWindow.make(pv, -2, 2)
+    values = tuple(range(window.lo, window.hi + 1))
+    per_rule: dict[str, int] = {r: 0 for r in DET_RULES}
+    failures: list[str] = []
+
+    def semantic(pre, c, post) -> bool:
+        return check_triple_det(pre, c, post, window, qwindow, loop_bound).holds
+
+    def wp_of(c, post):
+        return wp(c, post, window=window, qwindow=qwindow)[0]
+
+    def record(rule: str, ok: bool, pre, c, post):
+        per_rule[rule] += 1
+        if not ok:
+            failures.append(f"{rule}: {{ {pre} }} {c} {{ {post} }}")
+
+    made = 0
+    rules = list(DET_RULES)
+    while made < count:
+        rule = rules[made % len(rules)]
+        if rule == "SKIP":
+            phi = gen.gen_formula(rng, pv, 2)
+            record(rule, semantic(phi, Skip(), phi), phi, Skip(), phi)
+        elif rule == "AS":
+            post = gen.gen_formula(rng, pv, 2, lv=("k",) if rng.random() < 0.3 else ())
+            var = rng.choice(pv)
+            expr = gen.gen_aexp(rng, pv, 2)
+            pre = subst_prog_var(post, var, expr)
+            c = Assign(var, expr)
+            record(rule, semantic(pre, c, post), pre, c, post)
+        elif rule == "PAS":
+            post = gen.gen_formula(rng, pv, 2)
+            var = rng.choice(pv)
+            c = RandAssign(var, gen.gen_dist_spec(rng, values))
+            pre = pas_precondition(c, post)
+            record(rule, semantic(pre, c, post), pre, c, post)
+        elif rule == "SEQ":
+            c1 = gen.gen_loopfree(rng, pv, 2, values)
+            c2 = gen.gen_loopfree(rng, pv, 2, values)
+            post = gen.gen_formula(rng, pv, 2)
+            mid = wp_of(c2, post)
+            pre = wp_of(c1, mid)
+            ok = (semantic(pre, c1, mid) and semantic(mid, c2, post)
+                  and semantic(pre, Seq(c1, c2), post))
+            record(rule, ok, pre, Seq(c1, c2), post)
+        elif rule == "IF":
+            guard = gen.gen_guard(rng, pv)
+            c1 = gen.gen_loopfree(rng, pv, 2, values)
+            c2 = gen.gen_loopfree(rng, pv, 2, values)
+            post = gen.gen_formula(rng, pv, 2)
+            c = If(guard, c1, c2)
+            pre = wp_of(c, post)
+            ok = (semantic(And(pre, guard), c1, post)
+                  and semantic(And(pre, Not(guard)), c2, post)
+                  and semantic(pre, c, post))
+            record(rule, ok, pre, c, post)
+        elif rule == "WHILE":
+            loop = gen.gen_safe_loop(rng, pv, window.lo, window.hi)
+            inv = None
+            for _ in range(4):
+                cand = gen.gen_formula(rng, pv, 1)
+                if semantic(And(cand, loop.guard), loop.body, cand):
+                    inv = cand
+                    break
+            if inv is None:
+                inv = and_all(())  # true preserves itself
+            ok = semantic(inv, loop, And(inv, Not(loop.guard)))
+            record(rule, ok, inv, loop, And(inv, Not(loop.guard)))
+        elif rule == "CONS":
+            c = gen.gen_loopfree(rng, pv, 2, values)
+            post = gen.gen_formula(rng, pv, 2)
+            pre = wp_of(c, post)
+            stronger = And(pre, gen.gen_formula(rng, pv, 1))
+            weaker = Or(post, gen.gen_formula(rng, pv, 1))
+            ok = (check_valid_det(Implies(stronger, pre), window, qwindow).valid
+                  and check_valid_det(Implies(post, weaker), window, qwindow).valid
+                  and semantic(pre, c, post)
+                  and semantic(stronger, c, weaker))
+            record(rule, ok, stronger, c, weaker)
+        else:  # AND / OR
+            c = gen.gen_loopfree(rng, pv, 2, values)
+            post1 = gen.gen_formula(rng, pv, 2)
+            post2 = gen.gen_formula(rng, pv, 2)
+            pre1, pre2 = wp_of(c, post1), wp_of(c, post2)
+            ctor = And if rule == "AND" else Or
+            ok = (semantic(pre1, c, post1) and semantic(pre2, c, post2)
+                  and semantic(ctor(pre1, pre2), c, ctor(post1, post2)))
+            record(rule, ok, ctor(pre1, pre2), c, ctor(post1, post2))
+        made += 1
+
+    scope = f"{window}, quantifiers over {list(qwindow)}, seed {seed}"
+    return SoundnessReport(made, per_rule, tuple(failures), scope)

@@ -1,7 +1,8 @@
-"""Hypothesis strategies: draw a seed, then drive the package generators.
+"""Hypothesis strategies: draw a seed, then drive the test-side generators.
 
 Shrinking works on the seed, which is coarse but keeps the random-object
-logic in one place (phl.gen) for tests and generated suites alike.
+logic in one place (`gen`, beside this module) for the property tests and
+the generated suites alike.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from fractions import Fraction
 
-from phl import gen
+import gen
 from phl.assertions import StateWindow
 from phl.core import (
     AOPS, ROPS, And, Forall, Implies, Interpretation, Not, Or, PAnd, PImplies,

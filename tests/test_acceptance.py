@@ -10,22 +10,18 @@ import random
 import time
 from fractions import Fraction
 
-from phl import gen
+import gen
 from phl.assertions import DistFamily, StateWindow, eval_real, interpretations
 from phl.core import (
     EMPTY_INTERP, And, If, Not, Prob, Skip, State, SubDistribution,
     node_size, point_dist, simplify_formula,
 )
 from phl.parser import parse_command, parse_real_expr, parse_triple
-from phl.preterm import (
-    check_triple_prob, cond_term, pas_preterm_linear, pas_preterm_subset_sum,
-    pt,
-)
-from phl.proofsys import (
-    check_derivation, derivation_from_json, rule_soundness_suite,
-)
+from phl.preterm import check_triple_prob, cond_term, pas_preterm_linear, pt
+from phl.proofsys import check_derivation, derivation_from_json
 from phl.semantics import execute, restrict, sat_det, sat_det_dist
-from phl.wp import iterate_cmd, wp
+from phl.wp import wp
+from reference import iterate_cmd, pas_preterm_subset_sum, rule_soundness_suite
 
 HALF = Fraction(1, 2)
 PV = ("X", "Y")

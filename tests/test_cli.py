@@ -1,13 +1,20 @@
 """End-to-end command line coverage: all subcommands, exit codes, JSON."""
 
+import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
 from phl.cli import main
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 DIVERGE_DERIV = {
     "rule": "CONS",
@@ -309,6 +316,22 @@ class TestBadInputs:
         assert_usage_error(rc, out, err)
         assert "nested too deeply" in err
 
+    @pytest.mark.skipif(resource is None, reason="needs the resource module")
+    def test_out_of_memory(self):
+        """The coin countdown's preterm text outgrows a 1 GiB address space."""
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "phl.cli", "pt",
+             "--program", "while X > 0 do { X := X - 1 [1/2] skip }",
+             "--term", "P(X = 0)", "--unroll", "16", "--depth", "8",
+             "--int-window", "-4..4"],
+            capture_output=True, text=True, preexec_fn=cap,
+            env={**os.environ, "PHL_CONFIG": ""})
+        assert_usage_error(proc.returncode, proc.stdout, proc.stderr)
+        assert "out of memory" in proc.stderr
+
 
 class TestInstalledScript:
     def test_console_entry_point(self):
@@ -319,6 +342,46 @@ class TestInstalledScript:
             env={**os.environ, "PHL_CONFIG": ""})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["exact"] is True
+
+
+# Import the package and run two subcommands in a fresh interpreter, then
+# print the exit codes and the top-level modules loaded outside the stdlib.
+RUNTIME_PROBE = """
+import sys
+before = set(sys.modules)
+import phl
+from phl import cli
+codes = [cli.main(["run", "--program", "X := X + 1", "--state", "X=0"]),
+         cli.main(["check", "--triple",
+                   "{ P(X = 0) = 1 } X :=$ {1/2:0, 1/2:1} { P(X = 0) = 1/2 }"])]
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(codes, sorted(loaded - set(sys.stdlib_module_names)))
+"""
+
+# Names that only the tests use (tests/gen.py, tests/reference.py), and
+# printer names that `to_source` covers: none belongs to the package.
+TEST_APPARATUS = (
+    "gen", "rule_soundness_suite", "SoundnessReport", "pas_preterm_subset_sum",
+    "SUBSET_SUM_LIMIT", "pt_semantic_oracle", "iterate_cmd", "arith_to_source",
+    "formula_to_source", "command_to_source", "real_to_source", "prob_to_source",
+)
+
+
+class TestRuntime:
+    def test_stdlib_only(self):
+        proc = subprocess.run([sys.executable, "-c", RUNTIME_PROBE],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PHL_CONFIG": ""})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] ['phl']"
+
+    def test_ships_no_test_apparatus(self):
+        import phl
+        assert importlib.util.find_spec("phl.gen") is None
+        modules = [phl] + [importlib.import_module(f"phl.{m.name}")
+                           for m in pkgutil.iter_modules(phl.__path__)]
+        for module in modules:
+            assert [n for n in TEST_APPARATUS if hasattr(module, n)] == [], module
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from phl.core import (
     ABin, And, Assign, BoolLit, DistSpec, FALSE, Forall, IntConst,
     Interpretation, LogVar, Node, Not, Or, Implies, Prob, ProgVar, RatConst,
     RBin, Rel, Skip, State, SubDistribution, TRUE, UnboundVariable, While,
-    and_all, arith_to_source, format_fraction, log_vars, normalize_real,
+    and_all, format_fraction, log_vars, normalize_real,
     parse_fraction, point_dist,
     prog_vars, real_vars, simplify_formula, subst_prog_var,
 )

@@ -10,8 +10,7 @@ from phl.core import (
     ABin, And, Assign, DistSpec, Forall, If, IntConst, LogVar, Not, Or,
     Implies, PAnd, PImplies, PNot, POr, PRel, Prob, ProgVar, RandAssign,
     RatConst, RBin, RealVar, Rel, Seq, Skip, State, SubDistribution, While,
-    arith_to_source, command_to_source, formula_to_source, prob_to_source,
-    real_to_source,
+    to_source,
 )
 from phl.parser import (
     FlavorMixError, ParseError, ParserWarning, parse_command,
@@ -211,33 +210,33 @@ class TestRoundTrips:
     @given(sts.aexprs(lv=("k",)))
     def test_arith(self, e):
         from phl.parser import parse_arith
-        assert parse_arith(arith_to_source(e)) == e
+        assert parse_arith(to_source(e)) == e
 
     @given(sts.det_formulas(lv=("k",)))
     def test_det_formula(self, f):
-        assert parse_det_formula(formula_to_source(f)) == f
+        assert parse_det_formula(to_source(f)) == f
 
     def test_det_formula_with_quantifier(self):
         f = Forall("x", Or(Rel("=", LogVar("x"), IntConst(0)),
                            Not(Rel("<", LogVar("x"), ProgVar("X")))))
-        assert parse_det_formula(formula_to_source(f)) == f
+        assert parse_det_formula(to_source(f)) == f
 
     @given(sts.commands(loops=True))
     def test_command(self, c):
-        assert parse_command(command_to_source(c)) == c
+        assert parse_command(to_source(c)) == c
 
     @given(sts.real_exprs())
     def test_real_expr(self, r):
-        assert parse_real_expr(real_to_source(r)) == r
+        assert parse_real_expr(to_source(r)) == r
 
     @given(sts.real_exprs(), sts.real_exprs())
     def test_prob_formula(self, a, b):
         f = PRel("<=", a, b)
-        assert parse_prob_formula(prob_to_source(f)) == f
+        assert parse_prob_formula(to_source(f)) == f
 
     @given(sts.prob_formulas())
     def test_prob_connectives(self, f):
-        assert parse_prob_formula(prob_to_source(f)) == f
+        assert parse_prob_formula(to_source(f)) == f
 
     @given(sts.det_formulas(), sts.commands(loops=True), sts.real_exprs())
     def test_triple(self, pre, c, r):
@@ -254,10 +253,10 @@ def spaced_sources(draw):
     """A printed term whose spaces are redrawn as runs of spaces, tabs and
     newlines, with more of them around it."""
     source = draw(st.one_of(
-        sts.det_formulas(lv=("k",)).map(formula_to_source),
-        sts.commands(loops=True).map(command_to_source),
-        sts.real_exprs().map(real_to_source),
-        sts.prob_formulas().map(prob_to_source)))
+        sts.det_formulas(lv=("k",)).map(to_source),
+        sts.commands(loops=True).map(to_source),
+        sts.real_exprs().map(to_source),
+        sts.prob_formulas().map(to_source)))
     words = source.split(" ")
     out = [draw(st.text(alphabet=" \t\n", max_size=3)), words[0]]
     for word in words[1:]:

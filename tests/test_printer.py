@@ -223,11 +223,6 @@ class TestPinnedText:
 
 
 class TestOnePrinter:
-    def test_old_names_are_aliases(self):
-        for name in ("arith_to_source", "formula_to_source", "command_to_source",
-                     "real_to_source", "prob_to_source"):
-            assert getattr(core, name) is to_source
-
     def test_one_str_method(self):
         classes = [c for c in vars(core).values()
                    if isinstance(c, type) and issubclass(c, Node)]

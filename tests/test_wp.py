@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 
 from phl.core import (
-    EMPTY_INTERP, TRUE, And, Formula, Not, Or, Rel, log_vars,
-    formula_to_source, point_dist,
+    EMPTY_INTERP, TRUE, And, Formula, Not, Or, Rel, log_vars, point_dist,
+    to_source,
 )
 from phl.assertions import StateWindow, interpretations
 from phl.parser import parse_command, parse_det_formula, parse_triple
 from phl.semantics import execute, sat_det, sat_det_dist
-from phl.wp import check_triple_det, default_window, iterate_cmd, wp
+from phl.wp import check_triple_det, default_window, wp
+from reference import iterate_cmd
 
 import strategies as sts
 
@@ -31,7 +32,7 @@ def wp_matches_run(c, post, window, qwindow=QW, loop_bound=24):
             assert out.exact
             want = sat_det_dist(post, out.output, interp, qwindow)
             got = sat_det(f, s, interp, qwindow)
-            assert got == want, (formula_to_source(f), str(s), interp)
+            assert got == want, (to_source(f), str(s), interp)
 
 
 class TestClauses:
