@@ -238,6 +238,8 @@ def cmd_wpp(args) -> Outcome:
 
 def cmd_check(args) -> Outcome:
     triple = parse_triple(args.triple)
+    if args.dists is not None and not triple.prob:
+        raise UsageError("check takes --dists only with a probabilistic triple")
     window = _window(args, triple.command, triple.pre, triple.post)
     if triple.prob:
         extra = [load_dist(args.dists)] if args.dists else []

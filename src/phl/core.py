@@ -25,6 +25,7 @@ when it ends.
 from __future__ import annotations
 
 import operator
+import re
 import weakref
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
@@ -40,19 +41,24 @@ ROP_FUN = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
 AOP_FUN = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
+_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'n' or 'n/d' into an exact Fraction; decimals are rejected."""
+    """Parse 'n' or 'n/d' (an optional '-' and ASCII digits) into an exact
+    Fraction; decimals are rejected."""
     s = text.strip()
     if not s:
         raise ValueError("empty fraction literal")
     if any(c in s for c in ".eE"):
         raise ValueError(f"not an exact fraction (decimals are rejected): {text!r}")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    m = _FRACTION.fullmatch(s)
+    if m is None:
+        raise ValueError(f"not a fraction literal (n or n/d in ASCII digits): {text!r}")
+    num, den = m.groups()
+    if den is not None and int(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def format_fraction(q: Fraction) -> str:

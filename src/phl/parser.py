@@ -487,9 +487,12 @@ def parse_state(text: str) -> State:
     out: dict[str, int] = {}
     if not p.at_end():
         while True:
-            name = p.expect("IDENT").text
+            tok = p.expect("IDENT")
+            name = tok.text
             if name == "P":
                 p.fail("'P' is reserved for the probability operator")
+            if name in out:
+                raise ParseError(f"variable {name} is bound twice", tok.line, tok.col)
             p.expect("=")
             out[name] = p.signed_int()
             if p.peek().kind != ",":

@@ -1,14 +1,18 @@
 """Proof derivation checking for both assertion flavors.
 
-One node checker serves both systems, and the rules they share are written
-once: SKIP and SEQ match their schemas syntactically, and CONS discharges
-its implications and stated side formulas by bounded validity (`Implies` on
-the state window, or `PImplies` on the distribution family).  The
-deterministic system adds AS/PAS/IF/WHILE schemas (PAS builds its
-conjunction left-folded) and AND/OR.  The probabilistic system takes
-AS/PAS/IF/WHILE as axioms {WP(C, Phi)} C {Phi}: any stated precondition
-family-equivalent to the computed WP is accepted.  It has no AND/OR rules,
-and the checker does not invent any.
+Each proof system is one rule table, `DET_RULES` or `PROB_RULES`, mapping a
+rule to the command shape it applies to (None for any command) and its
+number of premises.  One node checker serves both systems: it looks up the
+node's entry, checks the shape and then the premise count, and only then
+the rule's schema.  The rules the systems share are written once: SKIP and
+SEQ match their schemas syntactically, and CONS discharges its implications
+and stated side formulas by bounded validity (`Implies` on the state window,
+or `PImplies` on the distribution family).  The deterministic system adds
+AS/PAS/IF/WHILE schemas (PAS builds its conjunction left-folded) and
+AND/OR.  The probabilistic system takes AS/PAS/IF/WHILE as axioms
+{WP(C, Phi)} C {Phi} (`WP_AXIOMS`, which `build_wp_derivation` also reads):
+any stated precondition family-equivalent to the computed WP is accepted.
+It has no AND/OR rules, and the checker does not invent any.
 
 Derivations serialize as JSON:
 
@@ -36,8 +40,15 @@ from .assertions import (
 from .wp import DEFAULT_UNROLL, default_window, pas_precondition
 from .preterm import DEFAULT_DEPTH, wp_prob
 
-DET_RULES = ("SKIP", "AS", "PAS", "SEQ", "IF", "WHILE", "CONS", "AND", "OR")
-PROB_RULES = ("SKIP", "AS", "PAS", "SEQ", "IF", "WHILE", "CONS")
+# rule -> (command shape, or None for any command; number of premises)
+WP_AXIOMS = {Assign: "AS", RandAssign: "PAS", If: "IF", While: "WHILE"}
+DET_RULES = {"SKIP": (Skip, 0), "AS": (Assign, 0), "PAS": (RandAssign, 0),
+             "SEQ": (Seq, 2), "IF": (If, 2), "WHILE": (While, 1),
+             "CONS": (None, 1), "AND": (None, 2), "OR": (None, 2)}
+PROB_RULES = {rule: (shape, 0 if shape in WP_AXIOMS else n)
+              for rule, (shape, n) in DET_RULES.items() if rule not in ("AND", "OR")}
+_NOUNS = {Skip: "skip", Assign: "assignments", RandAssign: "random assignments",
+          Seq: "sequential compositions", If: "conditionals", While: "loops"}
 
 
 @dataclass(frozen=True)
@@ -136,12 +147,6 @@ def check_derivation(d: Derivation, window: Optional[StateWindow] = None,
     return DerivationVerdict(not failures, scope, tuple(failures))
 
 
-def _arity(node: Derivation, n: int) -> Optional[str]:
-    if len(node.premises) != n:
-        return f"rule {node.rule} expects {n} premises, found {len(node.premises)}"
-    return None
-
-
 def _check_sides(node: Derivation, check) -> Optional[str]:
     """Any author-supplied side formulas must themselves be valid."""
     for s in node.side:
@@ -151,30 +156,24 @@ def _check_sides(node: Derivation, check) -> Optional[str]:
     return None
 
 
-_AXIOM_SHAPES = {"AS": Assign, "PAS": RandAssign, "IF": If, "WHILE": While}
-
-
 def _check_node(node: Derivation, window: StateWindow,
                 family: Optional[DistFamily], qwindow, unroll: int,
                 depth: int) -> Optional[str]:
     t = node.conclusion
     c = t.command
     rule = node.rule
+    shape, count = (PROB_RULES if t.prob else DET_RULES)[rule]
+    if shape is not None and not isinstance(c, shape):
+        return f"{rule} applies to {_NOUNS[shape]} only"
+    premises = tuple(p.conclusion for p in node.premises)
+    if len(premises) != count:
+        return f"rule {rule} expects {count} premises, found {len(premises)}"
 
     if rule == "SKIP":
-        if not isinstance(c, Skip):
-            return "SKIP applies to skip only"
-        if t.pre != t.post:
-            return "SKIP needs identical pre and post"
-        return _arity(node, 0)
+        return None if t.pre == t.post else "SKIP needs identical pre and post"
 
     if rule == "SEQ":
-        if not isinstance(c, Seq):
-            return "SEQ applies to sequential compositions only"
-        bad = _arity(node, 2)
-        if bad:
-            return bad
-        p1, p2 = (p.conclusion for p in node.premises)
+        p1, p2 = premises
         if p1.command != c.first or p2.command != c.second:
             return "SEQ premises must cover the two components in order"
         if p1.pre != t.pre or p2.post != t.post or p1.post != p2.pre:
@@ -182,10 +181,7 @@ def _check_node(node: Derivation, window: StateWindow,
         return None
 
     if rule == "CONS":
-        bad = _arity(node, 1)
-        if bad:
-            return bad
-        p = node.premises[0].conclusion
+        p, = premises
         if p.command != c:
             return "CONS premise must cover the same command"
         implies = PImplies if t.prob else Implies
@@ -208,12 +204,6 @@ def _check_node(node: Derivation, window: StateWindow,
         return None
 
     if t.prob:  # AS, PAS, IF and WHILE are axioms {WP(C, Phi)} C {Phi}
-        shape = _AXIOM_SHAPES[rule]
-        if not isinstance(c, shape):
-            return f"{rule} applies to {shape.__name__} commands only"
-        bad = _arity(node, 0)
-        if bad:
-            return bad
         computed, _ = wp_prob(c, t.post, unroll, depth, window, qwindow)
         verdict = prob_equivalent_on_family(t.pre, computed, family, qwindow)
         if not verdict.valid:
@@ -221,29 +211,13 @@ def _check_node(node: Derivation, window: StateWindow,
                     f"weakest precondition {computed}: {verdict}")
         return None
 
-    if rule == "AS":
-        if not isinstance(c, Assign):
-            return "AS applies to assignments only"
-        expected = subst_prog_var(t.post, c.var, c.expr)
-        if t.pre != expected:
-            return f"AS precondition must be {expected}"
-        return _arity(node, 0)
-
-    if rule == "PAS":
-        if not isinstance(c, RandAssign):
-            return "PAS applies to random assignments only"
-        expected = pas_precondition(c, t.post)
-        if t.pre != expected:
-            return f"PAS precondition must be {expected}"
-        return _arity(node, 0)
+    if rule in ("AS", "PAS"):
+        expected = (subst_prog_var(t.post, c.var, c.expr) if rule == "AS"
+                    else pas_precondition(c, t.post))
+        return None if t.pre == expected else f"{rule} precondition must be {expected}"
 
     if rule == "IF":
-        if not isinstance(c, If):
-            return "IF applies to conditionals only"
-        bad = _arity(node, 2)
-        if bad:
-            return bad
-        p1, p2 = (p.conclusion for p in node.premises)
+        p1, p2 = premises
         if p1.command != c.then_branch or p2.command != c.else_branch:
             return "IF premises must cover the two branches in order"
         if p1.pre != And(t.pre, c.guard) or p2.pre != And(t.pre, Not(c.guard)):
@@ -253,12 +227,7 @@ def _check_node(node: Derivation, window: StateWindow,
         return None
 
     if rule == "WHILE":
-        if not isinstance(c, While):
-            return "WHILE applies to loops only"
-        bad = _arity(node, 1)
-        if bad:
-            return bad
-        p = node.premises[0].conclusion
+        p, = premises
         inv = t.pre
         if p.command != c.body:
             return "WHILE premise must cover the loop body"
@@ -268,19 +237,13 @@ def _check_node(node: Derivation, window: StateWindow,
             return "WHILE postcondition must be invariant && !guard"
         return None
 
-    if rule in ("AND", "OR"):
-        bad = _arity(node, 2)
-        if bad:
-            return bad
-        p1, p2 = (p.conclusion for p in node.premises)
-        if p1.command != c or p2.command != c:
-            return f"{rule} premises must cover the same command"
-        ctor = And if rule == "AND" else Or
-        if t.pre != ctor(p1.pre, p2.pre) or t.post != ctor(p1.post, p2.post):
-            return f"{rule} must combine both premises' assertions"
-        return None
-
-    raise AssertionError(f"unhandled rule {rule}")
+    p1, p2 = premises  # AND, OR
+    if p1.command != c or p2.command != c:
+        return f"{rule} premises must cover the same command"
+    ctor = And if rule == "AND" else Or
+    if t.pre != ctor(p1.pre, p2.pre) or t.post != ctor(p1.post, p2.post):
+        return f"{rule} must combine both premises' assertions"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +268,14 @@ def build_wp_derivation(c: Command, post: ProbFormula,
             c.first, mid_deriv.conclusion.pre, window, qwindow, unroll, depth)
         conclusion = SourceTriple(first_deriv.conclusion.pre, c, post, True)
         return Derivation("SEQ", conclusion, (first_deriv, mid_deriv))
-    rules = {Assign: "AS", RandAssign: "PAS", If: "IF", While: "WHILE"}
-    rule = rules.get(type(c))
+    rule = WP_AXIOMS.get(type(c))
     if rule is None:
         raise TypeError(f"not a command: {c!r}")
     pre, _ = wp_prob(c, post, unroll, depth, window, qwindow)
     return Derivation(rule, SourceTriple(pre, c, post, True))
 
 
-def conseq_over(d: Derivation, pre: ProbFormula,
-                post: Optional[ProbFormula] = None) -> Derivation:
-    """Wrap a derivation in CONS to restate its pre (and optionally post)."""
+def conseq_over(d: Derivation, pre: ProbFormula) -> Derivation:
+    """Wrap a derivation in CONS to restate its precondition."""
     t = d.conclusion
-    new = SourceTriple(pre, t.command, post if post is not None else t.post, t.prob)
-    return Derivation("CONS", new, (d,))
+    return Derivation("CONS", SourceTriple(pre, t.command, t.post, t.prob), (d,))

@@ -11,9 +11,9 @@ import time
 from fractions import Fraction
 
 import gen
-from phl.assertions import DistFamily, StateWindow, eval_real, interpretations
+from phl.assertions import DistFamily, StateWindow, eval_real
 from phl.core import (
-    EMPTY_INTERP, And, If, Not, Prob, Skip, State, SubDistribution,
+    EMPTY_INTERP, And, If, Not, Skip, State, SubDistribution,
     node_size, point_dist, simplify_formula,
 )
 from phl.parser import parse_command, parse_real_expr, parse_triple

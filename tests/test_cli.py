@@ -278,12 +278,27 @@ class TestBadInputs:
         {"state": {"X": 0}, "prob": "1/0"}, {"state": {"X": 1.5}, "prob": "1"},
         {"state": {"X": True}, "prob": "1"}, {"state": {"x": 0}, "prob": "1"},
         {"state": {"P": 0}, "prob": "1"}, {"state": {"X=1, Y": 0}, "prob": "1"},
+        {"state": {"X": 0}, "prob": "1_0/2_0"},
     ])
     def test_dists(self, capsys, tmp_path, entry):
         p = tmp_path / "mu.json"
         p.write_text(json.dumps([entry]))
         assert_usage_error(*run_cli(capsys, "run", "--program", "skip",
                                     "--dists", str(p)))
+
+    def test_repeated_state_variable(self, capsys):
+        rc, out, err = run_cli(capsys, "run", "--program", "skip",
+                               "--state", "X=1, X=2")
+        assert_usage_error(rc, out, err)
+        assert "X is bound twice" in err
+
+    def test_dists_with_deterministic_check(self, capsys, tmp_path):
+        # the file is never opened: the flag itself is the error
+        rc, out, err = run_cli(capsys, "check", "--triple",
+                               "{ X >= 0 } X := X + 1 { X >= 1 }",
+                               "--dists", str(tmp_path / "missing.json"))
+        assert_usage_error(rc, out, err)
+        assert "--dists" in err
 
     @pytest.mark.parametrize("field, value", [
         ("premises", 5), ("premises", {"rule": "SKIP"}), ("premises", "AS"),

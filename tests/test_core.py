@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from phl import core
 from phl.core import (
     ABin, And, Assign, BoolLit, DistSpec, FALSE, Forall, IntConst,
-    Interpretation, LogVar, Node, Not, Or, Implies, Prob, ProgVar, RatConst,
+    Interpretation, LogVar, Node, Not, Or, Prob, ProgVar, RatConst,
     RBin, Rel, Skip, State, SubDistribution, TRUE, UnboundVariable, While,
     and_all, format_fraction, log_vars, normalize_real,
     parse_fraction, point_dist,
@@ -41,6 +41,18 @@ class TestFractions:
             parse_fraction("0.5")
         with pytest.raises(ValueError):
             parse_fraction("1e-3")
+
+    @pytest.mark.parametrize("text", [
+        "1_0/2_0", "+1/2", "1 / 2", "-2/-4", "\uff11/\uff12", "\u0661/2", "1/",
+        "/2", "--1", "1/2/3", "0x10",
+    ])
+    def test_only_ascii_digits_and_one_minus(self, text):
+        with pytest.raises(ValueError, match="not a fraction literal"):
+            parse_fraction(text)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_fraction("1/0")
 
     def test_format_round_trip(self):
         for q in (Fraction(1, 2), Fraction(-7, 3), Fraction(4), Fraction(0)):

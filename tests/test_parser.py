@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from phl.core import (
     ABin, And, Assign, DistSpec, Forall, If, IntConst, LogVar, Not, Or,
     Implies, PAnd, PImplies, PNot, POr, PRel, Prob, ProgVar, RandAssign,
-    RatConst, RBin, RealVar, Rel, Seq, Skip, State, SubDistribution, While,
+    RatConst, RBin, RealVar, Rel, Seq, State, SubDistribution, While,
     to_source,
 )
 from phl.parser import (
@@ -204,6 +204,12 @@ class TestStateLiterals:
     def test_trailing_junk(self):
         with pytest.raises(ParseError):
             parse_state("X=0,")
+
+    def test_repeated_variable(self):
+        # the error points at the second binding's name
+        with pytest.raises(ParseError, match="X is bound twice") as err:
+            parse_state("X=1, Y=0,\n  X=2")
+        assert (err.value.line, err.value.col) == (2, 3)
 
 
 class TestRoundTrips:

@@ -9,13 +9,8 @@ from hypothesis import given, settings
 
 import gen
 from phl import core
-from phl.core import (
-    EMPTY_INTERP, Not, PRel, Prob, RatConst, Rel, SubDistribution, point_dist,
-    to_source,
-)
-from phl.assertions import (
-    DistFamily, StateWindow, eval_real, real_equivalent_on_family, sat_prob,
-)
+from phl.core import EMPTY_INTERP, PRel, RatConst, point_dist, to_source
+from phl.assertions import DistFamily, StateWindow, eval_real, sat_prob
 from phl.parser import (
     parse_command, parse_det_formula, parse_prob_formula, parse_real_expr,
     parse_triple,

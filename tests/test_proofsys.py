@@ -4,11 +4,16 @@ import json
 
 import pytest
 
-from phl.assertions import DistFamily, StateWindow
-from phl.parser import parse_prob_formula, parse_triple
+from phl.assertions import StateWindow
+from phl.core import Seq, Skip
+from phl.parser import (
+    SourceTriple, parse_command, parse_det_formula, parse_prob_formula,
+    parse_triple,
+)
 from phl.proofsys import (
-    DET_RULES, PROB_RULES, Derivation, build_wp_derivation, check_derivation,
-    conseq_over, derivation_from_json, derivation_to_json, load_derivation,
+    DET_RULES, PROB_RULES, WP_AXIOMS, Derivation, build_wp_derivation,
+    check_derivation, conseq_over, derivation_from_json, derivation_to_json,
+    load_derivation,
 )
 from reference import rule_soundness_suite
 
@@ -247,6 +252,75 @@ class TestRejected:
         v = check_derivation(d)
         assert not v.accepted
         assert any(f.startswith("root.premises[1]") for f in v.failures)
+
+
+# one command of each shape, and the noun each shape message uses
+SHAPED = {
+    "SKIP": ("skip", "skip"),
+    "AS": ("X := 0", "assignments"),
+    "PAS": ("X :=$ {1/2:0, 1/2:1}", "random assignments"),
+    "SEQ": ("skip; skip", "sequential compositions"),
+    "IF": ("if X = 0 then { skip } else { skip }", "conditionals"),
+    "WHILE": ("while X = 0 do { skip }", "loops"),
+}
+SYSTEM_RULES = [("det", r) for r in DET_RULES] + [("prob", r) for r in PROB_RULES]
+
+
+def _node(system, rule, command, premises=0):
+    """A node of `rule` over `command` with `premises` SKIP premises."""
+    prob = system == "prob"
+    phi = parse_prob_formula("P(X = 0) = 1") if prob else parse_det_formula("X = 0")
+    skip = Derivation("SKIP", SourceTriple(phi, Skip(), phi, prob))
+    return Derivation(rule, SourceTriple(phi, parse_command(command), phi, prob),
+                      (skip,) * premises)
+
+
+class TestRuleTables:
+    def test_rule_order(self):
+        assert list(DET_RULES) == ["SKIP", "AS", "PAS", "SEQ", "IF", "WHILE",
+                                   "CONS", "AND", "OR"]
+        assert list(PROB_RULES) == ["SKIP", "AS", "PAS", "SEQ", "IF", "WHILE", "CONS"]
+
+    def test_probabilistic_axioms_take_no_premises(self):
+        for shape, rule in WP_AXIOMS.items():
+            assert PROB_RULES[rule] == (shape, 0)
+            assert DET_RULES[rule][0] is shape
+
+    @pytest.mark.parametrize("system, rule", [
+        (s, r) for s, r in SYSTEM_RULES
+        if (DET_RULES if s == "det" else PROB_RULES)[r][0] is not None])
+    def test_wrong_shape(self, system, rule):
+        shape, count = (DET_RULES if system == "det" else PROB_RULES)[rule]
+        other = "X := 0" if shape is Skip else "skip"
+        noun = SHAPED[rule][1]
+        v = check_derivation(_node(system, rule, other, count))
+        assert v.failures == (f"root: {rule} applies to {noun} only",)
+
+    @pytest.mark.parametrize("system, rule", SYSTEM_RULES)
+    def test_wrong_premise_count(self, system, rule):
+        shape, count = (DET_RULES if system == "det" else PROB_RULES)[rule]
+        command = SHAPED["SKIP" if shape is None else rule][0]
+        v = check_derivation(_node(system, rule, command, count + 1))
+        assert v.failures[0] == (
+            f"root: rule {rule} expects {count} premises, found {count + 1}")
+
+    def test_wp_derivation_labels_axioms_by_the_table(self):
+        c = parse_command("X := 1; X :=$ {1/2:0, 1/2:1}; "
+                          "if X = 0 then { skip } else { X := 2 }; "
+                          "while X > 1 do { X := X - 1 }")
+        d = build_wp_derivation(c, parse_prob_formula("P(X = 0) >= 1/2"))
+        seen, stack = [], [d]
+        while stack:
+            node = stack.pop()
+            command = node.conclusion.command
+            if not isinstance(command, (Seq, Skip)):
+                assert node.rule == WP_AXIOMS[type(command)]
+                assert PROB_RULES[node.rule] == (type(command), 0)
+                seen.append(node.rule)
+            stack.extend(node.premises)
+        assert sorted(seen) == ["AS", "IF", "PAS", "WHILE"]
+        v = check_derivation(d)
+        assert v.accepted, v.failures
 
 
 class TestBuilders:

@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phl.core import (
-    EMPTY_INTERP, FALSE, TRUE, ABin, And, BoolLit, Forall, Implies,
+    EMPTY_INTERP, FALSE, ABin, And, BoolLit, Forall, Implies,
     Interpretation, IntConst, LogVar, Not, Or, ProgVar, Rel, State,
     SubDistribution, UnboundVariable, point_dist,
 )
 from phl.parser import parse_command, parse_det_formula, parse_state
 from phl.semantics import (
-    DEFAULT_LOOP_BOUND, eval_arith, execute, restrict, sat_det, sat_det_batch,
-    sat_det_dist,
+    eval_arith, execute, restrict, sat_det, sat_det_batch, sat_det_dist,
 )
 
 import strategies as sts

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from phl.core import (
-    EMPTY_INTERP, TRUE, And, Formula, Not, Or, Rel, log_vars, point_dist,
-    to_source,
+    EMPTY_INTERP, TRUE, And, Not, Or, log_vars, point_dist, to_source,
 )
 from phl.assertions import StateWindow, interpretations
 from phl.parser import parse_command, parse_det_formula, parse_triple
 from phl.semantics import execute, sat_det, sat_det_dist
-from phl.wp import check_triple_det, default_window, wp
+from phl.wp import check_triple_det, wp
 from reference import iterate_cmd
 
 import strategies as sts
