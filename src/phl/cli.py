@@ -242,7 +242,7 @@ def cmd_check(args) -> Outcome:
         raise UsageError("check takes --dists only with a probabilistic triple")
     window = _window(args, triple.command, triple.pre, triple.post)
     if triple.prob:
-        extra = [load_dist(args.dists)] if args.dists else []
+        extra = [] if args.dists is None else [load_dist(args.dists)]
         family = DistFamily.build(window, args.seed, extra=extra)
         verdict = check_triple_prob(triple.pre, triple.command, triple.post,
                                     family, args.quant_window, args.loop_bound)

@@ -28,10 +28,11 @@ import operator
 import re
 import weakref
 from contextvars import ContextVar
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial, wraps
-from typing import Callable, Iterable, Iterator, Mapping, Optional
+from math import lcm
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional
 
 AOPS = ("+", "-", "*")
 ROPS = ("<", "<=", "=", ">=", ">")
@@ -254,9 +255,14 @@ class Command(Node):
 
 @dataclass(frozen=True)
 class DistSpec:
-    """Finite rational distribution literal: weights in (0,1] summing to 1."""
+    """Finite rational distribution literal: weights in (0,1] summing to 1.
+
+    `den` is the lcm of the weights' denominators and `scaled` lists each
+    (weight * den, value) pair, so the interpreter draws in integers."""
 
     pairs: tuple[tuple[Fraction, int], ...]
+    den: int = field(init=False, compare=False, repr=False)
+    scaled: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.pairs:
@@ -274,6 +280,10 @@ class DistSpec:
             total += weight
         if total != 1:
             raise ValueError(f"distribution weights sum to {total}, expected 1")
+        den = lcm(*(w.denominator for w, _ in self.pairs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "scaled", tuple(
+            (w.numerator * (den // w.denominator), v) for w, v in self.pairs))
 
     @staticmethod
     def make(pairs: Iterable[tuple[Fraction, int]]) -> "DistSpec":
@@ -434,9 +444,22 @@ PFALSE = PRel("<", RatConst(Fraction(0)), RatConst(Fraction(0)))
 
 @dataclass(frozen=True, order=True)
 class State:
-    """Immutable integer store, kept sorted by variable name."""
+    """Immutable integer store, kept sorted by variable name.  Its hash is
+    computed once, the first time it is asked for; the many window states
+    that are never hashed do not pay for it."""
 
     items: tuple[tuple[str, int], ...]
+    _hash = None  # not a field: equality, order and repr read `items` only
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.items,))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return State, (self.items,)  # string hashes differ between processes
 
     @staticmethod
     def make(mapping: Mapping[str, int]) -> "State":
@@ -473,6 +496,16 @@ class UnboundVariable(KeyError):
         return f"unbound variable {self.args[0]}" if self.args else "unbound variable"
 
 
+def _total(weights: Collection[Fraction]) -> Fraction:
+    """The sum of the weights: integer numerators over the lcm of the
+    denominators, made a Fraction once."""
+    if len(weights) < 2:
+        return next(iter(weights), _ZERO)
+    dens = [p.denominator for p in weights]
+    den = lcm(*dens)
+    return Fraction(sum([p.numerator * (den // d) for p, d in zip(weights, dens)]), den)
+
+
 class SubDistribution:
     """Finite-support sub-distribution over states (total mass <= 1).
 
@@ -488,12 +521,14 @@ class SubDistribution:
         for state, p in items:
             if not isinstance(p, Fraction):
                 p = Fraction(p)
-            if p < 0:
+            n = p.numerator
+            if n < 0:
                 raise ValueError(f"negative probability {p} at {state}")
-            if p == 0:
+            if n == 0:
                 continue
-            probs[state] = probs.get(state, Fraction(0)) + p
-        total = sum(probs.values(), Fraction(0))
+            q = probs.get(state)
+            probs[state] = p if q is None else q + p
+        total = _total(probs.values())
         if total > 1:
             raise ValueError(f"total mass {total} exceeds 1")
         self._probs = probs
@@ -508,7 +543,7 @@ class SubDistribution:
 
     @property
     def mass(self) -> Fraction:
-        return sum(self._probs.values(), Fraction(0))
+        return _total(self._probs.values())
 
     def support(self) -> frozenset[State]:
         return frozenset(self._probs)

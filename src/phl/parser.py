@@ -490,7 +490,8 @@ def parse_state(text: str) -> State:
             tok = p.expect("IDENT")
             name = tok.text
             if name == "P":
-                p.fail("'P' is reserved for the probability operator")
+                raise ParseError("'P' is reserved for the probability operator",
+                                 tok.line, tok.col)
             if name in out:
                 raise ParseError(f"variable {name} is bound twice", tok.line, tok.col)
             p.expect("=")

@@ -15,7 +15,10 @@ of the supports).  `sat_det_batch` and `eval_batch` are its entry points;
 checker run one batch over their domain.  The answers, the first failing
 state or distribution and the `UnboundVariable` raised are those of
 evaluating one at a time, left to right with short-circuit connectives.
-The interpreter passes plain `{State: Fraction}` weight maps between steps.
+The interpreter passes plain `{State: int}` weight maps between steps:
+integer numerators over one shared denominator, reduced after every step.
+`execute` converts its input to them once and makes the output's
+`Fraction`s once.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import gcd, lcm
 from operator import and_, is_, or_, xor
 from typing import Sequence
 
@@ -252,15 +256,12 @@ def restrict(dist: SubDistribution, f: Formula,
     return SubDistribution(_split(dict(dist.items()), f, qwindow)[0])
 
 
-Weights = dict[State, Fraction]
-
-
-def _split(dist: Weights, f: Formula,
-           qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> tuple[Weights, Weights]:
+def _split(dist: dict, f: Formula,
+           qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> tuple[dict, dict]:
     """The weights on states that satisfy f, and the rest, from one batch."""
     truth = sat_det_batch(f, list(dist), EMPTY_INTERP, qwindow)
-    yes: Weights = {}
-    no: Weights = {}
+    yes = {}
+    no = {}
     for (s, p), ok in zip(dist.items(), truth):
         (yes if ok else no)[s] = p
     return yes, no
@@ -287,57 +288,100 @@ def execute(c: Command, dist: SubDistribution,
     """
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
-    out, iters = _run(c, dict(dist.items()), loop_bound)
-    output = SubDistribution(out)
-    residual = dist.mass - output.mass
+    items = list(dist.items())
+    den = lcm(*(p.denominator for _, p in items))
+    weights = {s: p.numerator * (den // p.denominator) for s, p in items}
+    out, out_den, iters = _run(c, weights, den, loop_bound)
+    output = SubDistribution({s: Fraction(n, out_den) for s, n in out.items()})
+    residual = Fraction(sum(weights.values()) * out_den - sum(out.values()) * den,
+                        den * out_den)
     return ExecResult(output, residual, iters, residual == 0)
 
 
-def _add_into(acc: Weights, weights: Weights) -> Weights:
-    for s, p in weights.items():
-        acc[s] = acc.get(s, _ZERO) + p
-    return acc
+# The interpreter's weight maps hold integer numerators over one shared
+# denominator, which travels beside the map.  Every map a step makes is
+# reduced by the gcd of its denominator and numerators, so its integers are
+# never larger than those of the reduced fractions.
+
+Weights = dict[State, int]
 
 
-def _run(c: Command, dist: Weights, loop_bound: int) -> tuple[Weights, int]:
-    """The output weights and the deepest unrolling.  The input is never
-    changed; the output is the input itself or a map made here."""
+def _reduced(weights: Weights, den: int) -> tuple[Weights, int]:
+    g = gcd(den, *weights.values())
+    if g == 1:
+        return weights, den
+    return {s: n // g for s, n in weights.items()}, den // g
+
+
+def _merged(acc: Weights, acc_den: int, weights: Weights,
+            den: int) -> tuple[Weights, int]:
+    """acc plus weights over the lcm of their denominators, reduced; acc
+    is a map made by the caller and may be updated in place."""
+    if not weights:
+        return acc, acc_den
+    if not acc:
+        return weights, den
+    common = lcm(acc_den, den)
+    if common != acc_den:
+        k = common // acc_den
+        acc = {s: n * k for s, n in acc.items()}
+    k = common // den
+    get = acc.get
+    for s, n in weights.items():
+        n *= k
+        q = get(s)
+        acc[s] = n if q is None else q + n
+    return _reduced(acc, common)
+
+
+def _run(c: Command, dist: Weights, den: int,
+         loop_bound: int) -> tuple[Weights, int, int]:
+    """The output weights, their denominator and the deepest unrolling.
+    The input is never changed; the output is the input itself or a map
+    made here."""
     if not dist:
-        return dist, 0
+        return dist, den, 0
     if isinstance(c, Skip):
-        return dist, 0
+        return dist, den, 0
     if isinstance(c, Assign):
         values = _column(_Batch(list(dist), {}, DEFAULT_QWINDOW, {}), c.expr)
         acc: Weights = {}
-        for (s, p), v in zip(dist.items(), values):
+        get = acc.get
+        for (s, n), v in zip(dist.items(), values):
             t = s.set(c.var, v)  # reads v with int(): an unbound read raises
-            acc[t] = acc.get(t, _ZERO) + p
-        return acc, 0
+            q = get(t)
+            acc[t] = n if q is None else q + n
+        return (*_reduced(acc, den), 0)
     if isinstance(c, RandAssign):
         acc = {}
-        for s, p in dist.items():
-            for weight, value in c.dist.pairs:
-                t = s.set(c.var, value)
-                acc[t] = acc.get(t, _ZERO) + p * weight
-        return acc, 0
+        get = acc.get
+        var, scaled = c.var, c.dist.scaled
+        for s, n in dist.items():
+            for m, value in scaled:
+                t = s.set(var, value)
+                q = get(t)
+                acc[t] = n * m if q is None else q + n * m
+        return (*_reduced(acc, den * c.dist.den), 0)
     if isinstance(c, Seq):
-        mid, i1 = _run(c.first, dist, loop_bound)
-        out, i2 = _run(c.second, mid, loop_bound)
-        return out, max(i1, i2)
+        mid, mid_den, i1 = _run(c.first, dist, den, loop_bound)
+        out, out_den, i2 = _run(c.second, mid, mid_den, loop_bound)
+        return out, out_den, max(i1, i2)
     if isinstance(c, If):
         then_in, else_in = _split(dist, c.guard)
-        then_out, i1 = _run(c.then_branch, then_in, loop_bound)
-        else_out, i2 = _run(c.else_branch, else_in, loop_bound)
-        return _add_into(then_out, else_out), max(i1, i2)  # then_out is made here
+        then_out, then_den, i1 = _run(c.then_branch, *_reduced(then_in, den), loop_bound)
+        else_out, else_den, i2 = _run(c.else_branch, *_reduced(else_in, den), loop_bound)
+        # then_out is made here: _split made then_in
+        return (*_merged(then_out, then_den, else_out, else_den), max(i1, i2))
     if isinstance(c, While):
         # output = sum over i of the mass that exits after exactly i bodies
         exited: Weights = {}
+        exited_den = 1
         inner = 0
         for i in range(loop_bound + 1):
-            dist, done = _split(dist, c.guard)
-            _add_into(exited, done)
-            if not dist or i == loop_bound:
-                return exited, max(i, inner)
-            dist, used = _run(c.body, dist, loop_bound)
+            live, done = _split(dist, c.guard)
+            exited, exited_den = _merged(exited, exited_den, *_reduced(done, den))
+            if not live or i == loop_bound:
+                return exited, exited_den, max(i, inner)
+            dist, den, used = _run(c.body, *_reduced(live, den), loop_bound)
             inner = max(inner, used)
     raise TypeError(f"not a command: {c!r}")

@@ -3,6 +3,9 @@
 The library computes each of these another way; the tests check it
 against them:
 
+- `execute_fractions` runs a program with a `Fraction` per state, the
+  interpreter `semantics.execute` reproduces with integer numerators over
+  one denominator;
 - `iterate_cmd` builds C^n, the n-fold composition the termination-class
   key lemma unrolls a loop into;
 - `pas_preterm_subset_sum` writes the random-assignment preterm as the
@@ -25,14 +28,83 @@ import gen
 from phl.assertions import StateWindow, check_valid_det, eval_real
 from phl.core import (
     And, Assign, Command, EMPTY_INTERP, Formula, If, Implies, IntConst, Not,
-    Or, Prob, RandAssign, RatConst, RealExpr, RBin, Seq, Skip,
-    SubDistribution, and_all, real_sum, subst_prog_var,
+    Or, Prob, RandAssign, RatConst, RealExpr, RBin, Seq, Skip, State,
+    SubDistribution, While, and_all, real_sum, subst_prog_var,
 )
 from phl.proofsys import DET_RULES
-from phl.semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute
+from phl.semantics import (
+    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, ExecResult, _Batch, _column, _split,
+    execute,
+)
 from phl.wp import check_triple_det, pas_precondition, wp
 
 SUBSET_SUM_LIMIT = 12
+
+_ZERO = Fraction(0)
+
+
+def execute_fractions(c: Command, dist: SubDistribution,
+                      loop_bound: int = DEFAULT_LOOP_BOUND) -> ExecResult:
+    """`semantics.execute` with one `Fraction` weight per state."""
+    if loop_bound < 0:
+        raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
+    out, iters = _run(c, dict(dist.items()), loop_bound)
+    output = SubDistribution(out)
+    residual = dist.mass - output.mass
+    return ExecResult(output, residual, iters, residual == 0)
+
+
+Weights = dict[State, Fraction]
+
+
+def _add_into(acc: Weights, weights: Weights) -> Weights:
+    for s, p in weights.items():
+        acc[s] = acc.get(s, _ZERO) + p
+    return acc
+
+
+def _run(c: Command, dist: Weights, loop_bound: int) -> tuple[Weights, int]:
+    """The output weights and the deepest unrolling.  The input is never
+    changed; the output is the input itself or a map made here."""
+    if not dist:
+        return dist, 0
+    if isinstance(c, Skip):
+        return dist, 0
+    if isinstance(c, Assign):
+        values = _column(_Batch(list(dist), {}, DEFAULT_QWINDOW, {}), c.expr)
+        acc: Weights = {}
+        for (s, p), v in zip(dist.items(), values):
+            t = s.set(c.var, v)  # reads v with int(): an unbound read raises
+            acc[t] = acc.get(t, _ZERO) + p
+        return acc, 0
+    if isinstance(c, RandAssign):
+        acc = {}
+        for s, p in dist.items():
+            for weight, value in c.dist.pairs:
+                t = s.set(c.var, value)
+                acc[t] = acc.get(t, _ZERO) + p * weight
+        return acc, 0
+    if isinstance(c, Seq):
+        mid, i1 = _run(c.first, dist, loop_bound)
+        out, i2 = _run(c.second, mid, loop_bound)
+        return out, max(i1, i2)
+    if isinstance(c, If):
+        then_in, else_in = _split(dist, c.guard)
+        then_out, i1 = _run(c.then_branch, then_in, loop_bound)
+        else_out, i2 = _run(c.else_branch, else_in, loop_bound)
+        return _add_into(then_out, else_out), max(i1, i2)  # then_out is made here
+    if isinstance(c, While):
+        # output = sum over i of the mass that exits after exactly i bodies
+        exited: Weights = {}
+        inner = 0
+        for i in range(loop_bound + 1):
+            dist, done = _split(dist, c.guard)
+            _add_into(exited, done)
+            if not dist or i == loop_bound:
+                return exited, max(i, inner)
+            dist, used = _run(c.body, dist, loop_bound)
+            inner = max(inner, used)
+    raise TypeError(f"not a command: {c!r}")
 
 
 def iterate_cmd(c: Command, n: int) -> Command:

@@ -16,8 +16,9 @@ from fractions import Fraction
 import gen
 from phl.assertions import StateWindow
 from phl.core import (
-    AOPS, ROPS, And, Forall, Implies, Interpretation, Not, Or, PAnd, PImplies,
-    PNot, POr, PRel, Prob, RatConst, RBin, RealVar, State,
+    AOPS, ROPS, And, DistSpec, Forall, Implies, Interpretation, Not, Or, PAnd,
+    PImplies, PNot, POr, PRel, Prob, RandAssign, RatConst, RBin, RealVar, Seq,
+    State, SubDistribution, While,
 )
 
 PV = ("X", "Y")
@@ -51,6 +52,28 @@ def det_formulas(draw, lv=()):
 @st.composite
 def dist_specs(draw, values=(-2, -1, 0, 1, 2)):
     return gen.gen_dist_spec(_rng(draw(seeds)), values)
+
+
+COPRIME = (Fraction(1, 3), Fraction(1, 5), Fraction(1, 7))
+
+
+@st.composite
+def coprime_dist_specs(draw, values=(-2, -1, 0, 1, 2)):
+    """Literals weighting values 1/3, 1/5 and 1/7, the rest on one more."""
+    weights = list(COPRIME[:draw(st.integers(0, 3))])
+    weights.append(1 - sum(weights))
+    return DistSpec.make(zip(weights, draw(st.permutations(values))))
+
+
+@st.composite
+def coprime_commands(draw):
+    """A co-prime random assignment before a command, or a loop whose body
+    is one; such a loop may run past any bound."""
+    rng = _rng(draw(seeds))
+    step = RandAssign(rng.choice(PV), draw(coprime_dist_specs()))
+    if draw(st.booleans()):
+        return Seq(step, gen.gen_command(rng, PV, depth=2, loops=True))
+    return While(gen.gen_guard(rng, PV), step)
 
 
 @st.composite
@@ -152,3 +175,11 @@ def partial_states(draw):
 @st.composite
 def subdists(draw):
     return gen.gen_subdist(_rng(draw(seeds)), WINDOW.states())
+
+
+@st.composite
+def coprime_subdists(draw):
+    """Up to three states over any subset of X, Y and Z, weighted 1/3, 1/5
+    and 1/7."""
+    support = draw(st.lists(partial_states(), min_size=1, max_size=3, unique=True))
+    return SubDistribution(zip(support, COPRIME))

@@ -300,6 +300,14 @@ class TestBadInputs:
         assert_usage_error(rc, out, err)
         assert "--dists" in err
 
+    @pytest.mark.parametrize("command, argv", [
+        ("run", ("--program", "skip")),
+        ("check", ("--triple", "{ P(true) = 1 } skip { P(true) = 1 }")),
+    ])
+    def test_empty_dists_path(self, capsys, command, argv):
+        # an empty path is a file that cannot be opened, not a missing flag
+        assert_usage_error(*run_cli(capsys, command, *argv, "--dists", ""))
+
     @pytest.mark.parametrize("field, value", [
         ("premises", 5), ("premises", {"rule": "SKIP"}), ("premises", "AS"),
         ("side", 5), ("side", "X = 0"),

@@ -76,6 +76,27 @@ class TestState:
         b = State.make({"X": 1, "Y": 0})
         assert a < b  # X compared first
 
+    def test_cached_hash(self):
+        """The hash is computed once and kept; equality, order and text are
+        those of the items, whether or not the hash was asked for."""
+        a = State.make({"Y": 2, "X": 1})
+        b = State.make({"X": 1}).set("Y", 2)
+        assert hash(a) == hash((a.items,)) and a._hash == hash(a)
+        assert a == b and a is not b and b._hash is None
+        assert hash(b) == hash(a) and len({a, b}) == 1
+        assert sorted([State.make({"X": 1}), a, State.make({"X": 0, "Y": 5}),
+                       State.make({"X": 0})]) == [
+            State.make({"X": 0}), State.make({"X": 0, "Y": 5}),
+            State.make({"X": 1}), a]
+        assert repr(a) == "State(items=(('X', 1), ('Y', 2)))"
+        assert str(a) == "{X=1, Y=2}"
+
+    def test_pickled_state_hashes_afresh(self):
+        # a string's hash differs between processes, so the cache is not kept
+        a = State.make({"X": 1})
+        object.__setattr__(a, "_hash", 0)
+        assert hash(pickle.loads(pickle.dumps(a))) == hash((a.items,))
+
 
 class TestDistSpec:
     def test_duplicates_merge(self):
@@ -90,6 +111,15 @@ class TestDistSpec:
     def test_bad_total(self):
         with pytest.raises(ValueError):
             DistSpec.make([(Fraction(1, 2), 0)])
+
+    def test_integer_weights(self):
+        """The weights over the lcm of their denominators, for the
+        interpreter; equality and text read the pairs only."""
+        pairs = ((Fraction(1, 3), 0), (Fraction(1, 5), 1), (Fraction(7, 15), 2))
+        d = DistSpec.make(pairs)
+        assert d.den == 15 and d.scaled == ((5, 0), (3, 1), (7, 2))
+        assert d == DistSpec(pairs) and hash(d) == hash(DistSpec(pairs))
+        assert repr(d) == f"DistSpec(pairs={pairs!r})"
 
 
 class TestSubDistribution:

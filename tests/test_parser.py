@@ -211,6 +211,11 @@ class TestStateLiterals:
             parse_state("X=1, Y=0,\n  X=2")
         assert (err.value.line, err.value.col) == (2, 3)
 
+    def test_reserved_name_points_at_the_name(self):
+        with pytest.raises(ParseError, match="'P' is reserved") as err:
+            parse_state("X=0, P=1")
+        assert (err.value.line, err.value.col) == (1, 6)
+
 
 class TestRoundTrips:
     @given(sts.aexprs(lv=("k",)))

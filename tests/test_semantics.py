@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phl import semantics
 from phl.core import (
     EMPTY_INTERP, FALSE, ABin, And, BoolLit, Forall, Implies,
     Interpretation, IntConst, LogVar, Not, Or, ProgVar, Rel, State,
@@ -21,6 +22,7 @@ from phl.semantics import (
 )
 
 import strategies as sts
+from reference import execute_fractions
 
 HALF = Fraction(1, 2)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -297,3 +299,47 @@ class TestExecuteProperties:
     def test_safe_loops_terminate_exactly(self, c, s):
         r = execute(c, point_dist(s.as_dict()))
         assert r.exact and r.residual_mass == 0
+
+
+def run_or_unbound(run):
+    try:
+        r = run()
+    except UnboundVariable as unbound:
+        return "unbound", unbound.args[0]
+    return (list(r.output.items()), r.residual_mass, r.iterations_used, r.exact)
+
+
+class TestIntegerWeights:
+    """The interpreter keeps integer numerators over one denominator; it
+    gives what one `Fraction` per state gives."""
+
+    @given(st.one_of(sts.commands(loops=True), sts.coprime_commands()),
+           st.one_of(sts.subdists(), sts.coprime_subdists()),
+           st.integers(0, 6))
+    @settings(deadline=None, max_examples=300)
+    def test_agrees_with_fraction_interpreter(self, c, mu, loop_bound):
+        assert (run_or_unbound(lambda: execute(c, mu, loop_bound))
+                == run_or_unbound(lambda: execute_fractions(c, mu, loop_bound)))
+
+    def test_coprime_loop_truncates_alike(self):
+        c = parse_command("while X > 0 do { X :=$ {1/3:0, 1/5:1, 7/15:2} }")
+        mu = SubDistribution({State.make({"X": 1}): Fraction(1, 7),
+                              State.make({"X": 2}): Fraction(1, 5)})
+        got = execute(c, mu, loop_bound=3)
+        assert run_or_unbound(lambda: got) == run_or_unbound(
+            lambda: execute_fractions(c, mu, loop_bound=3))
+        assert not got.exact and got.iterations_used == 3
+
+    def test_chain_reduces_to_denominator_one(self):
+        c = parse_command("; ".join(["X :=$ {1/2:0, 1/2:1}; X := 0"] * 100))
+        s = State.make({"X": 0})
+        assert semantics._run(c, {s: 1}, 1, 64) == ({s: 1}, 1, 0)
+
+    def test_weights_still_checked(self):
+        s, t = State.make({"X": 0}), State.make({"X": 1})
+        with pytest.raises(ValueError, match="negative probability"):
+            SubDistribution({s: Fraction(1, 2), t: Fraction(-1, 3)})
+        with pytest.raises(ValueError, match="exceeds 1"):
+            SubDistribution({s: Fraction(2, 3), t: Fraction(2, 5)})
+        mu = SubDistribution([(s, Fraction(1, 3)), (t, Fraction(0)), (s, Fraction(1, 5))])
+        assert list(mu.items()) == [(s, Fraction(8, 15))] and mu.mass == Fraction(8, 15)
