@@ -12,12 +12,14 @@ through the one evaluator in `semantics`: under each interpretation, a
 deterministic formula is one column over the window's states, and a
 probabilistic formula one column over the family's members, whose P(phi)
 bodies are decided once over the union of the members' supports.
-`eval_real` and `sat_prob` are batches of one distribution.  The first
-counterexample is the one of the state-by-state loops (interpretation
-outer, state or member inner).  Equivalence is validity: of a = b for real
-terms, of (f && g) || (!f && !g) for probabilistic formulas.  Terms are
-hash-consed, so identical operands are one object, and they are equivalent
-without being evaluated.
+`eval_real` and `sat_prob` are batches of one distribution.  A window
+keeps its states, and inside a memo scope (`core.memo_scoped`) a node's
+column over a window is decided once for every check that reads it.  The
+first counterexample is the one of the state-by-state loops
+(interpretation outer, state or member inner).  Equivalence is validity:
+of a = b for real terms, of (f && g) || (!f && !g) for probabilistic
+formulas.  Terms are hash-consed, so identical operands are one object,
+and they are equivalent without being evaluated.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Iterable, Iterator, Optional
 from .core import (
     Formula, Interpretation, EMPTY_INTERP, PAnd, PNot, POr, PRel,
     ProbFormula, RealExpr, State, SubDistribution, format_fraction, log_vars,
-    parse_fraction, real_vars,
+    memo_table, parse_fraction, real_vars,
 )
 from .parser import ParseError, parse_state
 from .semantics import DEFAULT_QWINDOW, eval_batch, sat_det_batch
@@ -72,6 +74,7 @@ class StateWindow:
     names: tuple[str, ...]  # sorted
     lo: int
     hi: int
+    _states = None  # not a field: equality, hash and repr read the bounds only
 
     @staticmethod
     def make(names: Iterable[str], lo: int = DEFAULT_INT_WINDOW[0],
@@ -81,10 +84,24 @@ class StateWindow:
             raise ValueError(f"empty interval for {names[0]}: [{lo}, {hi}]")
         return StateWindow(names, lo, hi)
 
-    def states(self) -> list[State]:
-        values = range(self.lo, self.hi + 1)
-        return [State(tuple(zip(self.names, point)))
-                for point in itertools.product(values, repeat=len(self.names))]
+    def states(self) -> tuple[State, ...]:
+        """Every store of the window, in order; built on the first call
+        and kept on the window."""
+        states = self._states
+        if states is None:
+            values = range(self.lo, self.hi + 1)
+            states = tuple(State(tuple(zip(self.names, point))) for point
+                           in itertools.product(values, repeat=len(self.names)))
+            object.__setattr__(self, "_states", states)
+        return states
+
+    def truth(self, f: Formula, interp: Interpretation = EMPTY_INTERP,
+              qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list:
+        """`sat_det_batch` of f over the window's states.  Inside a memo
+        scope every formula node's column over this window, interpretation
+        and quantifier window is decided once."""
+        memo = memo_table("window", self, tuple(sorted(interp.log.items())), qwindow)
+        return sat_det_batch(f, self.states(), interp, qwindow, memo)
 
     def __str__(self) -> str:
         parts = ", ".join(f"{n} in [{self.lo}, {self.hi}]" for n in self.names)
@@ -183,7 +200,7 @@ def check_valid_det(f: Formula, window: StateWindow,
     scope = f"{window}, quantifiers over {list(qwindow)}"
     states = window.states()
     for interp in interpretations(log_vars(f), qwindow):
-        truth = sat_det_batch(f, states, interp, qwindow)
+        truth = window.truth(f, interp, qwindow)
         witness = next(itertools.compress(states, map(not_, truth)), None)
         if witness is not None:
             return ValidityVerdict(False, scope, (witness, interp))

@@ -17,9 +17,9 @@ Free variables come from one collector per sort, each accepting any node:
 `prog_vars`, `log_vars` and `real_vars`.  One printer, `to_source`, serves
 every node class: it gives `str()` of every node and prints each distinct
 node once per call.  The term transforms (substitution, simplification,
-normalization) memoize per distinct node; inside a public transformer call
-(`memo_scoped`) their memos are shared by every call it makes and dropped
-when it ends.
+normalization) and the formula columns over a state window memoize per
+distinct node; inside a public transformer or checker call (`memo_scoped`)
+their memos are shared by every call it makes and dropped when it ends.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import operator
 import re
 import weakref
+from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -475,9 +476,12 @@ class State:
         return any(k == name for k, _ in self.items)
 
     def set(self, name: str, value: int) -> "State":
-        out = [(k, v) for k, v in self.items if k != name]
-        out.append((name, int(value)))
-        return State(tuple(sorted(out)))
+        """This store with name bound to value: one insertion into the
+        sorted items, or one replacement."""
+        items = self.items
+        i = bisect_left(items, (name,))  # (name,) sorts before (name, v)
+        j = i + 1 if i < len(items) and items[i][0] == name else i
+        return State(items[:i] + ((name, int(value)),) + items[j:])
 
     def vars(self) -> tuple[str, ...]:
         return tuple(k for k, _ in self.items)
@@ -645,13 +649,17 @@ EMPTY_INTERP = Interpretation()
 # exponential but whose DAG is small, so every traversal visits each
 # distinct node once.  The term transforms (substitution, simplification,
 # normalization and r/B) also share their memo across calls: pt, wp,
-# wp_prob and build_wp_derivation call them thousands of times on terms
-# that share almost every subterm.  The outermost of those public calls
-# opens one memo scope, a dict of tables keyed by transform and arguments,
-# and drops it when it returns or raises; nested public calls reuse it.
-# Each memoized transform is a pure function of its interned node, so a
-# shared table changes no result.  Outside a scope every call gets a fresh
-# table, and no cache outlives the outermost public call.
+# wp_prob, build_wp_derivation and check_derivation call them thousands of
+# times on terms that share almost every subterm.  So do the formula
+# columns over a state window (`StateWindow.truth`), one table per window,
+# interpretation and quantifier window: the validity checks, fixpoint tests
+# and class tests decide the same subformulas again and again.  The
+# outermost of those public calls opens one memo scope, a dict of tables
+# keyed by transform and arguments, and drops it when it returns or raises;
+# nested public calls reuse it.  Each memoized transform or column is a
+# pure function of its interned node and its table's key, so a shared table
+# changes no result.  Outside a scope every call gets a fresh table, and no
+# cache outlives the outermost public call.
 
 _SCOPE: ContextVar[Optional[dict]] = ContextVar("phl_memo_scope", default=None)
 

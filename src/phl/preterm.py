@@ -37,7 +37,7 @@ from .core import (
     real_sum, real_vars, simplify_formula, subst_prog_var,
 )
 from .semantics import (
-    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, eval_batch, execute, sat_det_batch,
+    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, eval_batch, execute,
 )
 from .assertions import DistFamily, StateWindow, interpretations, sat_prob
 from .wp import (
@@ -118,10 +118,9 @@ def pt(c: Command, r: RealExpr, unroll: int = DEFAULT_UNROLL,
 
     def while_case(loop: While, phi: Formula) -> RealExpr:
         guard, body = loop.guard, loop.body
-        states = window.states()
 
         def window_sat(f: Formula) -> bool:
-            return any(sat_det_batch(f, states, EMPTY_INTERP, qwindow))
+            return any(window.truth(f, EMPTY_INTERP, qwindow))
 
         # termination classes wp(i), with the exit formulas w_i = wp(body^i,
         # !B) built on demand; once no window store can still be live, later

@@ -12,7 +12,9 @@ AS/PAS/IF/WHILE schemas (PAS builds its conjunction left-folded) and
 AND/OR.  The probabilistic system takes AS/PAS/IF/WHILE as axioms
 {WP(C, Phi)} C {Phi} (`WP_AXIOMS`, which `build_wp_derivation` also reads):
 any stated precondition family-equivalent to the computed WP is accepted.
-It has no AND/OR rules, and the checker does not invent any.
+It has no AND/OR rules, and the checker does not invent any.  One memo
+scope spans the whole check, so the nodes' implications, side conditions
+and weakest preconditions decide each shared subformula once.
 
 Derivations serialize as JSON:
 
@@ -111,6 +113,7 @@ def derivation_vars(d: Derivation) -> frozenset[str]:
     return out
 
 
+@memo_scoped
 def check_derivation(d: Derivation, window: Optional[StateWindow] = None,
                      family: Optional[DistFamily] = None,
                      qwindow: tuple[int, int] = DEFAULT_QWINDOW,

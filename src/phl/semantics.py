@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import and_, is_, or_, xor
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import (
     AOP_FUN, ROP_FUN, ABin, And, Assign, BoolLit, Command, EMPTY_INTERP,
@@ -203,13 +203,19 @@ _COLUMN = {
 
 def sat_det_batch(f: Formula, states: Sequence[State],
                   interp: Interpretation = EMPTY_INTERP,
-                  qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list:
+                  qwindow: tuple[int, int] = DEFAULT_QWINDOW,
+                  memo: Optional[dict] = None) -> list:
     """The truth of f at each state, in order, each distinct node decided
     once for the whole batch.  Where `sat_det` would raise
     `UnboundVariable`, the entry raises it when read as a truth value, so
     scanning the result in order fails at the same state as scanning the
-    states one by one."""
-    return _column(_Batch(states, interp.log, qwindow, {}), f)
+    states one by one.  memo maps nodes to their columns over these
+    states, interp and qwindow already known (a fresh dict by default);
+    the columns are shared, and the caller must not change them."""
+    b = _Batch(states, interp.log, qwindow, {})
+    if memo is not None:
+        b.memo = memo
+    return _column(b, f)
 
 
 def eval_batch(n: RealExpr | ProbFormula, dists: Sequence[SubDistribution],

@@ -21,7 +21,7 @@ from .core import (
     prog_vars, simplify_formula, subst_prog_var,
 )
 from .semantics import (
-    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det_batch, sat_det_dist,
+    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det_dist,
 )
 from .assertions import (
     DEFAULT_INT_WINDOW, StateWindow, check_valid_det, interpretations,
@@ -138,7 +138,7 @@ def check_triple_det(pre: Formula, c: Command, post: Formula,
     worst = Fraction(0)
     states = window.states()
     for interp in interpretations(lvars, qwindow):
-        for s, ok in zip(states, sat_det_batch(pre, states, interp, qwindow)):
+        for s, ok in zip(states, window.truth(pre, interp, qwindow)):
             if not ok:
                 continue
             res = execute(c, SubDistribution.point(s), loop_bound)

@@ -13,7 +13,11 @@ against them:
 - `pt_semantic_oracle` runs a program and evaluates the term on its output,
   the value `pt` must reproduce;
 - `rule_soundness_suite` generates valid instances of every deterministic
-  proof rule from `gen` and checks each conclusion semantically.
+  proof rule from `gen` and checks each conclusion semantically;
+- `check_derivation_unshared` checks a derivation one node at a time, with
+  no memo scope spanning two nodes and a window that rebuilds its states
+  on every call, the verdict `proofsys.check_derivation` reproduces with
+  one scope for the whole derivation.
 """
 
 from __future__ import annotations
@@ -25,18 +29,22 @@ from fractions import Fraction
 from typing import Optional
 
 import gen
-from phl.assertions import StateWindow, check_valid_det, eval_real
+from phl.assertions import DistFamily, StateWindow, check_valid_det, eval_real
 from phl.core import (
     And, Assign, Command, EMPTY_INTERP, Formula, If, Implies, IntConst, Not,
     Or, Prob, RandAssign, RatConst, RealExpr, RBin, Seq, Skip, State,
     SubDistribution, While, and_all, real_sum, subst_prog_var,
 )
-from phl.proofsys import DET_RULES
+from phl.proofsys import (
+    DET_RULES, PROB_RULES, Derivation, DerivationVerdict, _check_node,
+    derivation_vars,
+)
 from phl.semantics import (
     DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, ExecResult, _Batch, _column, _split,
     execute,
 )
-from phl.wp import check_triple_det, pas_precondition, wp
+from phl.preterm import DEFAULT_DEPTH
+from phl.wp import DEFAULT_UNROLL, check_triple_det, pas_precondition, wp
 
 SUBSET_SUM_LIMIT = 12
 
@@ -266,3 +274,50 @@ def rule_soundness_suite(count: int = 300, seed: int = 0,
 
     scope = f"{window}, quantifiers over {list(qwindow)}, seed {seed}"
     return SoundnessReport(made, per_rule, tuple(failures), scope)
+
+
+class RebuiltWindow(StateWindow):
+    """A window that builds a new list of its states on every call."""
+
+    def states(self) -> list[State]:
+        values = range(self.lo, self.hi + 1)
+        return [State(tuple(zip(self.names, point)))
+                for point in itertools.product(values, repeat=len(self.names))]
+
+
+def check_derivation_unshared(d: Derivation, window: Optional[StateWindow] = None,
+                              family: Optional[DistFamily] = None,
+                              qwindow: tuple[int, int] = DEFAULT_QWINDOW,
+                              unroll: int = DEFAULT_UNROLL,
+                              depth: int = DEFAULT_DEPTH,
+                              seed: int = 0) -> DerivationVerdict:
+    """`proofsys.check_derivation` with each node checked on its own: no
+    memo scope is open between nodes, so every validity check decides its
+    formula afresh, and the window's states are rebuilt for every use."""
+    if window is None:
+        window = StateWindow.make(derivation_vars(d))
+    window = RebuiltWindow(window.names, window.lo, window.hi)
+    if family is None and d.conclusion.prob:
+        family = DistFamily.build(window, seed)
+    scope = str(family.description if d.conclusion.prob else window)
+    failures: list[str] = []
+
+    def visit(node: Derivation, path: str) -> None:
+        t = node.conclusion
+        if t.prob != d.conclusion.prob:
+            failures.append(f"{path}: assertion flavor differs from the root")
+            return
+        ruleset = PROB_RULES if t.prob else DET_RULES
+        if node.rule not in ruleset:
+            failures.append(
+                f"{path}: rule {node.rule!r} is not in the "
+                f"{'probabilistic' if t.prob else 'deterministic'} system")
+            return
+        reason = _check_node(node, window, family, qwindow, unroll, depth)
+        if reason:
+            failures.append(f"{path}: {reason}")
+        for i, p in enumerate(node.premises):
+            visit(p, f"{path}.premises[{i}]")
+
+    visit(d, "root")
+    return DerivationVerdict(not failures, scope, tuple(failures))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from phl.core import (
     AOP_FUN, EMPTY_INTERP, ROP_FUN, Interpretation, Not, PAnd, PImplies, PNot,
     POr, PRel, Prob, RatConst, RBin, RealVar, State, SubDistribution,
-    UnboundVariable, log_vars, point_dist, real_vars,
+    UnboundVariable, log_vars, memo_scoped, point_dist, real_vars,
 )
 from phl import assertions
 from phl.assertions import (
@@ -179,7 +179,33 @@ class TestWindowsAndFamilies:
         assert [s.items for s in got] == [
             State.make({"X": x, "Y": y}).items
             for x in range(-2, 3) for y in range(-2, 3)]
-        assert got == sorted(got)
+        assert list(got) == sorted(got)
+
+    def test_window_keeps_its_states(self):
+        w = StateWindow.make(("Y", "X"), -2, 2)
+        assert w.states() is w.states()
+        assert w == StateWindow.make(("X", "Y"), -2, 2)
+        assert repr(w) == "StateWindow(names=('X', 'Y'), lo=-2, hi=2)"
+
+    def test_memoized_unbound_column_raises_on_every_read(self):
+        w = StateWindow.make(("X",), -1, 1)
+        f = parse_det_formula("X = 0 || Y = 1")
+
+        @memo_scoped
+        def twice():
+            first = w.truth(f)
+            assert w.truth(f) is first  # one column per scope
+            for _ in range(2):
+                with pytest.raises(UnboundVariable, match="Y"):
+                    all(first)
+                with pytest.raises(UnboundVariable, match="Y"):
+                    check_valid_det(f, w)
+            return first
+        column = twice()
+        assert column is not w.truth(f)  # nothing is kept after the scope
+        with pytest.raises(UnboundVariable, match="Y"):
+            bool(column[0])
+        assert column[1] is True
 
     def test_family_states_in_first_seen_order(self):
         fam = DistFamily.build(StateWindow.make(("X",), -1, 1), seed=0, mixtures=4)

@@ -71,6 +71,17 @@ class TestState:
         with pytest.raises(UnboundVariable):
             State.make({})["X"]
 
+    @pytest.mark.parametrize("name", ["A", "C", "G", "B", "D", "F"],
+                             ids=["new-first", "new-middle", "new-last",
+                                  "overwrite-first", "overwrite-middle",
+                                  "overwrite-last"])
+    def test_set_is_one_sorted_insertion(self, name):
+        s = State.make({"B": 1, "D": 2, "F": 3})
+        got = s.set(name, 7)
+        assert got.items == State.make({**s.as_dict(), name: 7}).items
+        assert s.items == (("B", 1), ("D", 2), ("F", 3))  # original untouched
+        assert State.make({}).set(name, 7).items == ((name, 7),)
+
     def test_ordering_is_by_valuation(self):
         a = State.make({"X": 0, "Y": 5})
         b = State.make({"X": 1, "Y": 0})

@@ -1,11 +1,18 @@
 """Derivation checking for both proof systems and rule soundness."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import gen
+from phl import core, proofsys, semantics
 from phl.assertions import StateWindow
-from phl.core import Seq, Skip
+from phl.core import (
+    TRUE, And, Assign, If, Not, RandAssign, Seq, Skip, While, subst_prog_var,
+)
 from phl.parser import (
     SourceTriple, parse_command, parse_det_formula, parse_prob_formula,
     parse_triple,
@@ -15,7 +22,10 @@ from phl.proofsys import (
     check_derivation, conseq_over, derivation_from_json, derivation_to_json,
     load_derivation,
 )
-from reference import rule_soundness_suite
+from phl.wp import pas_precondition, wp
+from reference import check_derivation_unshared, rule_soundness_suite
+
+import strategies as sts
 
 DIVERGE = "while true do { skip }"
 CSTAR = ("X :=$ {1/3:0, 2/3:1}; "
@@ -346,3 +356,124 @@ class TestSoundnessSuite:
         assert report.instances >= 45
         assert set(report.per_rule) == set(DET_RULES)
         assert all(n >= 5 for n in report.per_rule.values())
+
+
+# ---------------------------------------------------------------------------
+# One memo scope per derivation check
+
+
+def det_derivation(c, post):
+    """A deterministic derivation of {wp(C, post)} C {post}: the schema at
+    each head, and CONS where an IF or WHILE premise restates its
+    precondition or a loop's conclusion restates its postcondition.  Its
+    WHILE nodes take the invariant true, so their CONS may fail."""
+    if isinstance(c, Skip):
+        return Derivation("SKIP", SourceTriple(post, c, post, False))
+    if isinstance(c, Assign):
+        pre = subst_prog_var(post, c.var, c.expr)
+        return Derivation("AS", SourceTriple(pre, c, post, False))
+    if isinstance(c, RandAssign):
+        return Derivation("PAS", SourceTriple(pas_precondition(c, post), c, post, False))
+    if isinstance(c, Seq):
+        second = det_derivation(c.second, post)
+        first = det_derivation(c.first, second.conclusion.pre)
+        return Derivation("SEQ", SourceTriple(first.conclusion.pre, c, post, False),
+                          (first, second))
+    if isinstance(c, If):
+        pre = wp(c, post, window=sts.WINDOW, qwindow=sts.QWINDOW)[0]
+        then_d = conseq_over(det_derivation(c.then_branch, post), And(pre, c.guard))
+        else_d = conseq_over(det_derivation(c.else_branch, post),
+                             And(pre, Not(c.guard)))
+        return Derivation("IF", SourceTriple(pre, c, post, False), (then_d, else_d))
+    if isinstance(c, While):
+        body = conseq_over(det_derivation(c.body, TRUE), And(TRUE, c.guard))
+        loop = Derivation("WHILE", SourceTriple(TRUE, c, And(TRUE, Not(c.guard)), False),
+                          (body,))
+        return Derivation("CONS", SourceTriple(TRUE, c, post, False), (loop,))
+    raise TypeError(f"not a command: {c!r}")
+
+
+def tampered(d, rng, formula):
+    """d, or d under a CONS whose precondition or stated side formula is
+    drawn from formula(rng), and so often fails with a counterexample."""
+    t = d.conclusion
+    pick = rng.randrange(3)
+    if pick == 0:
+        return d
+    if pick == 1:
+        return conseq_over(d, formula(rng))
+    return Derivation("CONS", SourceTriple(t.pre, t.command, t.post, t.prob), (d,),
+                      (formula(rng),))
+
+
+def both_verdicts(d):
+    kwargs = dict(window=sts.WINDOW, qwindow=sts.QWINDOW, unroll=8, depth=4)
+    return str(check_derivation(d, **kwargs)), str(check_derivation_unshared(d, **kwargs))
+
+
+class TestSharedScope:
+    """`check_derivation` opens one memo scope for the whole derivation and
+    reads the window's kept states; its verdict text is the one of checking
+    each node on its own with the states rebuilt."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sts.commands(loops=True), sts.seeds, st.booleans())
+    def test_det_verdict_matches_per_node_checks(self, c, seed, logical):
+        rng = random.Random(seed)
+        lv = ("k",) if logical else ()
+        post = gen.gen_formula(rng, sts.PV, 2, lv=lv)
+        d = tampered(det_derivation(c, post), rng,
+                     lambda r: gen.gen_formula(r, sts.PV, 2, lv=lv))
+        shared, alone = both_verdicts(d)
+        assert shared == alone
+
+    @settings(max_examples=30, deadline=None)
+    @given(sts.commands(loops=True), sts.prob_formulas(), sts.seeds)
+    def test_prob_verdict_matches_per_node_checks(self, c, post, seed):
+        rng = random.Random(seed)
+        d = build_wp_derivation(c, post, sts.WINDOW, sts.QWINDOW, unroll=8, depth=4)
+        d = tampered(d, rng, lambda r: sts.gen_prob_formula(r, 1))
+        shared, alone = both_verdicts(d)
+        assert shared == alone
+
+    def test_tampered_cons_prints_its_counterexample(self):
+        c = parse_command("if X > 0 then { X := X - 1 } else { Y := 1 }; X := X + Y")
+        d = conseq_over(det_derivation(c, parse_det_formula("X >= 0")),
+                        parse_det_formula("true"))
+        shared, alone = both_verdicts(d)
+        assert shared == alone
+        assert "precondition implication fails" in shared
+        assert "falsified at {X=" in shared
+
+    def test_each_window_column_decided_once_per_call(self, monkeypatch):
+        c = parse_command("if X > 0 then { X := X - 1 } else { Y := 1 }; "
+                          "if Y > 0 then { Y := Y - 1 } else { X := X + Y }")
+        d = conseq_over(det_derivation(c, parse_det_formula("X + Y >= 0")),
+                        parse_det_formula("X >= 0 && Y >= 0"))
+        rows = sts.WINDOW.states()
+        seen = Counter()
+        for cls, column in list(semantics._COLUMN.items()):
+            def counted(b, n, column=column):
+                if b.rows is rows:
+                    seen[n, tuple(sorted(b.values.items())), b.qwindow] += 1
+                return column(b, n)
+            monkeypatch.setitem(semantics._COLUMN, cls, counted)
+        v = check_derivation(d, sts.WINDOW, qwindow=sts.QWINDOW)
+        assert v.accepted, v.failures
+        assert seen and max(seen.values()) == 1
+
+    def test_scope_closes_on_return_and_on_raise(self, monkeypatch):
+        d = derivation_from_json(COUNTDOWN_DERIV)
+        assert core._SCOPE.get() is None
+        assert check_derivation(d).accepted
+        assert core._SCOPE.get() is None
+        scopes = []
+
+        def failing(f, window, qwindow):
+            scopes.append(core._SCOPE.get())
+            raise RuntimeError("check failed")
+        monkeypatch.setattr(proofsys, "check_valid_det", failing)
+        with pytest.raises(RuntimeError, match="check failed"):
+            check_derivation(d)
+        assert scopes and scopes[0] is not None
+        assert core._SCOPE.get() is None
