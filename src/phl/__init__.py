@@ -3,10 +3,11 @@
 The pieces: an exact interpreter over finite sub-distributions
 (`semantics.execute`), weakest preconditions for deterministic assertions
 (`wp.wp`), weakest preterms and preconditions for probabilistic assertions
-(`preterm.pt`, `preterm.wp_prob`), bounded validity and triple checking over
-finite test domains (`assertions`, `wp.check_triple_det`,
-`preterm.check_triple_prob`), and a proof derivation checker
-(`proofsys.check_derivation`).  All arithmetic is exact rational.
+(`preterm.pt`, which `preterm.wp_prob` also names), bounded validity and
+triple checking over finite test domains (`assertions`,
+`wp.check_triple_det`, `preterm.check_triple_prob`), and a proof
+derivation checker (`proofsys.check_derivation`).  All arithmetic is exact
+rational.
 """
 
 from .core import (

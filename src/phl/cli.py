@@ -30,7 +30,7 @@ from .parser import (
 from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute
 from .assertions import DEFAULT_INT_WINDOW, DistFamily, StateWindow, load_dist
 from .wp import DEFAULT_UNROLL, check_triple_det, default_window, wp
-from .preterm import DEFAULT_DEPTH, check_triple_prob, pt, wp_prob
+from .preterm import DEFAULT_DEPTH, check_triple_prob, pt
 from .proofsys import check_derivation, derivation_vars, load_derivation
 
 CONFIG_ENV = "PHL_CONFIG"
@@ -203,11 +203,11 @@ def cmd_wp(args) -> Outcome:
 
 def cmd_pt(args) -> Outcome:
     program = parse_command(args.program)
-    expr = parse_real_expr(args.term)
-    term, expansions = pt(program, expr, args.unroll, args.depth,
-                          _window(args, program, expr), args.quant_window)
-    text = str(term)
-    payload = lambda: {"preterm": text, "loops": [{
+    root = args.grammar(args.text)
+    result, expansions = pt(program, root, args.unroll, args.depth,
+                            _window(args, program, root), args.quant_window)
+    text = str(result)
+    payload = lambda: {args.key: text, "loops": [{
         "exhaustive": e.exhaustive,
         "unroll": e.unroll,
         "depth": e.depth,
@@ -218,21 +218,6 @@ def cmd_pt(args) -> Outcome:
         f"loop {i} ({e.loop.guard}): "
         f"{'exhaustive' if e.exhaustive else 'non-exhaustive'} "
         f"on {e.window}, {e.unroll} classes, {e.depth} tail terms"
-        for i, e in enumerate(expansions)]
-
-
-def cmd_wpp(args) -> Outcome:
-    program = parse_command(args.program)
-    post = parse_prob_formula(args.post)
-    formula, expansions = wp_prob(program, post, args.unroll, args.depth,
-                                  _window(args, program, post), args.quant_window)
-    text = str(formula)
-    payload = lambda: {"wp": text, "loops": [
-        {"exhaustive": e.exhaustive, "unroll": e.unroll, "depth": e.depth}
-        for e in expansions]}
-    return 0, payload, [text] + [
-        f"loop {i} ({e.loop.guard}): "
-        f"{'exhaustive' if e.exhaustive else 'non-exhaustive'} on {e.window}"
         for i, e in enumerate(expansions)]
 
 
@@ -287,17 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     wp_cmd.add_argument("--post", required=True)
     wp_cmd.set_defaults(handler=cmd_wp)
 
-    pt_cmd = sub.add_parser("pt", parents=[shared],
-                            help="weakest preterm of a real expression")
-    pt_cmd.add_argument("--program", required=True)
-    pt_cmd.add_argument("--term", required=True)
-    pt_cmd.set_defaults(handler=cmd_pt)
-
-    wpp = sub.add_parser("wpp", parents=[shared],
-                         help="weakest precondition of a probabilistic assertion")
-    wpp.add_argument("--program", required=True)
-    wpp.add_argument("--post", required=True)
-    wpp.set_defaults(handler=cmd_wpp)
+    # wpp is pt over a probabilistic formula, and reports its loops as pt does
+    for name, flag, grammar, key, help_text in (
+            ("pt", "--term", parse_real_expr, "preterm",
+             "weakest preterm of a real expression"),
+            ("wpp", "--post", parse_prob_formula, "wp",
+             "weakest precondition of a probabilistic assertion")):
+        cmd = sub.add_parser(name, parents=[shared], help=help_text)
+        cmd.add_argument("--program", required=True)
+        cmd.add_argument(flag, dest="text", metavar=flag[2:].upper(), required=True)
+        cmd.set_defaults(handler=cmd_pt, grammar=grammar, key=key)
 
     check = sub.add_parser("check", parents=[shared],
                            help="check a Hoare triple semantically")

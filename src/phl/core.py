@@ -861,6 +861,8 @@ def _normalize_step(n: Node, go) -> Node:
         body = go(n.formula)
         return RatConst(_ZERO) if body is FALSE else Prob(body)
     if not isinstance(n, RBin):
+        if isinstance(n, ProbFormula):
+            return n.map(go)  # a relation or connective: its real sides normalized
         return _simplify_step(n, go)
     left, right = go(n.left), go(n.right)
     lc = left.value if isinstance(left, RatConst) else None
@@ -889,7 +891,9 @@ def _normalize_step(n: Node, go) -> Node:
 
 def normalize_real(r: RealExpr) -> RealExpr:
     """Constant folding plus dropping of zero summands and unit factors; the
-    body of each P(phi) is simplified in the same walk."""
+    body of each P(phi) is simplified in the same walk.  A probabilistic
+    formula is mapped: each real side of its relations is normalized, and
+    the relations and connectives stay."""
     return dag_walk(r, _normalize_step, memo_table("simplify"))
 
 

@@ -1,7 +1,9 @@
 """Weakest preterms and preconditions for probabilistic assertions.
 
 pt(C, r) is a real expression whose value on mu equals the value of r on the
-output distribution of C; WP lifts it to probabilistic formulas pointwise.
+output distribution of C.  On a probabilistic formula pt replaces each real
+expression by its preterm and keeps the relations and connectives, which is
+WP(C, Phi); `wp_prob` is the same function.
 The conditional term r/B relativizes every probability to B, and satisfies
 [[r/B]]_mu = [[r]]_{mu restricted to B}.
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
-    And, Assign, Command, EMPTY_INTERP, Formula, If, IntConst, Not, PRel, Prob,
+    And, Assign, Command, EMPTY_INTERP, Formula, If, IntConst, Not, Prob,
     ProbFormula, RandAssign, RatConst, RealExpr, RBin, Seq, Skip, TRUE, While,
     dag_walk, log_vars, memo_scoped, memo_table, node_size, normalize_real,
     real_sum, real_vars, simplify_formula, subst_prog_var,
@@ -72,20 +74,21 @@ class WhileExpansion:
     loop: While
     unroll: int                       # K: termination classes examined
     depth: int                        # D: tail terms kept
-    wp_classes: tuple[Formula, ...]   # wp(i) for i = 0..K
-    wp_inf: Formula                   # no termination within K bodies
     sum_term: RealExpr
     tail_terms: tuple[RealExpr, ...]  # T_0..T_D
-    exhaustive: bool                  # wp_inf unsatisfiable on the window
+    exhaustive: bool                  # wp(inf) unsatisfiable on the window
     window: StateWindow
 
 
 @memo_scoped
-def pt(c: Command, r: RealExpr, unroll: int = DEFAULT_UNROLL,
+def pt(c: Command, r: RealExpr | ProbFormula, unroll: int = DEFAULT_UNROLL,
        depth: int = DEFAULT_DEPTH, window: Optional[StateWindow] = None,
        qwindow: tuple[int, int] = DEFAULT_QWINDOW,
-       ) -> tuple[RealExpr, list[WhileExpansion]]:
-    """Weakest preterm of r under c, with one expansion record per loop."""
+       ) -> tuple[RealExpr | ProbFormula, list[WhileExpansion]]:
+    """Weakest preterm of a real expression r under c, or WP(c, r) of a
+    probabilistic formula r, with one expansion record per loop."""
+    if not isinstance(r, (RealExpr, ProbFormula)):
+        raise TypeError(f"not a real expression or probabilistic formula: {r!r}")
     if window is None:
         window = default_window(c, r)
     expansions: list[WhileExpansion] = []
@@ -94,7 +97,7 @@ def pt(c: Command, r: RealExpr, unroll: int = DEFAULT_UNROLL,
         def step(n: RealExpr, walk) -> RealExpr:
             if isinstance(n, Prob):
                 return prob_case(c, n.formula)
-            return n.map(walk)  # constants and real variables are untouched
+            return n.map(walk)  # rebuilt around the preterms of its P terms
 
         return dag_walk(r, step)
 
@@ -167,36 +170,17 @@ def pt(c: Command, r: RealExpr, unroll: int = DEFAULT_UNROLL,
                     break
 
         expansions.append(WhileExpansion(
-            loop, len(classes) - 1, len(tails) - 1, tuple(classes), wp_inf,
-            sum_term, tuple(tails), exhaustive, window))
+            loop, len(classes) - 1, len(tails) - 1, sum_term, tuple(tails),
+            exhaustive, window))
         return normalize_real(real_sum(tails))
 
     return normalize_real(go(c, r)), expansions
 
 
-@memo_scoped
-def wp_prob(c: Command, f: ProbFormula, unroll: int = DEFAULT_UNROLL,
-            depth: int = DEFAULT_DEPTH, window: Optional[StateWindow] = None,
-            qwindow: tuple[int, int] = DEFAULT_QWINDOW,
-            ) -> tuple[ProbFormula, list[WhileExpansion]]:
-    """Weakest precondition of a probabilistic formula: pt applied to every
-    real expression, connectives left in place."""
-    if window is None:
-        window = default_window(c, f)
-    expansions: list[WhileExpansion] = []
-
-    def go(n: ProbFormula) -> ProbFormula:
-        if isinstance(n, PRel):
-            left, ex1 = pt(c, n.left, unroll, depth, window, qwindow)
-            right, ex2 = pt(c, n.right, unroll, depth, window, qwindow)
-            expansions.extend(ex1)
-            expansions.extend(ex2)
-            return PRel(n.op, left, right)
-        if isinstance(n, ProbFormula):
-            return n.map(go)  # a connective: rebuilt over its transformed operands
-        raise TypeError(f"not a probabilistic formula: {n!r}")
-
-    return go(f), expansions
+# The paper defines WP(C, Phi) as Phi with each real expression r replaced by
+# pt(C, r), so the weakest precondition of a probabilistic formula is pt's
+# walk over that formula.
+wp_prob = pt
 
 
 def check_triple_prob(pre: ProbFormula, c: Command, post: ProbFormula,

@@ -12,6 +12,9 @@ against them:
   exponential sum over value subsets, against `pas_preterm_linear`;
 - `pt_semantic_oracle` runs a program and evaluates the term on its output,
   the value `pt` must reproduce;
+- `wp_prob_per_relation` builds WP of a probabilistic formula with one `pt`
+  call per side of each relation, the formula `pt`'s one walk over the
+  whole formula reproduces;
 - `rule_soundness_suite` generates valid instances of every deterministic
   proof rule from `gen` and checks each conclusion semantically;
 - `check_derivation_unshared` checks a derivation one node at a time, with
@@ -32,8 +35,9 @@ import gen
 from phl.assertions import DistFamily, StateWindow, check_valid_det, eval_real
 from phl.core import (
     And, Assign, Command, EMPTY_INTERP, Formula, If, Implies, IntConst, Not,
-    Or, Prob, RandAssign, RatConst, RealExpr, RBin, Seq, Skip, State,
-    SubDistribution, While, and_all, real_sum, subst_prog_var,
+    Or, PRel, Prob, ProbFormula, RandAssign, RatConst, RealExpr, RBin, Seq,
+    Skip, State, SubDistribution, While, and_all, memo_scoped, real_sum,
+    subst_prog_var,
 )
 from phl.proofsys import (
     DET_RULES, PROB_RULES, Derivation, DerivationVerdict, _check_node,
@@ -43,8 +47,10 @@ from phl.semantics import (
     DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, ExecResult, _Batch, _column, _split,
     execute,
 )
-from phl.preterm import DEFAULT_DEPTH
-from phl.wp import DEFAULT_UNROLL, check_triple_det, pas_precondition, wp
+from phl.preterm import DEFAULT_DEPTH, WhileExpansion, pt
+from phl.wp import (
+    DEFAULT_UNROLL, check_triple_det, default_window, pas_precondition, wp,
+)
 
 SUBSET_SUM_LIMIT = 12
 
@@ -158,6 +164,31 @@ def pt_semantic_oracle(c: Command, r: RealExpr, dist: SubDistribution,
     """Run C, then evaluate r on the output: the value pt must reproduce."""
     res = execute(c, dist, loop_bound)
     return eval_real(r, res.output, interp or EMPTY_INTERP, qwindow)
+
+
+@memo_scoped
+def wp_prob_per_relation(c: Command, f: ProbFormula, unroll: int = DEFAULT_UNROLL,
+                         depth: int = DEFAULT_DEPTH, window: Optional[StateWindow] = None,
+                         qwindow: tuple[int, int] = DEFAULT_QWINDOW,
+                         ) -> tuple[ProbFormula, list[WhileExpansion]]:
+    """Weakest precondition of a probabilistic formula: pt applied to every
+    real expression, connectives left in place."""
+    if window is None:
+        window = default_window(c, f)
+    expansions: list[WhileExpansion] = []
+
+    def go(n: ProbFormula) -> ProbFormula:
+        if isinstance(n, PRel):
+            left, ex1 = pt(c, n.left, unroll, depth, window, qwindow)
+            right, ex2 = pt(c, n.right, unroll, depth, window, qwindow)
+            expansions.extend(ex1)
+            expansions.extend(ex2)
+            return PRel(n.op, left, right)
+        if isinstance(n, ProbFormula):
+            return n.map(go)  # a connective: rebuilt over its transformed operands
+        raise TypeError(f"not a probabilistic formula: {n!r}")
+
+    return go(f), expansions
 
 
 @dataclass

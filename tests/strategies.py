@@ -138,6 +138,15 @@ def prob_formulas(draw, free=False):
     return gen_prob_formula(_rng(draw(seeds)), draw(st.integers(0, 4)), real)
 
 
+@st.composite
+def shared_prob_formulas(draw):
+    """Relations whose sides are drawn from a pool of two real expressions,
+    so that one P(phi) often occurs in several atoms."""
+    rng = _rng(draw(seeds))
+    pool = [_closed_real_expr(rng) for _ in range(2)]
+    return gen_prob_formula(rng, draw(st.integers(1, 3)), lambda r: r.choice(pool))
+
+
 def gen_quantified_formula(rng: random.Random, depth: int, pv=PV + ("Z",),
                            lv=("j", "k")):
     """Deterministic formulas with forall, over program variables a state

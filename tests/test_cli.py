@@ -16,6 +16,8 @@ try:
 except ImportError:  # not on every platform
     resource = None
 
+COIN = "while X > 0 do { X := X - 1 [1/2] skip }"
+
 DIVERGE_DERIV = {
     "rule": "CONS",
     "conclusion": "{ true } while true do { skip } { P(true) = 0 }",
@@ -117,6 +119,27 @@ class TestTransformers:
         rc, out, _ = run_cli(capsys, "wpp", "--program", "X := X + 1",
                              "--post", "P(X = 2) <= 1/2")
         assert rc == 0 and out.splitlines()[0] == "P(X + 1 = 2) <= 1/2"
+
+    def test_wpp_reports_loops_as_pt(self, capsys):
+        bounds = ("--program", COIN, "--unroll", "4", "--depth", "2",
+                  "--int-window", "0..3")
+        _, pt_out, _ = run_cli(capsys, "pt", *bounds, "--term", "P(X = 0)")
+        rc, out, _ = run_cli(capsys, "wpp", *bounds, "--post", "P(X = 0) >= 1/2")
+        assert rc == 0
+        assert out.splitlines()[1:] == pt_out.splitlines()[1:] == [
+            "loop 0 (X > 0): non-exhaustive on window {X in [0, 3], _F0 in [0, 3]}, "
+            "4 classes, 2 tail terms"]
+        rc, out, _ = run_cli(capsys, "wpp", *bounds, "--post", "P(X = 0) >= 1/2",
+                             "--format", "json")
+        (loop,) = json.loads(out)["loops"]
+        assert rc == 0 and loop["depth"] == 2 and len(loop["tails"]) == 3
+        assert loop["sum"] == loop["tails"][0]
+
+    @pytest.mark.parametrize("command, usage", [("pt", "--term TERM"),
+                                                ("wpp", "--post POST")])
+    def test_help_names_input_flag(self, capsys, command, usage):
+        rc, out, _ = run_cli(capsys, command, "--help")
+        assert rc == 0 and usage in out
 
 
 class TestCheck:

@@ -18,7 +18,9 @@ from phl.parser import (
 from phl.semantics import execute, restrict
 from phl.preterm import check_triple_prob, cond_term, pas_preterm_linear, pt, wp_prob
 from phl.wp import wp
-from reference import pas_preterm_subset_sum, pt_semantic_oracle
+from reference import (
+    pas_preterm_subset_sum, pt_semantic_oracle, wp_prob_per_relation,
+)
 
 import strategies as sts
 
@@ -183,6 +185,40 @@ class TestWpProb:
         pre = sat_prob(f, mu, sts.RINTERP, sts.QWINDOW)
         post = sat_prob(phi, execute(c, mu).output, sts.RINTERP, sts.QWINDOW)
         assert pre == post
+
+
+    def test_is_pt(self):
+        # the paper's WP(C, Phi) is Phi with each real expression r replaced
+        # by pt(C, r): one function serves both
+        assert wp_prob is pt
+
+    def test_rejects_deterministic_formula(self):
+        c, phi = parse_command("X := X + 1"), parse_det_formula("X = 0")
+        for transform in (pt, wp_prob):
+            with pytest.raises(TypeError, match="not a real expression or probabilistic"):
+                transform(c, phi)
+
+    def test_repeated_prob_term_expands_once(self):
+        # P(X = 0) occurs in both atoms: one walk expands the loop for it
+        # once, where one pt call per side expands it twice
+        c = parse_command(COIN)
+        phi = parse_prob_formula("P(X = 0) >= 1/2 && P(X = 0) <= 1")
+        opts = dict(unroll=4, depth=2, window=StateWindow.make(("X", "_F0"), 0, 3))
+        f, expansions = wp_prob(c, phi, **opts)
+        want, oracle = wp_prob_per_relation(c, phi, **opts)
+        assert f is want
+        assert len(expansions) == 1 and len(oracle) == 2
+        assert set(expansions) == set(oracle)
+
+    @given(sts.commands(loops=True), sts.shared_prob_formulas())
+    @settings(deadline=None, max_examples=40)
+    def test_one_walk_matches_per_relation_oracle(self, c, phi):
+        opts = dict(unroll=8, depth=4, window=sts.WINDOW, qwindow=sts.QWINDOW)
+        f, expansions = wp_prob(c, phi, **opts)
+        want, oracle = wp_prob_per_relation(c, phi, **opts)
+        assert f is want
+        assert set(expansions) == set(oracle)
+        assert len(expansions) <= len(oracle)
 
 
 class TestCheckTripleProb:
