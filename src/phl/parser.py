@@ -1,29 +1,37 @@
-"""Concrete syntax: lexer and recursive-descent parsers.
-
-Grammar sketch (precedence is encoded by rule nesting; seq binds loosest in
-commands, `->` loosest in formulas, `!` tightest, `*` over `+`/`-`):
+"""Concrete syntax: a lexer, one operator-precedence loop for expressions,
+and recursive descent for commands.
 
     triple := "{" pre "}" cmd "{" post "}"
     cmd    := choice (";" choice)*
     choice := prim ("[" frac "]" prim)*
-    prim   := "skip" | IDENT ":=" aexp | IDENT ":=$" "{" wpair,+ "}"
+    prim   := "skip" | IDENT ":=" aexp | IDENT ":=$" "{" (frac ":" int),+ "}"
             | "if" detf "then" "{" cmd "}" "else" "{" cmd "}"
             | "while" detf "do" "{" cmd "}" | "(" cmd ")"
-    wpair  := frac ":" int
 
-    SUMS(x)   := left-assoc "+"/"-" over left-assoc "*" over unary "-" over x
-    CONN(x)   := right-assoc "->" over "||" over "&&" over "!" over x
-    REL(e, f) := e rop e | "(" f ")"
+Expressions of both flavors are read by one loop over one table,
+`OPERATORS`, with the flavor as a column; a higher power binds tighter:
 
-    aexp   := SUMS(int | IDENT | lident | "(" aexp ")")
-    detf   := CONN(true | false | forall lident "." detf | REL(aexp, detf))
-    rexp   := SUMS(frac | "@" lident | "P" "(" detf ")" | "(" rexp ")")
-    probf  := CONN(true | false | REL(rexp, probf))
+    power  operator          assoc  deterministic  probabilistic
+      0    forall k. (prefix)       Forall         -
+      1    ->                right  Implies        PImplies
+      2    ||                left   Or             POr
+      3    &&                left   And            PAnd
+      4    ! (prefix)               Not            PNot
+      5    < <= = >= >       none   Rel            PRel
+      6    + -               left   ABin           RBin
+      7    *                 left   ABin           RBin
+      8    - (prefix)               0 - e, or a negated constant
 
-Both flavors share the SUMS, CONN and REL levels, written once and handed
-each flavor's constructors; a unary minus before a constant folds into it.
-The If and While constructors check guards (no quantifiers or logical
-variables); the parser reports their error at the keyword.
+The atoms are int, IDENT and lident in an aexp; true, false and aexp
+relations in a detf; frac, "@" lident and "P" "(" detf ")" in an rexp; true,
+false and rexp relations in a probf; and "(" e ")" in each.  The loop keeps
+pending operators and open parentheses on explicit stacks, so nesting depth
+is bounded by memory, not by the recursion limit.  A "(" where a formula may
+start is read once: a relation operator after it makes it an operand,
+anything else a formula.  An error inside a relation is reported at the
+relation's first token, as "expected a formula" (or "a probabilistic
+formula").  The If and While constructors check guards (no quantifiers or
+logical variables); the parser reports their error at the keyword.
 
 Program variables are uppercase-initial identifiers (`P` is reserved for the
 probability operator, leading `_` for generated names); logical variables are
@@ -39,10 +47,12 @@ parses in the other flavor raises the flavor-mixing error.
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from itertools import accumulate, repeat
+from typing import Callable, NamedTuple, Optional, Union
 
 from .core import (
     ABin, And, Assign, Command, DistSpec, Forall, Formula, If,
@@ -76,13 +86,6 @@ _SYMBOLS = [
 ]
 
 
-# the constructors each flavor hands to the shared towers of _Parser
-_INT_SUMS = (ABin, IntConst, 0)
-_REAL_SUMS = (RBin, RatConst, Fraction(0))
-_DET_CONNECTIVES = (Not, And, Or, Implies)
-_PROB_CONNECTIVES = (PNot, PAnd, POr, PImplies)
-
-
 class Token(NamedTuple):
     kind: str  # "INT", "IDENT", "LIDENT", a keyword, a symbol, or "EOF"
     text: str
@@ -90,80 +93,158 @@ class Token(NamedTuple):
     col: int
 
 
-# one named group per token class, tried in order; symbols longest-first.
-# Numerals and identifiers are ASCII: any other character is unexpected.
-_TOKEN_RE = re.compile("|".join((
-    r"(?P<NEWLINE>\n)",
-    r"(?P<SPACE>[^\S\n]+)",
-    r"(?P<DECIMAL>[0-9]+\.[0-9])",
-    r"(?P<INT>[0-9]+)",
-    r"(?P<IDENT>[A-Z_][A-Za-z0-9_]*)",
-    r"(?P<LIDENT>[a-z][A-Za-z0-9_]*)",
-    "(?P<SYMBOL>%s)" % "|".join(map(re.escape, sorted(_SYMBOLS, key=len, reverse=True))),
-    r"(?P<OTHER>.)",
+# one token after any whitespace; symbols longest-first.  Numerals and
+# identifiers are ASCII: any other character is unexpected.
+_TOKEN_RE = re.compile(r"\s*(%s)" % "|".join((
+    r"[0-9]+\.[0-9]",  # a decimal, rejected
+    r"[0-9]+",
+    r"[A-Za-z_][A-Za-z0-9_]*",
+    *map(re.escape, sorted(_SYMBOLS, key=len, reverse=True)),
+    r"\S",  # any other character, rejected
 )))
+# a token's kind is the token for a symbol or keyword, else set by its first
+# character; None marks an unexpected character
+_KINDS = {word: word for word in [*_SYMBOLS, *KEYWORDS]}
+_FIRST = {**dict.fromkeys("0123456789", "INT"),
+          **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", "IDENT"),
+          **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "LIDENT")}
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, start = 1, 0  # start: offset of the current line's first character
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "SPACE":
-            continue
-        if kind == "NEWLINE":
-            line += 1
-            start = m.end()
-            continue
-        word = m.group()
-        col = m.start() - start + 1
-        if kind == "SYMBOL" or (kind == "LIDENT" and word in KEYWORDS):
-            kind = word
-        elif kind == "DECIMAL":
-            raise ParseError(
-                "decimal literals are rejected; write an exact fraction like 1/2",
-                line, col)
-        elif kind == "OTHER":
-            raise ParseError(f"unexpected character {word!r}", line, col)
-        toks.append(Token(kind, word, line, col))
-    toks.append(Token("EOF", "", line, len(text) - start + 1))
+    line, start, at = 1, 0, 0  # start: offset of the current line's first character
+    for word in _TOKEN_RE.findall(text):
+        found = text.find(word, at)  # only whitespace lies between two tokens
+        newlines = text.count("\n", at, found)
+        if newlines:
+            line += newlines
+            start = text.rfind("\n", at, found) + 1
+        kind = _KINDS.get(word) or _FIRST.get(word[0])
+        if kind is None:
+            raise ParseError(f"unexpected character {word!r}", line, found - start + 1)
+        if kind == "INT" and "." in word:
+            raise ParseError("decimal literals are rejected; write an exact fraction like 1/2",
+                             line, found - start + 1)
+        toks.append(Token(kind, word, line, found - start + 1))
+        at = found + len(word)
+    toks.append(Token("EOF", "", text.count("\n") + 1, len(text) - text.rfind("\n")))
     return toks
 
 
+# ---------------------------------------------------------------------------
+# The operator table: each row builds one kind of node from its operands
+
+CONNECTIVE, RELATION, ARITHMETIC, NOT, NEGATE, FORALL, GROUP = range(7)
+
+# token: (power, category, deterministic node, probabilistic node)
+OPERATORS = {
+    "forall": (0, FORALL, Forall, None),
+    "->": (1, CONNECTIVE, Implies, PImplies),
+    "||": (2, CONNECTIVE, Or, POr),
+    "&&": (3, CONNECTIVE, And, PAnd),
+    "!": (4, NOT, Not, PNot),
+    **{op: (5, RELATION, Rel, PRel) for op in ROPS},
+    "+": (6, ARITHMETIC, ABin, RBin),
+    "-": (6, ARITHMETIC, ABin, RBin),
+    "*": (7, ARITHMETIC, ABin, RBin),
+    "negate": (8, NEGATE, IntConst, RatConst),  # a unary minus
+}
+RIGHT_ASSOCIATIVE = {"->"}
+
+
+class _Flavor(NamedTuple):
+    formula: type   # the sort of its formulas
+    what: str       # the noun of its formula errors
+    zero: object    # unary minus builds `zero - e`, unless e is a constant
+    bools: dict     # "true" and "false" -> node
+    table: dict     # token -> pending-operator entry (power, token, node class, category)
+
+
+def _flavor(column: int, formula: type, what: str, zero, bools: dict) -> _Flavor:
+    return _Flavor(formula, what, zero, bools,
+                   {tok: (power, tok, row[column], cat)
+                    for tok, (power, cat, *row) in OPERATORS.items() if row[column]})
+
+
+_DET = _flavor(0, Formula, "formula", IntConst(0), {"true": TRUE, "false": FALSE})
+_PROB = _flavor(1, ProbFormula, "probabilistic formula", RatConst(Fraction(0)),
+                {"true": PTRUE, "false": PFALSE})
+_GROUP = (-1, None, None, GROUP)   # an open "(": its tag is where it starts, if memoized
+_BOTTOM = (-2, None, None, GROUP)  # below every entry, so the stack is never empty
+# per opening bracket, how each token changes the depth of nesting
+_NESTING = {"(": {"(": 1, ")": -1}, "{": {"{": 1, "}": -1}}
+# a group nested deeper is not memoized: the texts of the memoized groups,
+# each a memo key, then add up to at most this many times the whole text
+_MEMO_NESTING = 8
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    """Reads token kinds and texts, ending in EOF; `where` gives a token's
+    (line, column), to report an error.  A `memo` shared by several parses
+    holds what they read (see `parse_triple`)."""
+
+    def __init__(self, kinds: list[str], words: list[str], where: Callable,
+                 memo: Optional[dict] = None):
+        self.kinds, self.words, self.where, self.memo = kinds, words, where, memo
+        self.atoms = {} if memo is None else memo  # text of a number or variable -> node
+        self.nesting: dict[str, list[int]] = {}    # "(" or "{" -> depth after each token
         self.pos = 0
-        used = {t.text for t in tokens if t.kind == "IDENT"}
-        self._fresh_iter = (f"_F{i}" for i in range(len(used) + len(tokens) + 1))
-        self._used = used
+        # the first token of the outermost relation being read, and its noun:
+        # an error inside that relation is reported there
+        self.relation: Optional[tuple[int, str]] = None
+        self._used: Optional[set[str]] = None  # names a `[p]` flag must avoid
+        self.warned = False
 
     # -- token plumbing
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]  # next() never moves past the final EOF
+    def kind(self) -> str:
+        return self.kinds[self.pos]
 
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":
+    def next(self) -> int:
+        at = self.pos
+        if self.kinds[at] != "EOF":  # never moves past the final EOF
             self.pos += 1
-        return tok
+        return at
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
-        return self.next()
+    def expect(self, kind: str) -> str:
+        if self.kinds[self.pos] != kind:
+            self.fail(f"expected {kind!r}, found {self.found(self.pos)}")
+        return self.words[self.next()]
 
     def at_end(self) -> bool:
-        return self.peek().kind == "EOF"
+        return self.kinds[self.pos] == "EOF"
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def found(self, at: int) -> str:
+        return repr(self.words[at] or "end of input")
+
+    def fail(self, message: str, at: Optional[int] = None):
+        if self.relation is not None:
+            at, what = self.relation
+            message = f"expected a {what}, found {self.found(at)}"
+        elif at is None:
+            at = self.pos
+        raise ParseError(message, *self.where(at))
+
+    def closing(self, at: int) -> Optional[int]:
+        """Index of the bracket that closes the '(' or '{' at `at`, if the
+        group is closed and at most _MEMO_NESTING deep."""
+        opening = self.kinds[at]
+        nesting = self.nesting.get(opening)
+        if nesting is None:
+            nesting = self.nesting[opening] = list(
+                accumulate(map(_NESTING[opening].get, self.kinds, repeat(0))))
+        level = nesting[at]
+        if level > _MEMO_NESTING:
+            return None
+        try:
+            return nesting.index(level - 1, at)
+        except ValueError:  # not closed
+            return None
 
     def _fresh_var(self) -> str:
+        if self._used is None:
+            self._used = {w for k, w in zip(self.kinds, self.words) if k == "IDENT"}
+            self._fresh_iter = (f"_F{i}" for i in range(len(self._used) + len(self.kinds) + 1))
         for name in self._fresh_iter:
             if name not in self._used:
                 self._used.add(name)
@@ -173,146 +254,209 @@ class _Parser:
     # -- numbers
 
     def frac(self) -> Fraction:
-        num = int(self.expect("INT").text)
-        if self.peek().kind == "/":
+        num = int(self.expect("INT"))
+        if self.kind() == "/":
             self.next()
-            den_tok = self.expect("INT")
-            den = int(den_tok.text)
+            den = int(self.expect("INT"))
             if den == 0:
-                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+                self.fail("zero denominator", self.pos - 1)
             return Fraction(num, den)
         return Fraction(num)
 
     def signed_int(self) -> int:
-        if self.peek().kind == "-":
+        if self.kind() == "-":
             self.next()
-            return -int(self.expect("INT").text)
-        return int(self.expect("INT").text)
+            return -int(self.expect("INT"))
+        return int(self.expect("INT"))
 
-    # -- SUMS, CONN and REL: the levels both flavors share
+    # -- expressions: one loop over the operator table
 
-    def sums(self, ctors, prim):
-        """`+`/`-` over `*` over unary `-` over prim, all left-associative."""
-        left = self._product(ctors, prim)
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
-            left = ctors[0](op, left, self._product(ctors, prim))
-        return left
+    def expression(self, flavor: _Flavor, formula: bool):
+        """A formula (`formula`) or an operand of the flavor, read up to the
+        first token that cannot continue it.  With a memo, a parenthesized
+        formula whose text was read before is not read again."""
+        kinds, words, atoms, memo, pos = self.kinds, self.words, self.atoms, self.memo, self.pos
+        sort, table, bools = flavor.formula, flavor.table, flavor.bools
+        det = flavor is _DET
+        vals: list = []        # operands, innermost last
+        ops: list = [_BOTTOM]  # pending operator entries and open groups
+        wide = [formula]       # per open group, and for the whole: may it be a formula
+        owner = False          # this call opened self.relation
+        may_start_formula = formula
 
-    def _product(self, ctors, prim):
-        left = self._minus(ctors, prim)
-        while self.peek().kind == "*":
-            self.next()
-            left = ctors[0]("*", left, self._minus(ctors, prim))
-        return left
+        def reduce(entry) -> None:
+            nonlocal owner
+            _, tag, node, cat = entry
+            if cat <= ARITHMETIC:  # a binary row
+                right = vals.pop()
+                left = vals[-1]
+                if cat != CONNECTIVE:
+                    vals[-1] = node(tag, left, right)
+                    if owner and cat == RELATION:
+                        self.relation, owner = None, False
+                elif isinstance(left, sort) and isinstance(right, sort):
+                    vals[-1] = node(left, right)
+                else:
+                    self.fail_sort(flavor, pos)
+            elif cat == NEGATE:
+                body = vals[-1]
+                vals[-1] = (node(-body.value) if isinstance(body, node)
+                            else table["-"][2]("-", flavor.zero, body))
+            elif isinstance(vals[-1], sort):
+                vals[-1] = node(vals[-1]) if cat == NOT else node(tag, vals[-1])
+            else:
+                self.fail_sort(flavor, pos)
 
-    def _minus(self, ctors, prim):
-        if self.peek().kind == "-":
-            self.next()
-            body = self._minus(ctors, prim)
-            binop, const, zero = ctors
-            if isinstance(body, const):  # a negated constant folds into it
-                return const(-body.value)
-            return binop("-", const(zero), body)
-        return prim()
+        while True:
+            # prefix operators, then one atom
+            kind = kinds[pos]
+            if may_start_formula:
+                may_start_formula = False
+                if kind == "(":
+                    end = None if memo is None else self.closing(pos)
+                    node = None if end is None else memo.get((not det, " ".join(words[pos + 1:end])))
+                    if node is None:
+                        ops.append(_GROUP if end is None else (-1, pos, None, GROUP))
+                        wide.append(True)
+                        pos += 1
+                        may_start_formula = True
+                        continue
+                    vals.append(node)
+                    pos = end + 1
+                    kind = None
+                elif kind == "!" or (kind == "forall" and det):
+                    self.pos = pos + 1
+                    if kind == "!":
+                        ops.append(table["!"])
+                    else:
+                        ops.append((0, self.expect("LIDENT"), Forall, FORALL))
+                        self.expect(".")
+                    pos = self.pos
+                    may_start_formula = True
+                    continue
+                elif kind in bools:
+                    vals.append(bools[kind])
+                    pos += 1
+                    kind = None
+                elif self.relation is None:  # a relation starts here
+                    self.relation, owner = (pos, flavor.what), True
+            if kind is None:
+                pass
+            elif det and words[pos] in atoms:
+                vals.append(atoms[words[pos]])
+                pos += 1
+            elif kind == "-" or kind == "(":
+                ops.append(table["negate"] if kind == "-" else _GROUP)
+                if kind == "(":
+                    wide.append(False)
+                pos += 1
+                continue
+            else:
+                self.pos = pos
+                vals.append(self.arith_atom() if det else self.real_atom())
+                pos = self.pos
 
-    def connectives(self, ctors, atom):
-        """`->` (right-associative) over `||` over `&&` over `!` over atom."""
-        left = self._disjunction(ctors, atom)
-        if self.peek().kind == "->":
-            self.next()
-            return ctors[3](left, self.connectives(ctors, atom))
-        return left
+            # binary operators and closing parentheses, up to the next operand
+            operand_next = False
+            while not operand_next:
+                kind = kinds[pos]
+                if kind == ")" and len(wide) > 1:
+                    while ops[-1][0] >= 0:
+                        reduce(ops.pop())
+                    start = ops.pop()[1]
+                    wide.pop()
+                    if start is not None and isinstance(vals[-1], sort):
+                        memo[(not det, " ".join(words[start + 1:pos]))] = vals[-1]
+                    pos += 1
+                    continue
+                entry = table.get(kind)
+                if entry is None or entry[3] > ARITHMETIC or not (
+                        wide[-1] or entry[3] == ARITHMETIC):
+                    break
+                power, _, _, cat = entry
+                while ops[-1][0] >= power + (kind in RIGHT_ASSOCIATIVE):
+                    reduce(ops.pop())
+                if cat == CONNECTIVE and not isinstance(vals[-1], sort):
+                    self.fail_sort(flavor, pos)
+                if cat != CONNECTIVE and isinstance(vals[-1], sort):
+                    break  # a formula is no operand: the expression ends here
+                ops.append(entry)
+                pos += 1
+                may_start_formula = cat == CONNECTIVE
+                operand_next = True
+            if not operand_next:
+                break
 
-    def _disjunction(self, ctors, atom):
-        left = self._conjunction(ctors, atom)
-        while self.peek().kind == "||":
-            self.next()
-            left = ctors[2](left, self._conjunction(ctors, atom))
-        return left
-
-    def _conjunction(self, ctors, atom):
-        left = self._negation(ctors, atom)
-        while self.peek().kind == "&&":
-            self.next()
-            left = ctors[1](left, self._negation(ctors, atom))
-        return left
-
-    def _negation(self, ctors, atom):
-        if self.peek().kind == "!":
-            self.next()
-            return ctors[0](self._negation(ctors, atom))
-        return atom()
-
-    def relation_or_group(self, operand, rel, formula, what: str):
-        """`operand rop operand` (backtracking on failure), else `(formula)`."""
-        tok = self.peek()
-        save = self.pos
-        try:
-            left = operand()
-            op = self.peek().kind
-            if op not in ROPS:
-                self.fail("expected a relation")
-            self.next()
-            return rel(op, left, operand())
-        except ParseError:
-            self.pos = save
-        if tok.kind == "(":
-            self.next()
-            f = formula()
+        while ops[-1][0] >= 0:
+            reduce(ops.pop())
+        self.pos = pos
+        if len(ops) > 1:
             self.expect(")")
-            return f
-        self.fail(f"expected a {what}, found {tok.text or 'end of input'!r}")
+        if formula and not isinstance(vals[0], sort):
+            self.fail_sort(flavor, pos)
+        return vals[0]
 
-    # -- arithmetic over integers
+    def fail_sort(self, flavor: _Flavor, at: int):
+        """An operand where a formula must be: always inside a relation."""
+        self.fail(f"expected a {flavor.what}, found {self.found(at)}", at)
 
-    def aexp(self) -> "ABin | IntConst | ProgVar | LogVar":
-        return self.sums(_INT_SUMS, self.aprim)
+    def arith_atom(self):
+        kind, word = self.kinds[self.pos], self.words[self.pos]
+        if word == "P":
+            self.fail("'P' is reserved for the probability operator")
+        if kind not in ("INT", "IDENT", "LIDENT"):
+            self.fail(f"expected an arithmetic expression, found {self.found(self.pos)}")
+        self.pos += 1
+        node = self.atoms[word] = (IntConst(int(word)) if kind == "INT" else
+                                   ProgVar(word) if kind == "IDENT" else LogVar(word))
+        return node
 
-    def aprim(self):
-        tok = self.peek()
-        if tok.kind == "INT":
+    def real_atom(self) -> RealExpr:
+        kind = self.kind()
+        if kind == "INT":
+            return RatConst(self.frac())
+        if kind == "@":
             self.next()
-            return IntConst(int(tok.text))
-        if tok.kind == "IDENT":
-            if tok.text == "P":
-                self.fail("'P' is reserved for the probability operator")
-            self.next()
-            return ProgVar(tok.text)
-        if tok.kind == "LIDENT":
-            self.next()
-            return LogVar(tok.text)
-        if tok.kind == "(":
-            self.next()
-            e = self.aexp()
-            self.expect(")")
-            return e
-        self.fail(f"expected an arithmetic expression, found {tok.text or 'end of input'!r}")
-
-    # -- deterministic formulas
-
-    def detf(self) -> Formula:
-        return self.connectives(_DET_CONNECTIVES, self.datom)
-
-    def datom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind in ("true", "false"):
-            self.next()
-            return TRUE if tok.kind == "true" else FALSE
-        if tok.kind == "forall":
-            self.next()
-            name = self.expect("LIDENT").text
-            self.expect(".")
-            return Forall(name, self.detf())
-        return self.relation_or_group(self.aexp, Rel, self.detf, "formula")
+            return RealVar(self.expect("LIDENT"))
+        if kind != "IDENT" or self.words[self.pos] != "P":
+            self.fail(f"expected a real expression, found {self.found(self.pos)}")
+        self.next()
+        self.expect("(")
+        f = self.expression(_DET, True)
+        self.expect(")")
+        return Prob(f)
 
     # -- commands
+
+    def cmd_until(self, end: Optional[int]) -> Command:
+        """`cmd()` of a command that should end right before token `end`.
+        With a memo, a command text read before is not read again.  One with
+        a `[p]` choice is not kept, as its flag's name depends on the whole
+        text; nor is one read after a warning, which must not go unrepeated."""
+        start = self.pos
+        if end is None or self.memo is None or "[" in self.kinds[start:end]:
+            return self.cmd()
+        key = (None, " ".join(self.words[start:end]))
+        c = self.memo.get(key)
+        if c is not None:
+            self.pos = end
+            return c
+        c = self.cmd()
+        if self.pos == end and not self.warned:
+            self.memo[key] = c
+        return c
+
+    def block(self) -> Command:
+        self.expect("{")
+        c = self.cmd_until(None if self.memo is None else self.closing(self.pos - 1))
+        self.expect("}")
+        return c
 
     def cmd(self) -> Command:
         # a `;` chain is read in a loop and folded to the right, so its
         # length is not bounded by the recursion limit
         parts = [self.choice()]
-        while self.peek().kind == ";":
+        while self.kind() == ";":
             self.next()
             parts.append(self.choice())
         out = parts.pop()
@@ -322,7 +466,7 @@ class _Parser:
 
     def choice(self) -> Command:
         left = self.prim_cmd()
-        while self.peek().kind == "[":
+        while self.kind() == "[":
             self.next()
             p = self.frac()
             if not (0 <= p <= 1):
@@ -340,167 +484,144 @@ class _Parser:
         return Seq(toss, branch)
 
     def prim_cmd(self) -> Command:
-        tok = self.peek()
-        if tok.kind == "skip":
+        at = self.pos
+        kind = self.kinds[at]
+        if kind == "skip":
             self.next()
             return Skip()
-        if tok.kind == "if":
+        if kind == "if":
             self.next()
-            g = self.detf()
+            g = self.expression(_DET, True)
             self.expect("then")
-            self.expect("{")
-            then_branch = self.cmd()
-            self.expect("}")
+            then_branch = self.block()
             self.expect("else")
-            self.expect("{")
-            else_branch = self.cmd()
-            self.expect("}")
-            return self._guarded(tok, If, g, then_branch, else_branch)
-        if tok.kind == "while":
+            return self._guarded(at, If, g, then_branch, self.block())
+        if kind == "while":
             self.next()
-            g = self.detf()
+            g = self.expression(_DET, True)
             self.expect("do")
-            self.expect("{")
-            body = self.cmd()
-            self.expect("}")
-            return self._guarded(tok, While, g, body)
-        if tok.kind == "(":
+            return self._guarded(at, While, g, self.block())
+        if kind == "(":
             self.next()
             c = self.cmd()
             self.expect(")")
             return c
-        if tok.kind == "IDENT":
-            if tok.text == "P":
+        if kind == "IDENT":
+            name = self.words[at]
+            if name == "P":
                 self.fail("'P' is reserved for the probability operator")
             self.next()
-            op = self.peek()
-            if op.kind == ":=":
+            if self.kind() == ":=":
                 self.next()
-                return Assign(tok.text, self.aexp())
-            if op.kind == ":=$":
+                return Assign(name, self.expression(_DET, False))
+            if self.kind() == ":=$":
                 self.next()
-                return RandAssign(tok.text, self.dist_literal())
+                return RandAssign(name, self.dist_literal())
             self.fail("expected ':=' or ':=$' after variable")
-        self.fail(f"expected a command, found {tok.text or 'end of input'!r}")
+        self.fail(f"expected a command, found {self.found(at)}")
 
-    @staticmethod
-    def _guarded(tok: Token, ctor, *fields) -> Command:
-        """An If or While; the node's own guard check is reported at tok."""
+    def _guarded(self, at: int, ctor, *fields) -> Command:
+        """An If or While; the node's own guard check is reported at its keyword."""
         try:
             return ctor(*fields)
         except ValueError as err:
-            raise ParseError(str(err), tok.line, tok.col) from None
+            raise ParseError(str(err), *self.where(at)) from None
 
     def dist_literal(self) -> DistSpec:
-        open_tok = self.expect("{")
+        open_at = self.pos
+        self.expect("{")
         pairs: list[tuple[Fraction, int]] = []
         while True:
             w = self.frac()
             self.expect(":")
             pairs.append((w, self.signed_int()))
-            if self.peek().kind != ",":
+            if self.kind() != ",":
                 break
             self.next()
         self.expect("}")
         values = [v for _, v in pairs]
         if len(set(values)) != len(values):
+            self.warned = True
             warnings.warn("duplicate values in distribution literal merged",
-                          ParserWarning, stacklevel=4)
+                          ParserWarning, stacklevel=_caller_level())
         total = sum(w for w, _ in pairs)
         if total != 1:  # frac() is never negative, so no weight exceeds 1
             raise ParseError(f"distribution weights sum to {total}, expected 1",
-                             open_tok.line, open_tok.col)
+                             *self.where(open_at))
         return DistSpec.make(pairs)
 
-    # -- real expressions and probabilistic formulas
 
-    def rexp(self) -> RealExpr:
-        return self.sums(_REAL_SUMS, self.rprim)
-
-    def rprim(self) -> RealExpr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            return RatConst(self.frac())
-        if tok.kind == "@":
-            self.next()
-            return RealVar(self.expect("LIDENT").text)
-        if tok.kind == "IDENT" and tok.text == "P":
-            self.next()
-            self.expect("(")
-            f = self.detf()
-            self.expect(")")
-            return Prob(f)
-        if tok.kind == "(":
-            self.next()
-            r = self.rexp()
-            self.expect(")")
-            return r
-        self.fail(f"expected a real expression, found {tok.text or 'end of input'!r}")
-
-    def probf(self) -> ProbFormula:
-        return self.connectives(_PROB_CONNECTIVES, self.patom)
-
-    def patom(self) -> ProbFormula:
-        tok = self.peek()
-        if tok.kind in ("true", "false"):
-            self.next()
-            return PTRUE if tok.kind == "true" else PFALSE
-        return self.relation_or_group(self.rexp, PRel, self.probf,
-                                      "probabilistic formula")
+def _caller_level() -> int:
+    """The `stacklevel` that names the first frame outside this module, as
+    seen from the function that calls this one."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 
 
-def _run(text: str, production: str):
-    p = _Parser(tokenize(text))
-    result = getattr(p, production)()
+def _parser(text: str, memo: Optional[dict] = None) -> _Parser:
+    """A parser of the kinds and the texts of the tokens of `text`; the
+    tokens' positions are worked out only to report an error."""
+    words = _TOKEN_RE.findall(text)
+    kinds = [_KINDS.get(word) or _FIRST.get(word[0]) for word in words]
+    if None in kinds or ("." in text and any(len(w) > 1 and "." in w for w in words)):
+        tokenize(text)  # raises the first error, at its position
+    return _Parser(kinds + ["EOF"], words + [""], lambda at: tokenize(text)[at][2:], memo)
+
+
+def _run(text: str, read: Callable, *args):
+    p = _parser(text)
+    result = read(p, *args)
     if not p.at_end():
-        p.fail(f"unexpected trailing input {p.peek().text!r}")
+        p.fail(f"unexpected trailing input {p.found(p.pos)}")
     return result
 
 
 def parse_command(text: str) -> Command:
-    return _run(text, "cmd")
+    return _run(text, _Parser.cmd)
 
 
 def parse_arith(text: str):
-    return _run(text, "aexp")
+    return _run(text, _Parser.expression, _DET, False)
 
 
 def parse_det_formula(text: str) -> Formula:
-    return _run(text, "detf")
+    return _run(text, _Parser.expression, _DET, True)
 
 
 def parse_real_expr(text: str) -> RealExpr:
-    return _run(text, "rexp")
+    return _run(text, _Parser.expression, _PROB, False)
 
 
 def parse_prob_formula(text: str) -> ProbFormula:
-    return _run(text, "probf")
+    return _run(text, _Parser.expression, _PROB, True)
 
 
 def parse_state(text: str) -> State:
     """Parse a store literal like 'X=0, Y=-3' (empty text gives the empty store)."""
-    p = _Parser(tokenize(text))
+    p = _parser(text)
     out: dict[str, int] = {}
     if not p.at_end():
         while True:
-            tok = p.expect("IDENT")
-            name = tok.text
+            at = p.pos
+            name = p.expect("IDENT")
             if name == "P":
                 raise ParseError("'P' is reserved for the probability operator",
-                                 tok.line, tok.col)
+                                 *p.where(at))
             if name in out:
-                raise ParseError(f"variable {name} is bound twice", tok.line, tok.col)
+                raise ParseError(f"variable {name} is bound twice", *p.where(at))
             p.expect("=")
             out[name] = p.signed_int()
-            if p.peek().kind != ",":
+            if p.kind() != ",":
                 break
             p.next()
         if not p.at_end():
-            p.fail(f"unexpected trailing input {p.peek().text!r}")
+            p.fail(f"unexpected trailing input {p.found(p.pos)}")
     return State.make(out)
 
 
@@ -517,41 +638,42 @@ class SourceTriple:
         return f"{{ {self.pre} }} {self.command} {{ {self.post} }}"
 
 
-def _formula_region(tokens: list[Token], start: int) -> int:
+def _formula_region(p: _Parser, start: int) -> int:
     """Index of the '}' closing a formula region (formulas contain no braces)."""
-    for i in range(start, len(tokens)):
-        if tokens[i].kind == "}":
-            return i
-        if tokens[i].kind in ("{", "EOF"):
-            break
-    tok = tokens[start - 1]
-    raise ParseError("unterminated assertion", tok.line, tok.col)
+    kinds = p.kinds
+    end = kinds.index("}", start) if "}" in kinds[start:] else len(kinds)
+    if end == len(kinds) or "{" in kinds[start:end]:
+        raise ParseError("unterminated assertion", *p.where(start - 1))
+    return end
 
 
-def _looks_probabilistic(tokens: list[Token]) -> bool:
+def _looks_probabilistic(p: _Parser, lo: int, hi: int) -> bool:
     """Textual flavor cue: P(...), an @-variable, or a fraction literal."""
-    for i, t in enumerate(tokens):
-        if t.kind in ("@", "/"):
-            return True
-        if (t.kind == "IDENT" and t.text == "P"
-                and i + 1 < len(tokens) and tokens[i + 1].kind == "("):
-            return True
-    return False
+    kinds, words = p.kinds[lo:hi], p.words[lo:hi]
+    return ("@" in kinds or "/" in kinds or "P" in words and any(
+        w == "P" and p.kinds[lo + i + 1] == "(" for i, w in enumerate(words)))
 
 
-def _parse_assertion(tokens: list[Token], prob: bool, side: str):
-    p = _Parser(tokens + [Token("EOF", "", 0, 0)])
-    production = "probf" if prob else "detf"
-    try:
-        result = getattr(p, production)()
-        if not p.at_end():
-            p.fail(f"unexpected trailing input {p.peek().text!r}")
+def _parse_assertion(p: _Parser, lo: int, hi: int, prob: bool, side: str):
+    """Tokens lo:hi of the triple that `p` reads, as an assertion of a flavor."""
+    def read(in_prob: bool):
+        # the assertion ends in an EOF of its own, which has no position
+        q = _Parser(p.kinds[lo:hi] + ["EOF"], p.words[lo:hi] + [""],
+                    lambda at: p.where(lo + at) if at < hi - lo else (0, 0), p.memo)
+        result = q.expression(_PROB if in_prob else _DET, True)
+        if not q.at_end():
+            q.fail(f"unexpected trailing input {q.found(q.pos)}")
         return result
+
+    key = (prob, " ".join(p.words[lo:hi]))
+    if p.memo is not None and key in p.memo:
+        return p.memo[key]
+    try:
+        result = read(prob)
     except ParseError as err:
-        other = _Parser(tokens + [Token("EOF", "", 0, 0)])
         try:
-            getattr(other, "detf" if prob else "probf")()
-            parses_other = other.at_end()
+            read(not prob)
+            parses_other = True
         except ParseError:
             parses_other = False
         if parses_other:
@@ -560,27 +682,35 @@ def _parse_assertion(tokens: list[Token], prob: bool, side: str):
                 f"{'deterministic' if prob else 'probabilistic'} "
                 f"but the other side is not") from None
         raise err
+    if p.memo is not None:
+        p.memo[key] = result
+    return result
 
 
-def parse_triple(text: str) -> SourceTriple:
-    tokens = tokenize(text)
-    if tokens[0].kind != "{":
-        raise ParseError("a triple starts with '{'", tokens[0].line, tokens[0].col)
-    close_pre = _formula_region(tokens, 1)
-    pre_toks = tokens[1:close_pre]
+def parse_triple(text: str, memo: Optional[dict] = None) -> SourceTriple:
+    """Parse `{ pre } C { post }`.  Calls that share a `memo` dict share
+    their work: each distinct assertion, command and parenthesized formula
+    in them is read once.  Its keys are (flavor, text) for a formula (True
+    for probabilistic), (None, text) for a command, and the text of a number
+    or a variable.  `derivation_from_json` shares one over a derivation."""
+    p = _parser(text, memo)
+    kinds = p.kinds
+    if kinds[0] != "{":
+        raise ParseError("a triple starts with '{'", *p.where(0))
+    close_pre = _formula_region(p, 1)
+    p.pos = close_pre + 1
+    # a well-formed triple's command ends at its last '{'
+    command = p.cmd_until(len(kinds) - 1 - kinds[::-1].index("{") if memo is not None else None)
+    open_post = p.pos
+    p.expect("{")
+    close_post = _formula_region(p, p.pos)
+    p.pos = close_post
+    p.expect("}")
+    if not p.at_end():
+        p.fail(f"unexpected trailing input {p.found(p.pos)}")
 
-    body = _Parser(tokens)
-    body.pos = close_pre + 1
-    command = body.cmd()
-    body.expect("{")
-    close_post = _formula_region(tokens, body.pos)
-    post_toks = tokens[body.pos:close_post]
-    body.pos = close_post
-    body.expect("}")
-    if not body.at_end():
-        body.fail(f"unexpected trailing input {body.peek().text!r}")
-
-    prob = _looks_probabilistic(pre_toks) or _looks_probabilistic(post_toks)
-    pre = _parse_assertion(pre_toks, prob, "pre")
-    post = _parse_assertion(post_toks, prob, "post")
+    prob = (_looks_probabilistic(p, 1, close_pre)
+            or _looks_probabilistic(p, open_post + 1, close_post))
+    pre = _parse_assertion(p, 1, close_pre, prob, "pre")
+    post = _parse_assertion(p, open_post + 1, close_post, prob, "post")
     return SourceTriple(pre, command, post, prob)

@@ -62,20 +62,32 @@ class Derivation:
 
 
 def derivation_from_json(data) -> Derivation:
+    """Read a derivation.  Its triples and side formulas share one parse
+    memo (see `parse_triple`), so each distinct text in it is parsed once."""
+    return _from_json(data, {})
+
+
+def _from_json(data, memo: dict) -> Derivation:
     if not isinstance(data, dict):
         raise ValueError("derivation node must be a JSON object")
     try:
         rule = str(data["rule"]).upper()
-        conclusion = parse_triple(str(data["conclusion"]))
+        conclusion = parse_triple(str(data["conclusion"]), memo)
     except KeyError as missing:
         raise ValueError(f"derivation node lacks {missing}") from None
     premises, side = data.get("premises", []), data.get("side", [])
     if not (isinstance(premises, list) and isinstance(side, list)):
         raise ValueError("derivation premises and side conditions must be JSON lists")
     parse_side = parse_prob_formula if conclusion.prob else parse_det_formula
+    formulas = []
+    for s in side:
+        key = (conclusion.prob, str(s))
+        if key not in memo:
+            memo[key] = parse_side(key[1])
+        formulas.append(memo[key])
     return Derivation(rule, conclusion,
-                      tuple(derivation_from_json(p) for p in premises),
-                      tuple(parse_side(str(s)) for s in side))
+                      tuple(_from_json(p, memo) for p in premises),
+                      tuple(formulas))
 
 
 def derivation_to_json(d: Derivation) -> dict:

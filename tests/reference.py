@@ -20,13 +20,19 @@ against them:
 - `check_derivation_unshared` checks a derivation one node at a time, with
   no memo scope spanning two nodes and a window that rebuilds its states
   on every call, the verdict `proofsys.check_derivation` reproduces with
-  one scope for the whole derivation.
+  one scope for the whole derivation;
+- `ReferenceParser` reads expressions by recursive descent, one method per
+  precedence level, and reads a parenthesized relation by trying an
+  operand first and backtracking on failure; `phl.parser` reads the same
+  text in one operator-precedence loop without backtracking, to the same
+  node or the same error.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -34,10 +40,11 @@ from typing import Optional
 import gen
 from phl.assertions import DistFamily, StateWindow, check_valid_det, eval_real
 from phl.core import (
-    And, Assign, Command, EMPTY_INTERP, Formula, If, Implies, IntConst, Not,
-    Or, PRel, Prob, ProbFormula, RandAssign, RatConst, RealExpr, RBin, Seq,
-    Skip, State, SubDistribution, While, and_all, memo_scoped, real_sum,
-    subst_prog_var,
+    ABin, And, Assign, Command, DistSpec, EMPTY_INTERP, FALSE, Forall,
+    Formula, If, Implies, IntConst, LogVar, Not, Or, PAnd, PFALSE, PImplies,
+    PNot, POr, PRel, PTRUE, Prob, ProbFormula, ProgVar, RandAssign, RatConst,
+    RealExpr, RealVar, RBin, Rel, ROPS, Seq, Skip, State, SubDistribution, TRUE,
+    While, and_all, memo_scoped, real_sum, subst_prog_var,
 )
 from phl.proofsys import (
     DET_RULES, PROB_RULES, Derivation, DerivationVerdict, _check_node,
@@ -47,6 +54,7 @@ from phl.semantics import (
     DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, ExecResult, _Batch, _column, _split,
     execute,
 )
+from phl.parser import ParseError, ParserWarning, Token, tokenize
 from phl.preterm import DEFAULT_DEPTH, WhileExpansion, pt
 from phl.wp import (
     DEFAULT_UNROLL, check_triple_det, default_window, pas_precondition, wp,
@@ -352,3 +360,342 @@ def check_derivation_unshared(d: Derivation, window: Optional[StateWindow] = Non
 
     visit(d, "root")
     return DerivationVerdict(not failures, scope, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent parser: one method per precedence level, and a
+# parenthesized relation read by backtracking.
+
+# the constructors each flavor hands to the shared towers
+_INT_SUMS = (ABin, IntConst, 0)
+_REAL_SUMS = (RBin, RatConst, Fraction(0))
+_DET_CONNECTIVES = (Not, And, Or, Implies)
+_PROB_CONNECTIVES = (PNot, PAnd, POr, PImplies)
+
+
+class ReferenceParser:
+    def __init__(self, tokens: list[Token]):
+        self.toks = tokens
+        self.pos = 0
+        used = {t.text for t in tokens if t.kind == "IDENT"}
+        self._fresh_iter = (f"_F{i}" for i in range(len(used) + len(tokens) + 1))
+        self._used = used
+
+    # -- token plumbing
+
+    def peek(self) -> Token:
+        return self.toks[self.pos]  # next() never moves past the final EOF
+
+    def next(self) -> Token:
+        tok = self.toks[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
+                             tok.line, tok.col)
+        return self.next()
+
+    def at_end(self) -> bool:
+        return self.peek().kind == "EOF"
+
+    def fail(self, message: str):
+        tok = self.peek()
+        raise ParseError(message, tok.line, tok.col)
+
+    def _fresh_var(self) -> str:
+        for name in self._fresh_iter:
+            if name not in self._used:
+                self._used.add(name)
+                return name
+        raise AssertionError("fresh variable pool exhausted")
+
+    # -- numbers
+
+    def frac(self) -> Fraction:
+        num = int(self.expect("INT").text)
+        if self.peek().kind == "/":
+            self.next()
+            den_tok = self.expect("INT")
+            den = int(den_tok.text)
+            if den == 0:
+                raise ParseError("zero denominator", den_tok.line, den_tok.col)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def signed_int(self) -> int:
+        if self.peek().kind == "-":
+            self.next()
+            return -int(self.expect("INT").text)
+        return int(self.expect("INT").text)
+
+    # -- SUMS, CONN and REL: the levels both flavors share
+
+    def sums(self, ctors, prim):
+        """`+`/`-` over `*` over unary `-` over prim, all left-associative."""
+        left = self._product(ctors, prim)
+        while self.peek().kind in ("+", "-"):
+            op = self.next().kind
+            left = ctors[0](op, left, self._product(ctors, prim))
+        return left
+
+    def _product(self, ctors, prim):
+        left = self._minus(ctors, prim)
+        while self.peek().kind == "*":
+            self.next()
+            left = ctors[0]("*", left, self._minus(ctors, prim))
+        return left
+
+    def _minus(self, ctors, prim):
+        if self.peek().kind == "-":
+            self.next()
+            body = self._minus(ctors, prim)
+            binop, const, zero = ctors
+            if isinstance(body, const):  # a negated constant folds into it
+                return const(-body.value)
+            return binop("-", const(zero), body)
+        return prim()
+
+    def connectives(self, ctors, atom):
+        """`->` (right-associative) over `||` over `&&` over `!` over atom."""
+        left = self._disjunction(ctors, atom)
+        if self.peek().kind == "->":
+            self.next()
+            return ctors[3](left, self.connectives(ctors, atom))
+        return left
+
+    def _disjunction(self, ctors, atom):
+        left = self._conjunction(ctors, atom)
+        while self.peek().kind == "||":
+            self.next()
+            left = ctors[2](left, self._conjunction(ctors, atom))
+        return left
+
+    def _conjunction(self, ctors, atom):
+        left = self._negation(ctors, atom)
+        while self.peek().kind == "&&":
+            self.next()
+            left = ctors[1](left, self._negation(ctors, atom))
+        return left
+
+    def _negation(self, ctors, atom):
+        if self.peek().kind == "!":
+            self.next()
+            return ctors[0](self._negation(ctors, atom))
+        return atom()
+
+    def relation_or_group(self, operand, rel, formula, what: str):
+        """`operand rop operand` (backtracking on failure), else `(formula)`."""
+        tok = self.peek()
+        save = self.pos
+        try:
+            left = operand()
+            op = self.peek().kind
+            if op not in ROPS:
+                self.fail("expected a relation")
+            self.next()
+            return rel(op, left, operand())
+        except ParseError:
+            self.pos = save
+        if tok.kind == "(":
+            self.next()
+            f = formula()
+            self.expect(")")
+            return f
+        self.fail(f"expected a {what}, found {tok.text or 'end of input'!r}")
+
+    # -- arithmetic over integers
+
+    def aexp(self) -> "ABin | IntConst | ProgVar | LogVar":
+        return self.sums(_INT_SUMS, self.aprim)
+
+    def aprim(self):
+        tok = self.peek()
+        if tok.kind == "INT":
+            self.next()
+            return IntConst(int(tok.text))
+        if tok.kind == "IDENT":
+            if tok.text == "P":
+                self.fail("'P' is reserved for the probability operator")
+            self.next()
+            return ProgVar(tok.text)
+        if tok.kind == "LIDENT":
+            self.next()
+            return LogVar(tok.text)
+        if tok.kind == "(":
+            self.next()
+            e = self.aexp()
+            self.expect(")")
+            return e
+        self.fail(f"expected an arithmetic expression, found {tok.text or 'end of input'!r}")
+
+    # -- deterministic formulas
+
+    def detf(self) -> Formula:
+        return self.connectives(_DET_CONNECTIVES, self.datom)
+
+    def datom(self) -> Formula:
+        tok = self.peek()
+        if tok.kind in ("true", "false"):
+            self.next()
+            return TRUE if tok.kind == "true" else FALSE
+        if tok.kind == "forall":
+            self.next()
+            name = self.expect("LIDENT").text
+            self.expect(".")
+            return Forall(name, self.detf())
+        return self.relation_or_group(self.aexp, Rel, self.detf, "formula")
+
+    # -- commands
+
+    def cmd(self) -> Command:
+        # a `;` chain is read in a loop and folded to the right, so its
+        # length is not bounded by the recursion limit
+        parts = [self.choice()]
+        while self.peek().kind == ";":
+            self.next()
+            parts.append(self.choice())
+        out = parts.pop()
+        while parts:
+            out = Seq(parts.pop(), out)
+        return out
+
+    def choice(self) -> Command:
+        left = self.prim_cmd()
+        while self.peek().kind == "[":
+            self.next()
+            p = self.frac()
+            if not (0 <= p <= 1):
+                self.fail(f"choice probability {p} outside [0, 1]")
+            self.expect("]")
+            right = self.prim_cmd()
+            left = self._desugar_choice(left, p, right)
+        return left
+
+    def _desugar_choice(self, c1: Command, p: Fraction, c2: Command) -> Command:
+        flag = self._fresh_var()
+        dist = DistSpec.make([(p, 0), (1 - p, 1)])
+        toss = RandAssign(flag, dist)
+        branch = If(Rel("=", ProgVar(flag), IntConst(0)), c1, c2)
+        return Seq(toss, branch)
+
+    def prim_cmd(self) -> Command:
+        tok = self.peek()
+        if tok.kind == "skip":
+            self.next()
+            return Skip()
+        if tok.kind == "if":
+            self.next()
+            g = self.detf()
+            self.expect("then")
+            self.expect("{")
+            then_branch = self.cmd()
+            self.expect("}")
+            self.expect("else")
+            self.expect("{")
+            else_branch = self.cmd()
+            self.expect("}")
+            return self._guarded(tok, If, g, then_branch, else_branch)
+        if tok.kind == "while":
+            self.next()
+            g = self.detf()
+            self.expect("do")
+            self.expect("{")
+            body = self.cmd()
+            self.expect("}")
+            return self._guarded(tok, While, g, body)
+        if tok.kind == "(":
+            self.next()
+            c = self.cmd()
+            self.expect(")")
+            return c
+        if tok.kind == "IDENT":
+            if tok.text == "P":
+                self.fail("'P' is reserved for the probability operator")
+            self.next()
+            op = self.peek()
+            if op.kind == ":=":
+                self.next()
+                return Assign(tok.text, self.aexp())
+            if op.kind == ":=$":
+                self.next()
+                return RandAssign(tok.text, self.dist_literal())
+            self.fail("expected ':=' or ':=$' after variable")
+        self.fail(f"expected a command, found {tok.text or 'end of input'!r}")
+
+    @staticmethod
+    def _guarded(tok: Token, ctor, *fields) -> Command:
+        """An If or While; the node's own guard check is reported at tok."""
+        try:
+            return ctor(*fields)
+        except ValueError as err:
+            raise ParseError(str(err), tok.line, tok.col) from None
+
+    def dist_literal(self) -> DistSpec:
+        open_tok = self.expect("{")
+        pairs: list[tuple[Fraction, int]] = []
+        while True:
+            w = self.frac()
+            self.expect(":")
+            pairs.append((w, self.signed_int()))
+            if self.peek().kind != ",":
+                break
+            self.next()
+        self.expect("}")
+        values = [v for _, v in pairs]
+        if len(set(values)) != len(values):
+            warnings.warn("duplicate values in distribution literal merged",
+                          ParserWarning, stacklevel=4)
+        total = sum(w for w, _ in pairs)
+        if total != 1:  # frac() is never negative, so no weight exceeds 1
+            raise ParseError(f"distribution weights sum to {total}, expected 1",
+                             open_tok.line, open_tok.col)
+        return DistSpec.make(pairs)
+
+    # -- real expressions and probabilistic formulas
+
+    def rexp(self) -> RealExpr:
+        return self.sums(_REAL_SUMS, self.rprim)
+
+    def rprim(self) -> RealExpr:
+        tok = self.peek()
+        if tok.kind == "INT":
+            return RatConst(self.frac())
+        if tok.kind == "@":
+            self.next()
+            return RealVar(self.expect("LIDENT").text)
+        if tok.kind == "IDENT" and tok.text == "P":
+            self.next()
+            self.expect("(")
+            f = self.detf()
+            self.expect(")")
+            return Prob(f)
+        if tok.kind == "(":
+            self.next()
+            r = self.rexp()
+            self.expect(")")
+            return r
+        self.fail(f"expected a real expression, found {tok.text or 'end of input'!r}")
+
+    def probf(self) -> ProbFormula:
+        return self.connectives(_PROB_CONNECTIVES, self.patom)
+
+    def patom(self) -> ProbFormula:
+        tok = self.peek()
+        if tok.kind in ("true", "false"):
+            self.next()
+            return PTRUE if tok.kind == "true" else PFALSE
+        return self.relation_or_group(self.rexp, PRel, self.probf,
+                                      "probabilistic formula")
+
+
+def reference_parse(text: str, production: str):
+    """Read the whole text as `production`: aexp, detf, rexp, probf or cmd."""
+    p = ReferenceParser(tokenize(text))
+    result = getattr(p, production)()
+    if not p.at_end():
+        p.fail(f"unexpected trailing input {p.peek().text!r}")
+    return result

@@ -168,6 +168,13 @@ def quantified_formulas(draw):
     return gen_quantified_formula(_rng(draw(seeds)), draw(st.integers(0, 4)))
 
 
+# a term of any of the five families, in all the shapes the generators draw
+ANY_TERM = st.one_of(
+    aexprs(lv=("k",)), det_formulas(lv=("k",)), quantified_formulas(),
+    commands(loops=True), real_exprs(), open_real_exprs(),
+    prob_formulas(), prob_formulas(free=True))
+
+
 @st.composite
 def states(draw):
     items = {v: draw(st.integers(-2, 2)) for v in PV}

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import phl.core as core
 from phl.core import (
@@ -142,14 +141,8 @@ def assert_prints_as_reference(node):
 
 # ---------------------------------------------------------------------------
 
-ANY_TERM = st.one_of(
-    sts.aexprs(lv=("k",)), sts.det_formulas(lv=("k",)), sts.quantified_formulas(),
-    sts.commands(loops=True), sts.real_exprs(), sts.open_real_exprs(),
-    sts.prob_formulas(), sts.prob_formulas(free=True))
-
-
 class TestAgainstReference:
-    @given(ANY_TERM)
+    @given(sts.ANY_TERM)
     @settings(max_examples=400)
     def test_generated_terms(self, node):
         assert_prints_as_reference(node)
