@@ -174,7 +174,7 @@ class DistFamily:
 
     def states(self) -> list[State]:
         """Every state in some member's support, in first-seen order."""
-        return list(dict.fromkeys(s for _, d in self.members for s, _ in d.items()))
+        return list(dict.fromkeys(s for _, d in self.members for s in d.nums))
 
 
 # ---------------------------------------------------------------------------

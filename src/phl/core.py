@@ -2,8 +2,8 @@
 
 Programs act on integer stores; running a program turns a sub-distribution
 over stores into another one.  Total mass may drop below 1: the missing mass
-is the probability of non-termination.  Every weight is an exact
-`fractions.Fraction`; floats never appear.
+is the probability of non-termination.  Weights are integer numerators over
+one denominator, read out as exact `fractions.Fraction`s; floats never appear.
 
 Naming conventions shared with the concrete syntax: program variables start
 with an uppercase letter (leading underscores are reserved for generated
@@ -32,8 +32,9 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial, wraps
-from math import lcm
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Optional
+from itertools import chain
+from math import gcd, lcm
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 AOPS = ("+", "-", "*")
 ROPS = ("<", "<=", "=", ">=", ">")
@@ -500,103 +501,102 @@ class UnboundVariable(KeyError):
         return f"unbound variable {self.args[0]}" if self.args else "unbound variable"
 
 
-def _total(weights: Collection[Fraction]) -> Fraction:
-    """The sum of the weights: integer numerators over the lcm of the
-    denominators, made a Fraction once."""
-    if len(weights) < 2:
-        return next(iter(weights), _ZERO)
-    dens = [p.denominator for p in weights]
-    den = lcm(*dens)
-    return Fraction(sum([p.numerator * (den // d) for p, d in zip(weights, dens)]), den)
-
-
 class SubDistribution:
     """Finite-support sub-distribution over states (total mass <= 1).
 
-    Zero-weight entries are dropped on construction, so equality is plain
-    support-and-weight equality.
+    Integer numerators `nums` over one denominator `den`, the lcm of the
+    reduced weights' denominators (1 when empty): the interpreter's own form,
+    which equality and hash read.  Weights go in and come out as `Fraction`s.
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, entries: Mapping[State, Fraction] | Iterable[tuple[State, Fraction]] = ()):
-        probs: dict[State, Fraction] = {}
+        nums: dict[State, int] = {}
+        den = 1
         items = entries.items() if isinstance(entries, Mapping) else entries
         for state, p in items:
             if not isinstance(p, Fraction):
                 p = Fraction(p)
-            n = p.numerator
+            n, d = p.numerator, p.denominator
             if n < 0:
                 raise ValueError(f"negative probability {p} at {state}")
             if n == 0:
                 continue
-            q = probs.get(state)
-            probs[state] = p if q is None else q + p
-        total = _total(probs.values())
-        if total > 1:
-            raise ValueError(f"total mass {total} exceeds 1")
-        self._probs = probs
+            if den % d:
+                k = d // gcd(den, d)
+                den *= k
+                nums = {s: m * k for s, m in nums.items()}
+            n *= den // d
+            nums[state] = nums.get(state, 0) + n
+        g = gcd(den, *nums.values())  # repeated states can share a factor
+        if g > 1:
+            nums, den = {s: m // g for s, m in nums.items()}, den // g
+        total = sum(nums.values())
+        if total > den:
+            raise ValueError(f"total mass {Fraction(total, den)} exceeds 1")
+        self.nums, self.den = nums, den
+
+    @staticmethod
+    def of_weights(nums: dict[State, int], den: int) -> "SubDistribution":
+        """The distribution of positive numerators over den, unchecked: the
+        interpreter's maps, already reduced and of mass at most 1."""
+        d = object.__new__(SubDistribution)
+        d.nums, d.den = nums, den
+        return d
 
     @staticmethod
     def point(state: State) -> "SubDistribution":
-        return SubDistribution({state: Fraction(1)})
+        return SubDistribution.of_weights({state: 1}, 1)
 
     @staticmethod
     def zero() -> "SubDistribution":
-        return SubDistribution()
+        return SubDistribution.of_weights({}, 1)
 
     @property
     def mass(self) -> Fraction:
-        return _total(self._probs.values())
+        return Fraction(sum(self.nums.values()), self.den)
 
     def support(self) -> frozenset[State]:
-        return frozenset(self._probs)
+        return frozenset(self.nums)
 
     def get(self, state: State) -> Fraction:
-        return self._probs.get(state, Fraction(0))
+        return Fraction(self.nums.get(state, 0), self.den)
 
     def items(self) -> Iterator[tuple[State, Fraction]]:
-        return iter(self._probs.items())
+        den = self.den
+        return ((s, Fraction(n, den)) for s, n in self.nums.items())
 
     def scale(self, factor: Fraction) -> "SubDistribution":
         if factor < 0:
             raise ValueError("negative scale factor")
-        return SubDistribution({s: p * factor for s, p in self._probs.items()})
+        return SubDistribution((s, p * factor) for s, p in self.items())
 
     def __add__(self, other: "SubDistribution") -> "SubDistribution":
-        out = dict(self._probs)
-        for s, p in other._probs.items():
-            out[s] = out.get(s, Fraction(0)) + p
-        return SubDistribution(out)
+        return SubDistribution(chain(self.items(), other.items()))
 
     def project(self, names: Iterable[str]) -> "SubDistribution":
         """Marginalize onto the given variables."""
         keep = set(names)
-        out: dict[State, Fraction] = {}
-        for s, p in self._probs.items():
-            t = State.make({k: v for k, v in s.items if k in keep})
-            out[t] = out.get(t, Fraction(0)) + p
-        return SubDistribution(out)
+        return SubDistribution((State.make({k: v for k, v in s.items if k in keep}), p)
+                               for s, p in self.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SubDistribution):
             return NotImplemented
-        return self._probs == other._probs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self._probs.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __len__(self) -> int:
-        return len(self._probs)
+        return len(self.nums)
 
     def __bool__(self) -> bool:
-        return bool(self._probs)
+        return bool(self.nums)
 
     def __repr__(self) -> str:
-        body = " + ".join(
-            f"{p}*{s}" for s, p in sorted(self._probs.items())
-        )
-        return body or "0"
+        return " + ".join(f"{p}*{s}" for s, p in sorted(self.items())) or "0"
 
 
 def point_dist(state: State | Mapping[str, int]) -> SubDistribution:

@@ -657,12 +657,11 @@ def _looks_probabilistic(p: _Parser, lo: int, hi: int) -> bool:
 def _parse_assertion(p: _Parser, lo: int, hi: int, prob: bool, side: str):
     """Tokens lo:hi of the triple that `p` reads, as an assertion of a flavor."""
     def read(in_prob: bool):
-        # the assertion ends in an EOF of its own, which has no position
-        q = _Parser(p.kinds[lo:hi] + ["EOF"], p.words[lo:hi] + [""],
-                    lambda at: p.where(lo + at) if at < hi - lo else (0, 0), p.memo)
-        result = q.expression(_PROB if in_prob else _DET, True)
-        if not q.at_end():
-            q.fail(f"unexpected trailing input {q.found(q.pos)}")
+        # read in place: the expression stops at the '}' that closes it
+        p.pos, p.relation = lo, None  # a failed read may leave a relation open
+        result = p.expression(_PROB if in_prob else _DET, True)
+        if p.pos != hi:
+            p.fail(f"unexpected trailing input {p.found(p.pos)}")
         return result
 
     key = (prob, " ".join(p.words[lo:hi]))

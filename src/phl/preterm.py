@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .core import (
@@ -119,6 +120,7 @@ def pt(c: Command, r: RealExpr | ProbFormula, unroll: int = DEFAULT_UNROLL,
             return while_case(c, phi)
         raise TypeError(f"not a command: {c!r}")
 
+    @cache  # P terms that become one term before a loop share its expansion
     def while_case(loop: While, phi: Formula) -> RealExpr:
         guard, body = loop.guard, loop.body
 

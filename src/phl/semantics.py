@@ -15,10 +15,10 @@ of the supports).  `sat_det_batch` and `eval_batch` are its entry points;
 checker run one batch over their domain.  The answers, the first failing
 state or distribution and the `UnboundVariable` raised are those of
 evaluating one at a time, left to right with short-circuit connectives.
-The interpreter passes plain `{State: int}` weight maps between steps:
-integer numerators over one shared denominator, reduced after every step.
-`execute` converts its input to them once and makes the output's
-`Fraction`s once.
+A `SubDistribution` holds integer numerators over one reduced denominator.
+The interpreter passes those `{State: int}` maps between steps, reducing
+after each, so `execute` converts no weight; `P(phi)` sums numerators and
+makes one `Fraction` per distribution.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ DEFAULT_QWINDOW = (-8, 8)
 DEFAULT_LOOP_BOUND = 64
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +91,10 @@ class _Batch:
     not bind, the quantifier window and a column per distinct node.  Rows
     are states, with logical variables' values, or distributions, with real
     variables' values; a distribution is a list of (state's index in
-    `union`, weight) pairs, and `union` is the batch over the union of the
-    supports that decides the bodies of P(phi).  Program-variable columns do
-    not depend on the logical values, so the batches of a quantifier's body
-    share them with the enclosing one."""
+    `union`, numerator) pairs and its denominator, and `union` is the batch
+    over the union of the supports that decides the bodies of P(phi).
+    Program-variable columns do not depend on the logical values, so the
+    batches of a quantifier's body share them with the enclosing one."""
 
     __slots__ = ("rows", "values", "qwindow", "prog", "union", "memo")
 
@@ -178,17 +179,17 @@ def _forall(b: _Batch, n: Forall) -> list:
 
 
 def _prob(b: _Batch, n: Prob) -> list:
-    """Each distribution's mass on the states where the body holds; the
-    first of its support states to read an unbound variable stops its sum."""
+    """Each distribution's mass where the body holds (a point's 0 or 1 is
+    shared); the first support state to read an unbound variable stops it."""
     truth = _column(b.union, n.formula)
     out = []
-    for weights in b.rows:
+    for nums, den in b.rows:
         try:
-            held = [p for i, p in weights if truth[i]]
+            held = sum([m for i, m in nums if truth[i]])
         except UnboundVariable as unbound:
             out.append(_Unbound(unbound.args[0]))
             continue
-        out.append(sum(held[1:], held[0]) if held else _ZERO)  # one addition fewer
+        out.append(_ZERO if held == 0 else _ONE if held == den else Fraction(held, den))
     return out
 
 
@@ -228,8 +229,8 @@ def eval_batch(n: RealExpr | ProbFormula, dists: Sequence[SubDistribution],
     time would raise `UnboundVariable`, the entry raises it when read as a
     truth value."""
     index: dict[State, int] = {}  # the union of the supports, in first-seen order
-    rows = [[(index.setdefault(s, len(index)), p) for s, p in dist.items()]
-            for dist in dists]
+    rows = [([(index.setdefault(s, len(index)), m) for s, m in dist.nums.items()],
+             dist.den) for dist in dists]
     union = _Batch(list(index), interp.log, qwindow, {})
     return _column(_Batch(rows, interp.real, qwindow, None, union), n)
 
@@ -253,13 +254,13 @@ def sat_det_dist(f: Formula, dist: SubDistribution,
                  interp: Interpretation = EMPTY_INTERP,
                  qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
     """Every support state satisfies f, tested in insertion order."""
-    return all(sat_det_batch(f, [s for s, _ in dist.items()], interp, qwindow))
+    return all(sat_det_batch(f, list(dist.nums), interp, qwindow))
 
 
 def restrict(dist: SubDistribution, f: Formula,
              qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> SubDistribution:
     """Keep only the mass sitting on states that satisfy f."""
-    return SubDistribution(_split(dict(dist.items()), f, qwindow)[0])
+    return SubDistribution.of_weights(*_reduced(_split(dist.nums, f, qwindow)[0], dist.den))
 
 
 def _split(dist: dict, f: Formula,
@@ -294,20 +295,18 @@ def execute(c: Command, dist: SubDistribution,
     """
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
-    items = list(dist.items())
-    den = lcm(*(p.denominator for _, p in items))
-    weights = {s: p.numerator * (den // p.denominator) for s, p in items}
-    out, out_den, iters = _run(c, weights, den, loop_bound)
-    output = SubDistribution({s: Fraction(n, out_den) for s, n in out.items()})
-    residual = Fraction(sum(weights.values()) * out_den - sum(out.values()) * den,
+    nums, den = dist.nums, dist.den
+    out, out_den, iters = _run(c, nums, den, loop_bound)
+    residual = Fraction(sum(nums.values()) * out_den - sum(out.values()) * den,
                         den * out_den)
-    return ExecResult(output, residual, iters, residual == 0)
+    return ExecResult(SubDistribution.of_weights(out, out_den), residual, iters,
+                      residual == 0)
 
 
-# The interpreter's weight maps hold integer numerators over one shared
-# denominator, which travels beside the map.  Every map a step makes is
-# reduced by the gcd of its denominator and numerators, so its integers are
-# never larger than those of the reduced fractions.
+# The interpreter's weight maps are `SubDistribution.nums`, whose shared
+# denominator travels beside the map.  Every map a step makes is reduced by
+# the gcd of its denominator and numerators, as a `SubDistribution` is, so
+# its integers are never larger than those of the reduced fractions.
 
 Weights = dict[State, int]
 

@@ -165,6 +165,59 @@ class TestSubDistribution:
         assert 0 <= mu.mass <= 1
         assert all(p > 0 for _, p in mu.items())
 
+    def test_integer_form(self):
+        """Numerators over the lcm of the reduced weights' denominators;
+        repeated states are added before the form is reduced."""
+        s, t = State.make({"X": 0}), State.make({"X": 1})
+        mu = SubDistribution([(t, Fraction(1, 6)), (s, Fraction(1, 4)),
+                              (t, Fraction(1, 12))])
+        assert mu.nums == {t: 1, s: 1} and mu.den == 4
+        nu = SubDistribution({s: Fraction(1, 3), t: Fraction(1, 2)})
+        assert nu.nums == {s: 2, t: 3} and nu.den == 6
+        assert SubDistribution({s: 1}).den == 1
+
+    def test_items_are_fractions_in_insertion_order(self):
+        states = [State.make({"X": x}) for x in (3, -1, 0, 2)]
+        weights = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 10), Fraction(1, 5)]
+        mu = SubDistribution(zip(states, weights))
+        assert list(mu.items()) == list(zip(states, weights))
+        assert all(type(p) is Fraction for _, p in mu.items())
+        assert mu.get(states[1]) == Fraction(1, 3) and type(mu.get(states[1])) is Fraction
+        assert mu.get(State.make({"X": 9})) == 0
+        assert mu.mass == Fraction(4, 5) and type(mu.mass) is Fraction
+        assert repr(mu) == "1/3*{X=-1} + 1/10*{X=0} + 1/5*{X=2} + 1/6*{X=3}"
+
+    def test_empty_distributions_are_equal(self):
+        s = State.make({"X": 0})
+        empties = [SubDistribution(), SubDistribution.zero(),
+                   SubDistribution({s: Fraction(0)}),
+                   point_dist(s).scale(Fraction(0)),
+                   SubDistribution({s: Fraction(1, 3)}).project(["Y"]).scale(0)]
+        assert all(e == empties[0] and hash(e) == hash(empties[0]) for e in empties)
+        assert all(e.den == 1 and not e and e.mass == 0 for e in empties)
+        assert repr(empties[0]) == "0"
+
+    def test_rejections(self):
+        s, t = State.make({"X": 0}), State.make({"X": 1})
+        with pytest.raises(ValueError, match=r"^negative probability -1/3 at \{X=1\}$"):
+            SubDistribution({s: Fraction(1, 2), t: Fraction(-1, 3)})
+        with pytest.raises(ValueError, match=r"^total mass 31/30 exceeds 1$"):
+            SubDistribution({s: Fraction(2, 3), t: Fraction(11, 30)})
+        with pytest.raises(ValueError, match=r"^total mass 3/2 exceeds 1$"):
+            SubDistribution([(s, Fraction(3, 4)), (s, Fraction(3, 4))])
+        with pytest.raises(ValueError, match=r"^total mass 3/2 exceeds 1$"):
+            point_dist(s).scale(Fraction(3, 2))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            point_dist(s) + point_dist(t).scale(Fraction(1, 5))
+        with pytest.raises(ValueError, match="negative scale factor"):
+            point_dist(s).scale(Fraction(-1, 2))
+
+    @given(sts.subdists())
+    def test_rebuilt_from_items_is_equal(self, mu):
+        nu = SubDistribution(list(mu.items()))
+        assert nu == mu and hash(nu) == hash(mu)
+        assert nu.nums == mu.nums and list(nu.nums) == list(mu.nums)
+
 
 class TestSubstitution:
     def test_assignment_shape(self):

@@ -145,7 +145,7 @@ PINNED_ERRORS = [
      "triple mixes assertion flavors: precondition is deterministic but the other side is not"),
     (parse_triple, "{ X = 0 skip { X = 0 }", "1:1: unterminated assertion"),
     (parse_triple, "{ X = 0 } skip { X = 0 } skip", "1:26: unexpected trailing input 'skip'"),
-    (parse_triple, "{ (X = 0 } skip { X = 0 }", "expected ')', found 'end of input'"),
+    (parse_triple, "{ (X = 0 } skip { X = 0 }", "1:10: expected ')', found '}'"),
     (parse_triple, "{ X = 0 }\n  skip { (X + 1) }", "2:11: expected a formula, found 'X'"),
     (parse_triple, "{ P(X = 0) = 1 } skip { P(X = 0 }",
      "1:25: expected a probabilistic formula, found 'P'"),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 import gen
 from phl import core
-from phl.core import EMPTY_INTERP, PRel, RatConst, point_dist, to_source
+from phl.core import EMPTY_INTERP, PRel, RatConst, RBin, point_dist, to_source
 from phl.assertions import DistFamily, StateWindow, eval_real, sat_prob
 from phl.parser import (
     parse_command, parse_det_formula, parse_prob_formula, parse_real_expr,
@@ -209,6 +209,19 @@ class TestWpProb:
         assert f is want
         assert len(expansions) == 1 and len(oracle) == 2
         assert set(expansions) == set(oracle)
+
+    def test_terms_that_meet_before_a_loop_expand_it_once(self):
+        # P(Y = 1) and P(Y >= 1) both become P(true) before the loop
+        c = parse_command(COIN + "; Y := 1")
+        r = parse_real_expr("P(Y = 1) + P(Y >= 1)")
+        opts = dict(unroll=4, depth=2, window=StateWindow.make(("X", "Y", "_F0"), 0, 3))
+        term, expansions = pt(c, r, **opts)
+        alone = [pt(c, parse_real_expr(t), **opts)
+                 for t in ("P(Y = 1)", "P(Y >= 1)", "P(true)")]
+        assert len(expansions) == 1
+        assert [ex for _, exs in alone for ex in exs] == expansions * 3
+        assert term is core.normalize_real(RBin("+", alone[0][0], alone[1][0]))
+        assert alone[0][0] is alone[1][0]
 
     @given(sts.commands(loops=True), sts.shared_prob_formulas())
     @settings(deadline=None, max_examples=40)

@@ -16,7 +16,7 @@ from phl.core import (
     Interpretation, IntConst, LogVar, Not, Or, ProgVar, Rel, State,
     SubDistribution, UnboundVariable, point_dist,
 )
-from phl.parser import parse_command, parse_det_formula, parse_state
+from phl.parser import parse_command, parse_det_formula, parse_real_expr, parse_state
 from phl.semantics import (
     eval_arith, execute, restrict, sat_det, sat_det_batch, sat_det_dist,
 )
@@ -343,3 +343,69 @@ class TestIntegerWeights:
             SubDistribution({s: Fraction(2, 3), t: Fraction(2, 5)})
         mu = SubDistribution([(s, Fraction(1, 3)), (t, Fraction(0)), (s, Fraction(1, 5))])
         assert list(mu.items()) == [(s, Fraction(8, 15))] and mu.mass == Fraction(8, 15)
+
+
+class TestOneWeightForm:
+    """A sub-distribution holds the interpreter's own form, so one built
+    from `Fraction`s and one `execute` made are equal whenever their
+    weights are."""
+
+    def test_execute_reduces_to_a_point(self):
+        c = parse_command("X :=$ {1/2:0, 1/2:1}; X := 0")
+        out = execute(c, point_dist({"X": 5})).output
+        want = point_dist({"X": 0})
+        assert out == want and hash(out) == hash(want)
+        assert out.den == 1 and out.nums == {State.make({"X": 0}): 1}
+
+    def test_execute_equals_fractions_built(self):
+        c = parse_command("X :=$ {1/3:0, 2/3:1}")
+        out = execute(c, SubDistribution({State.make({"X": 5}): HALF})).output
+        want = SubDistribution({State.make({"X": 0}): Fraction(1, 6),
+                                State.make({"X": 1}): Fraction(1, 3)})
+        assert out == want and hash(out) == hash(want)
+        assert out.den == 6 and list(out.items()) == list(want.items())
+
+    def test_empty_output_equals_zero(self):
+        c = parse_command("while true do { X := X + 1 }")
+        res = execute(c, SubDistribution({State.make({"X": 0}): Fraction(1, 3)}), 4)
+        assert res.output == SubDistribution.zero() and res.output.den == 1
+        assert hash(res.output) == hash(SubDistribution())
+        assert res.residual_mass == Fraction(1, 3) and not res.exact
+        assert restrict(point_dist({"X": 0}), FALSE) == SubDistribution()
+
+    @given(st.one_of(sts.commands(loops=True), sts.coprime_commands()),
+           st.one_of(sts.subdists(), sts.coprime_subdists()),
+           st.integers(0, 6))
+    @settings(deadline=None, max_examples=100)
+    def test_equal_and_hash_alike_to_fraction_interpreter(self, c, mu, loop_bound):
+        try:
+            got = execute(c, mu, loop_bound).output
+        except UnboundVariable:
+            return
+        want = execute_fractions(c, mu, loop_bound).output
+        assert got == want and hash(got) == hash(want)
+        assert (got.nums, got.den) == (want.nums, want.den)
+
+    def test_prob_sums_numerators(self):
+        s, t = State.make({"X": 0}), State.make({"X": 1})
+        dists = [point_dist(s), point_dist(t), SubDistribution.zero(),
+                 SubDistribution({s: Fraction(1, 6), t: Fraction(1, 2)})]
+        got = semantics.eval_batch(parse_real_expr("P(X = 0)"), dists)
+        assert got == [1, 0, 0, Fraction(1, 6)]
+        assert all(type(v) is Fraction for v in got)
+        got = semantics.eval_batch(parse_real_expr("P(true)"), dists)
+        assert got == [1, 1, 0, Fraction(2, 3)]
+
+
+def test_readme_library_block():
+    """The README's Library example runs and gives the values its comments
+    state."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    res = scope["res"]
+    assert res.output.mass == Fraction(1048575, 1048576)
+    assert res.residual_mass == Fraction(1, 1048576)
+    assert not res.exact and res.iterations_used == 20
+    assert scope["pre"] is not None and scope["term"] is not None
