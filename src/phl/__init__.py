@@ -4,10 +4,10 @@ The pieces: an exact interpreter over finite sub-distributions
 (`semantics.execute`), weakest preconditions for deterministic assertions
 (`wp.wp`), weakest preterms and preconditions for probabilistic assertions
 (`preterm.pt`, which `preterm.wp_prob` also names), bounded validity and
-triple checking over finite test domains (`assertions`,
-`wp.check_triple_det`, `preterm.check_triple_prob`), and a proof
-derivation checker (`proofsys.check_derivation`).  All arithmetic is exact
-rational.
+triple checking with one checker over a state window or a distribution
+family (`assertions.check_valid` and `assertions.check_triple`), and a
+proof derivation checker (`proofsys.check_derivation`).  All arithmetic is
+exact rational.
 """
 
 from .core import (
@@ -28,11 +28,11 @@ from .semantics import (
     sat_det_dist,
 )
 from .assertions import (
-    DistFamily, StateWindow, ValidityVerdict, check_valid_det,
-    check_valid_prob, eval_real, prob_equivalent_on_family,
-    real_equivalent_on_family, sat_prob,
+    DistFamily, StateWindow, TripleVerdict, ValidityVerdict, check_triple,
+    check_valid, check_valid_det, check_valid_prob, eval_real,
+    prob_equivalent_on_family, real_equivalent_on_family, sat_prob,
 )
-from .wp import TripleVerdict, WpLoopTrace, check_triple_det, wp
+from .wp import WpLoopTrace, check_triple_det, wp
 from .preterm import WhileExpansion, check_triple_prob, cond_term, pt, wp_prob
 from .proofsys import (
     Derivation, DerivationVerdict, build_wp_derivation, check_derivation,

@@ -1,11 +1,12 @@
-"""Assertion semantics and bounded validity checking.
+"""Assertion semantics and bounded validity and triple checking.
 
 P(phi) evaluates to the exact probability mass of the states satisfying phi.
 Validity is never decided symbolically; it is checked over explicit finite
 test domains: a window of integer stores, a quantifier window, a family of
 sub-distributions, and a small grid of rational values for free real
 variables.  Verdicts carry their scope so "valid" always reads as "valid on
-this domain".
+this domain".  A window and a family are two domains that answer the same
+questions, so one `check_valid` and one `check_triple` serve both flavors.
 
 Each check decides a formula one node per domain, not one state at a time,
 through the one evaluator in `semantics`: under each interpretation, a
@@ -33,12 +34,12 @@ from operator import not_
 from typing import Iterable, Iterator, Optional
 
 from .core import (
-    Formula, Interpretation, EMPTY_INTERP, PAnd, PNot, POr, PRel,
+    Command, Formula, Interpretation, EMPTY_INTERP, PAnd, PNot, POr, PRel,
     ProbFormula, RealExpr, State, SubDistribution, format_fraction, log_vars,
     memo_table, parse_fraction, real_vars,
 )
 from .parser import ParseError, parse_state
-from .semantics import DEFAULT_QWINDOW, eval_batch, sat_det_batch
+from .semantics import DEFAULT_QWINDOW, eval_batch, execute, sat_det_batch, sat_det_dist
 
 DEFAULT_INT_WINDOW = (-8, 8)
 
@@ -102,6 +103,17 @@ class StateWindow:
         and quantifier window is decided once."""
         memo = memo_table("window", self, tuple(sorted(interp.log.items())), qwindow)
         return sat_det_batch(f, self.states(), interp, qwindow, memo)
+
+    # the domain questions `check_valid` and `check_triple` ask, as DistFamily's
+    witnesses = states
+    holds = staticmethod(sat_det_dist)
+
+    def input(self, i: int) -> SubDistribution:
+        return SubDistribution.point(self.states()[i])  # built on demand
+
+    @staticmethod
+    def interpretations(fs: tuple[Formula, ...], qwindow) -> Iterator[Interpretation]:
+        return interpretations(frozenset().union(*map(log_vars, fs)), qwindow)
 
     def __str__(self) -> str:
         parts = ", ".join(f"{n} in [{self.lo}, {self.hi}]" for n in self.names)
@@ -169,8 +181,24 @@ class DistFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def dists(self) -> list[SubDistribution]:
-        return [d for _, d in self.members]
+    def __str__(self) -> str:  # the domain questions, as StateWindow's
+        return self.description
+
+    def truth(self, f: ProbFormula, interp: Interpretation, qwindow) -> list:
+        return eval_batch(f, [d for _, d in self.members], interp, qwindow)
+
+    @staticmethod
+    def interpretations(fs: tuple[ProbFormula, ...], qwindow) -> Iterator[Interpretation]:
+        return interpretations(frozenset().union(*map(log_vars, fs)), qwindow,
+                               frozenset().union(*map(real_vars, fs)))
+
+    def witnesses(self) -> list[str]:
+        return [label for label, _ in self.members]
+
+    def input(self, i: int) -> SubDistribution:
+        return self.members[i][1]
+
+    holds = staticmethod(sat_prob)
 
     def states(self) -> list[State]:
         """Every state in some member's support, in first-seen order."""
@@ -194,35 +222,70 @@ class ValidityVerdict:
         return f"invalid on {self.scope}: falsified at {witness} under {interp}"
 
 
-def check_valid_det(f: Formula, window: StateWindow,
-                    qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
-    """Truth at every window state under every interpretation of free vars."""
-    scope = f"{window}, quantifiers over {list(qwindow)}"
-    states = window.states()
-    for interp in interpretations(log_vars(f), qwindow):
-        truth = window.truth(f, interp, qwindow)
-        witness = next(itertools.compress(states, map(not_, truth)), None)
-        if witness is not None:
+@dataclass(frozen=True)
+class TripleVerdict:
+    holds: bool
+    scope: str
+    counterexample: Optional[tuple] = None  # (witness, Interpretation)
+    inexact: bool = False
+    max_residual: Fraction = Fraction(0)
+
+    def __str__(self) -> str:
+        if self.holds:
+            out = f"holds on {self.scope}"
+        else:
+            witness, interp = self.counterexample
+            out = f"fails on {self.scope}: counterexample {witness} under {interp}"
+        if self.inexact:
+            out += (f" (loop truncation left residual mass up to "
+                    f"{self.max_residual}; verdict is up to that residual)")
+        return out
+
+
+def _scope(domain: StateWindow | DistFamily, qwindow: tuple[int, int]) -> str:
+    return f"{domain}, quantifiers over {list(qwindow)}"
+
+
+def check_valid(f: Formula | ProbFormula, domain: StateWindow | DistFamily,
+                qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
+    """Truth at every point of the domain under every interpretation."""
+    scope = _scope(domain, qwindow)
+    witnesses = domain.witnesses()
+    for interp in domain.interpretations((f,), qwindow):
+        truth = domain.truth(f, interp, qwindow)
+        for witness in itertools.compress(witnesses, map(not_, truth)):  # the first, if any
             return ValidityVerdict(False, scope, (witness, interp))
     return ValidityVerdict(True, scope)
 
 
-def _family_scope(family: DistFamily, qwindow: tuple[int, int]) -> str:
-    return f"{family.description}, quantifiers over {list(qwindow)}"
+def check_triple(pre: Formula | ProbFormula, c: Command, post: Formula | ProbFormula,
+                 domain: StateWindow | DistFamily, qwindow, loop_bound) -> TripleVerdict:
+    """Every domain point satisfying pre must, after running c, satisfy post."""
+    scope = f"{_scope(domain, qwindow)}, loop bound {loop_bound}"
+    worst = Fraction(0)  # the largest residual mass of a truncated run so far
+    witnesses = domain.witnesses()
+    for interp in domain.interpretations((pre, post), qwindow):
+        for i, ok in enumerate(domain.truth(pre, interp, qwindow)):
+            if not ok:
+                continue
+            res = execute(c, domain.input(i), loop_bound)
+            if not res.exact:  # its residual mass is positive
+                worst = max(worst, res.residual_mass)
+            if not domain.holds(post, res.output, interp, qwindow):
+                return TripleVerdict(False, scope, (witnesses[i], interp), worst > 0, worst)
+    return TripleVerdict(True, scope, None, worst > 0, worst)
+
+
+def check_valid_det(f: Formula, window: StateWindow,
+                    qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
+    """Truth at every window state under every interpretation of free vars."""
+    return check_valid(f, window, qwindow)
 
 
 def check_valid_prob(f: ProbFormula, family: DistFamily,
                      qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
     """Truth on every family member under every interpretation."""
-    scope = _family_scope(family, qwindow)
-    labels = [label for label, _ in family]
-    dists = family.dists()
-    for interp in interpretations(log_vars(f), qwindow, real_vars(f)):
-        truth = eval_batch(f, dists, interp, qwindow)
-        witness = next(itertools.compress(labels, map(not_, truth)), None)
-        if witness is not None:
-            return ValidityVerdict(False, scope, (witness, interp))
-    return ValidityVerdict(True, scope)
+    return check_valid(f, family, qwindow)
 
 
 def prob_equivalent_on_family(f: ProbFormula, g: ProbFormula, family: DistFamily,
@@ -232,7 +295,7 @@ def prob_equivalent_on_family(f: ProbFormula, g: ProbFormula, family: DistFamily
     matching): the validity of (f && g) || (!f && !g).  One formula (terms
     are hash-consed) is equivalent to itself, with nothing evaluated."""
     if f is g:
-        return ValidityVerdict(True, _family_scope(family, qwindow))
+        return ValidityVerdict(True, _scope(family, qwindow))
     return check_valid_prob(POr(PAnd(f, g), PAnd(PNot(f), PNot(g))), family, qwindow)
 
 
@@ -243,7 +306,7 @@ def real_equivalent_on_family(a: RealExpr, b: RealExpr, family: DistFamily,
     One expression (terms are hash-consed) is equivalent to itself, with
     nothing evaluated."""
     if a is b:
-        return ValidityVerdict(True, _family_scope(family, qwindow))
+        return ValidityVerdict(True, _scope(family, qwindow))
     return check_valid_prob(PRel("=", a, b), family, qwindow)
 
 

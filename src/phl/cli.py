@@ -28,9 +28,9 @@ from .parser import (
     parse_real_expr, parse_state, parse_triple, tokenize,
 )
 from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute
-from .assertions import DEFAULT_INT_WINDOW, DistFamily, StateWindow, load_dist
-from .wp import DEFAULT_UNROLL, check_triple_det, default_window, wp
-from .preterm import DEFAULT_DEPTH, check_triple_prob, pt
+from .assertions import DEFAULT_INT_WINDOW, DistFamily, StateWindow, check_triple, load_dist
+from .wp import DEFAULT_UNROLL, default_window, wp
+from .preterm import DEFAULT_DEPTH, pt
 from .proofsys import check_derivation, derivation_vars, load_derivation
 
 CONFIG_ENV = "PHL_CONFIG"
@@ -225,15 +225,12 @@ def cmd_check(args) -> Outcome:
     triple = parse_triple(args.triple)
     if args.dists is not None and not triple.prob:
         raise UsageError("check takes --dists only with a probabilistic triple")
-    window = _window(args, triple.command, triple.pre, triple.post)
+    domain = _window(args, triple.command, triple.pre, triple.post)
     if triple.prob:
         extra = [] if args.dists is None else [load_dist(args.dists)]
-        family = DistFamily.build(window, args.seed, extra=extra)
-        verdict = check_triple_prob(triple.pre, triple.command, triple.post,
-                                    family, args.quant_window, args.loop_bound)
-    else:
-        verdict = check_triple_det(triple.pre, triple.command, triple.post,
-                                   window, args.quant_window, args.loop_bound)
+        domain = DistFamily.build(domain, args.seed, extra=extra)
+    verdict = check_triple(triple.pre, triple.command, triple.post, domain,
+                           args.quant_window, args.loop_bound)
     payload = lambda: _triple_verdict_payload(verdict)
     return (0 if verdict.holds else 1), payload, [str(verdict)]
 

@@ -703,7 +703,10 @@ def dag_walk(root: Node, step: Callable, memo: Optional[dict] = None) -> object:
             got = memo[n] = step(n, go)
         return got
 
-    return go(root)
+    try:
+        return go(root)
+    finally:  # go refers to itself: break the cycle
+        del go
 
 
 def node_size(node: Node) -> int:

@@ -29,23 +29,18 @@ underapproximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Optional
 
 from .core import (
     And, Assign, Command, EMPTY_INTERP, Formula, If, IntConst, Not, Prob,
     ProbFormula, RandAssign, RatConst, RealExpr, RBin, Seq, Skip, TRUE, While,
-    dag_walk, log_vars, memo_scoped, memo_table, node_size, normalize_real,
-    real_sum, real_vars, simplify_formula, subst_prog_var,
+    dag_walk, memo_scoped, memo_table, node_size, normalize_real, real_sum,
+    simplify_formula, subst_prog_var,
 )
-from .semantics import (
-    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, eval_batch, execute,
-)
-from .assertions import DistFamily, StateWindow, interpretations, sat_prob
-from .wp import (
-    DEFAULT_UNROLL, TripleVerdict, default_window, wp,
-)
+from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW
+from .assertions import DistFamily, StateWindow, TripleVerdict, check_triple
+from .wp import DEFAULT_UNROLL, default_window, wp
 
 DEFAULT_DEPTH = 16
 TAIL_NODE_BUDGET = 20000
@@ -176,7 +171,10 @@ def pt(c: Command, r: RealExpr | ProbFormula, unroll: int = DEFAULT_UNROLL,
             exhaustive, window))
         return normalize_real(real_sum(tails))
 
-    return normalize_real(go(c, r)), expansions
+    try:
+        return normalize_real(go(c, r)), expansions
+    finally:  # the closures refer to each other: break the cycle
+        del go, prob_case, while_case
 
 
 # The paper defines WP(C, Phi) as Phi with each real expression r replaced by
@@ -191,20 +189,4 @@ def check_triple_prob(pre: ProbFormula, c: Command, post: ProbFormula,
                       loop_bound: int = DEFAULT_LOOP_BOUND) -> TripleVerdict:
     """Semantic triple check over a distribution family: every member
     satisfying pre must, after running c, satisfy post."""
-    lvars = log_vars(pre) | log_vars(post)
-    rvars = real_vars(pre) | real_vars(post)
-    scope = f"{family.description}, quantifiers over {list(qwindow)}, loop bound {loop_bound}"
-    inexact = False
-    worst = Fraction(0)
-    dists = family.dists()
-    for interp in interpretations(lvars, qwindow, rvars):
-        for (label, dist), ok in zip(family, eval_batch(pre, dists, interp, qwindow)):
-            if not ok:
-                continue
-            res = execute(c, dist, loop_bound)
-            if not res.exact:
-                inexact = True
-                worst = max(worst, res.residual_mass)
-            if not sat_prob(post, res.output, interp, qwindow):
-                return TripleVerdict(False, scope, (label, interp), inexact, worst)
-    return TripleVerdict(True, scope, None, inexact, worst)
+    return check_triple(pre, c, post, family, qwindow, loop_bound)

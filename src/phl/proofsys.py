@@ -138,7 +138,7 @@ def check_derivation(d: Derivation, window: Optional[StateWindow] = None,
         window = StateWindow.make(derivation_vars(d))
     if family is None and d.conclusion.prob:
         family = DistFamily.build(window, seed)
-    scope = str(family.description if d.conclusion.prob else window)
+    scope = str(family if d.conclusion.prob else window)
     failures: list[str] = []
 
     def visit(node: Derivation, path: str) -> None:
@@ -158,7 +158,10 @@ def check_derivation(d: Derivation, window: Optional[StateWindow] = None,
         for i, p in enumerate(node.premises):
             visit(p, f"{path}.premises[{i}]")
 
-    visit(d, "root")
+    try:
+        visit(d, "root")
+    finally:  # visit refers to itself: break the cycle
+        del visit
     return DerivationVerdict(not failures, scope, tuple(failures))
 
 

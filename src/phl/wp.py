@@ -12,19 +12,15 @@ decided exactly on a finite window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .core import (
     And, Assign, Command, Formula, If, IntConst, Node, Not, Or, RandAssign, Seq,
-    Skip, SubDistribution, TRUE, While, and_all, log_vars, memo_scoped,
-    prog_vars, simplify_formula, subst_prog_var,
+    Skip, TRUE, While, and_all, memo_scoped, prog_vars, simplify_formula, subst_prog_var,
 )
-from .semantics import (
-    DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, execute, sat_det_dist,
-)
-from .assertions import (
-    DEFAULT_INT_WINDOW, StateWindow, check_valid_det, interpretations,
+from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW
+from .assertions import (  # TripleVerdict is also read from here
+    DEFAULT_INT_WINDOW, StateWindow, TripleVerdict, check_triple, check_valid_det,
 )
 
 DEFAULT_UNROLL = 32
@@ -101,27 +97,10 @@ def wp(c: Command, post: Formula, unroll: int = DEFAULT_UNROLL,
             return simplify_formula(and_all(psis))
         raise TypeError(f"not a command: {c!r}")
 
-    return go(c, post), traces
-
-
-@dataclass(frozen=True)
-class TripleVerdict:
-    holds: bool
-    scope: str
-    counterexample: Optional[tuple] = None  # (witness, Interpretation)
-    inexact: bool = False
-    max_residual: Fraction = Fraction(0)
-
-    def __str__(self) -> str:
-        if self.holds:
-            out = f"holds on {self.scope}"
-        else:
-            witness, interp = self.counterexample
-            out = f"fails on {self.scope}: counterexample {witness} under {interp}"
-        if self.inexact:
-            out += (f" (loop truncation left residual mass up to "
-                    f"{self.max_residual}; verdict is up to that residual)")
-        return out
+    try:
+        return go(c, post), traces
+    finally:  # go refers to itself: break the cycle
+        del go
 
 
 def check_triple_det(pre: Formula, c: Command, post: Formula,
@@ -130,21 +109,5 @@ def check_triple_det(pre: Formula, c: Command, post: Formula,
                      loop_bound: int = DEFAULT_LOOP_BOUND) -> TripleVerdict:
     """Semantic triple check: run from every window state satisfying pre and
     demand every output support state satisfies post."""
-    if window is None:
-        window = default_window(pre, c, post)
-    lvars = log_vars(pre) | log_vars(post)
-    scope = f"{window}, quantifiers over {list(qwindow)}, loop bound {loop_bound}"
-    inexact = False
-    worst = Fraction(0)
-    states = window.states()
-    for interp in interpretations(lvars, qwindow):
-        for s, ok in zip(states, window.truth(pre, interp, qwindow)):
-            if not ok:
-                continue
-            res = execute(c, SubDistribution.point(s), loop_bound)
-            if not res.exact:
-                inexact = True
-                worst = max(worst, res.residual_mass)
-            if not sat_det_dist(post, res.output, interp, qwindow):
-                return TripleVerdict(False, scope, (s, interp), inexact, worst)
-    return TripleVerdict(True, scope, None, inexact, worst)
+    return check_triple(pre, c, post, default_window(pre, c, post) if window is None
+                        else window, qwindow, loop_bound)

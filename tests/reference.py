@@ -21,6 +21,15 @@ against them:
   no memo scope spanning two nodes and a window that rebuilds its states
   on every call, the verdict `proofsys.check_derivation` reproduces with
   one scope for the whole derivation;
+- `check_valid_det_loop`, `check_valid_prob_loop`, `check_triple_det_loop`
+  and `check_triple_prob_loop` are the four per-flavor checking loops,
+  interpretations outside and window states or family members inside, the
+  verdicts `assertions.check_valid` and `assertions.check_triple` reproduce
+  with one loop each over a window or a family;
+- `det_derivation_from_traces` builds a deterministic derivation of
+  {wp(C, post)} C {post} whose loop invariants are the last approximants
+  of `wp`'s loop traces, for the paper's first completeness step: a triple
+  that holds on the window has an accepted derivation;
 - `ReferenceParser` reads expressions by recursive descent, one method per
   precedence level, and reads a parenthesized relation by trying an
   operand first and backtracking on failure; `phl.parser` reads the same
@@ -35,26 +44,30 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import not_
 from typing import Optional
 
 import gen
-from phl.assertions import DistFamily, StateWindow, check_valid_det, eval_real
+from phl.assertions import (
+    DistFamily, StateWindow, TripleVerdict, ValidityVerdict, check_valid_det,
+    eval_real, interpretations, sat_prob,
+)
 from phl.core import (
     ABin, And, Assign, Command, DistSpec, EMPTY_INTERP, FALSE, Forall,
     Formula, If, Implies, IntConst, LogVar, Not, Or, PAnd, PFALSE, PImplies,
     PNot, POr, PRel, PTRUE, Prob, ProbFormula, ProgVar, RandAssign, RatConst,
     RealExpr, RealVar, RBin, Rel, ROPS, Seq, Skip, State, SubDistribution, TRUE,
-    While, and_all, memo_scoped, real_sum, subst_prog_var,
+    While, and_all, log_vars, memo_scoped, real_sum, real_vars, subst_prog_var,
 )
 from phl.proofsys import (
     DET_RULES, PROB_RULES, Derivation, DerivationVerdict, _check_node,
-    derivation_vars,
+    conseq_over, derivation_vars,
 )
 from phl.semantics import (
     DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW, ExecResult, _Batch, _column, _split,
-    execute,
+    eval_batch, execute, sat_det_dist,
 )
-from phl.parser import ParseError, ParserWarning, Token, tokenize
+from phl.parser import ParseError, ParserWarning, SourceTriple, Token, tokenize
 from phl.preterm import DEFAULT_DEPTH, WhileExpansion, pt
 from phl.wp import (
     DEFAULT_UNROLL, check_triple_det, default_window, pas_precondition, wp,
@@ -360,6 +373,142 @@ def check_derivation_unshared(d: Derivation, window: Optional[StateWindow] = Non
 
     visit(d, "root")
     return DerivationVerdict(not failures, scope, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# The per-flavor checking loops: interpretations outside, window states or
+# family members inside, the first failing witness, and the residual mass of
+# truncated runs up to it.
+
+
+def check_valid_det_loop(f: Formula, window: StateWindow,
+                         qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
+    """Truth at every window state under every interpretation of free vars."""
+    scope = f"{window}, quantifiers over {list(qwindow)}"
+    states = window.states()
+    for interp in interpretations(log_vars(f), qwindow):
+        truth = window.truth(f, interp, qwindow)
+        witness = next(itertools.compress(states, map(not_, truth)), None)
+        if witness is not None:
+            return ValidityVerdict(False, scope, (witness, interp))
+    return ValidityVerdict(True, scope)
+
+
+def _family_scope(family: DistFamily, qwindow: tuple[int, int]) -> str:
+    return f"{family.description}, quantifiers over {list(qwindow)}"
+
+
+def check_valid_prob_loop(f: ProbFormula, family: DistFamily,
+                          qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> ValidityVerdict:
+    """Truth on every family member under every interpretation."""
+    scope = _family_scope(family, qwindow)
+    labels = [label for label, _ in family]
+    dists = [d for _, d in family]
+    for interp in interpretations(log_vars(f), qwindow, real_vars(f)):
+        truth = eval_batch(f, dists, interp, qwindow)
+        witness = next(itertools.compress(labels, map(not_, truth)), None)
+        if witness is not None:
+            return ValidityVerdict(False, scope, (witness, interp))
+    return ValidityVerdict(True, scope)
+
+
+def check_triple_det_loop(pre: Formula, c: Command, post: Formula,
+                          window: Optional[StateWindow] = None,
+                          qwindow: tuple[int, int] = DEFAULT_QWINDOW,
+                          loop_bound: int = DEFAULT_LOOP_BOUND) -> TripleVerdict:
+    """Semantic triple check: run from every window state satisfying pre and
+    demand every output support state satisfies post."""
+    if window is None:
+        window = default_window(pre, c, post)
+    lvars = log_vars(pre) | log_vars(post)
+    scope = f"{window}, quantifiers over {list(qwindow)}, loop bound {loop_bound}"
+    inexact = False
+    worst = Fraction(0)
+    states = window.states()
+    for interp in interpretations(lvars, qwindow):
+        for s, ok in zip(states, window.truth(pre, interp, qwindow)):
+            if not ok:
+                continue
+            res = execute(c, SubDistribution.point(s), loop_bound)
+            if not res.exact:
+                inexact = True
+                worst = max(worst, res.residual_mass)
+            if not sat_det_dist(post, res.output, interp, qwindow):
+                return TripleVerdict(False, scope, (s, interp), inexact, worst)
+    return TripleVerdict(True, scope, None, inexact, worst)
+
+
+def check_triple_prob_loop(pre: ProbFormula, c: Command, post: ProbFormula,
+                           family: DistFamily,
+                           qwindow: tuple[int, int] = DEFAULT_QWINDOW,
+                           loop_bound: int = DEFAULT_LOOP_BOUND) -> TripleVerdict:
+    """Semantic triple check over a distribution family: every member
+    satisfying pre must, after running c, satisfy post."""
+    lvars = log_vars(pre) | log_vars(post)
+    rvars = real_vars(pre) | real_vars(post)
+    scope = f"{family.description}, quantifiers over {list(qwindow)}, loop bound {loop_bound}"
+    inexact = False
+    worst = Fraction(0)
+    dists = [d for _, d in family]
+    for interp in interpretations(lvars, qwindow, rvars):
+        for (label, dist), ok in zip(family, eval_batch(pre, dists, interp, qwindow)):
+            if not ok:
+                continue
+            res = execute(c, dist, loop_bound)
+            if not res.exact:
+                inexact = True
+                worst = max(worst, res.residual_mass)
+            if not sat_prob(post, res.output, interp, qwindow):
+                return TripleVerdict(False, scope, (label, interp), inexact, worst)
+    return TripleVerdict(True, scope, None, inexact, worst)
+
+
+# ---------------------------------------------------------------------------
+# The first completeness step: deterministic derivations from wp's traces
+
+
+def det_derivation_from_traces(c: Command, post: Formula, window: StateWindow,
+                               qwindow: tuple[int, int] = DEFAULT_QWINDOW,
+                               unroll: int = DEFAULT_UNROLL,
+                               ) -> tuple[Derivation, bool]:
+    """A deterministic derivation of {wp(C, post)} C {post}, and whether
+    every loop's approximant chain converged.  Each head gets its schema;
+    an IF premise restates its precondition by CONS; a loop's invariant is
+    the last approximant of its `WpLoopTrace` (the window fixpoint when the
+    chain converged), its body premise is CONS over the body's derivation,
+    and CONS restates the WHILE conclusion's postcondition as post."""
+    converged = True
+
+    def build(c: Command, post: Formula) -> Derivation:
+        nonlocal converged
+        if isinstance(c, Skip):
+            return Derivation("SKIP", SourceTriple(post, c, post, False))
+        if isinstance(c, Assign):
+            pre = subst_prog_var(post, c.var, c.expr)
+            return Derivation("AS", SourceTriple(pre, c, post, False))
+        if isinstance(c, RandAssign):
+            return Derivation("PAS", SourceTriple(pas_precondition(c, post), c, post, False))
+        if isinstance(c, Seq):
+            second = build(c.second, post)
+            first = build(c.first, second.conclusion.pre)
+            return Derivation("SEQ", SourceTriple(first.conclusion.pre, c, post, False),
+                              (first, second))
+        if isinstance(c, If):
+            pre = wp(c, post, unroll, window, qwindow)[0]
+            then_d = conseq_over(build(c.then_branch, post), And(pre, c.guard))
+            else_d = conseq_over(build(c.else_branch, post), And(pre, Not(c.guard)))
+            return Derivation("IF", SourceTriple(pre, c, post, False), (then_d, else_d))
+        if isinstance(c, While):
+            trace = wp(c, post, unroll, window, qwindow)[1][-1]  # the loop's own
+            converged = converged and trace.converged
+            inv = trace.approximants[-1]
+            body = conseq_over(build(c.body, inv), And(inv, c.guard))
+            loop = Derivation("WHILE", SourceTriple(inv, c, And(inv, Not(c.guard)), False),
+                              (body,))
+            return Derivation("CONS", SourceTriple(inv, c, post, False), (loop,))
+        raise TypeError(f"not a command: {c!r}")
+
+    return build(c, post), converged
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ from phl.core import (
 )
 from phl.parser import parse_command, parse_real_expr, parse_triple
 from phl.preterm import check_triple_prob, cond_term, pas_preterm_linear, pt
-from phl.proofsys import check_derivation, derivation_from_json
+from phl.proofsys import check_derivation, conseq_over, derivation_from_json
 from phl.semantics import execute, restrict, sat_det, sat_det_dist
-from phl.wp import wp
-from reference import iterate_cmd, pas_preterm_subset_sum, rule_soundness_suite
+from phl.wp import check_triple_det, wp
+from reference import (
+    det_derivation_from_traces, iterate_cmd, pas_preterm_subset_sum,
+    rule_soundness_suite,
+)
 
 HALF = Fraction(1, 2)
 PV = ("X", "Y")
@@ -233,6 +236,40 @@ def test_criterion_10_rule_soundness_suite():
         for rule in ("SKIP", "AS", "PAS", "SEQ", "IF", "WHILE", "CONS",
                      "AND", "OR"):
             assert report.per_rule.get(rule, 0) > 0, rule
+
+
+def test_det_completeness_on_template_loops():
+    """The paper's first completeness step, deterministic assertions end to
+    end: for triples over `gen`'s commands with loop templates, the triple
+    holds on the window exactly when the derivation of {wp(C, post)} C {post}
+    whose loop invariants are the last approximants of wp's traces, restated
+    by CONS to the triple's pre, is accepted.  A rejection's counterexample
+    runs to an output that falsifies post.  Chains that did not converge
+    within the unroll bound give no fixpoint invariant; they are counted
+    apart."""
+    window, qwindow = StateWindow.make(PV, -2, 2), (-2, 2)
+    with Budget(5.0):
+        rng = random.Random(12)
+        verdicts = {True: 0, False: 0}
+        unconverged = 0
+        for _ in range(300):
+            c = gen.gen_command(rng, PV, rng.randint(0, 3), loops=True)
+            post = gen.gen_formula(rng, PV, rng.randint(0, 3))
+            pre = gen.gen_formula(rng, PV, rng.randint(0, 3))
+            d, converged = det_derivation_from_traces(c, post, window, qwindow)
+            if not converged:
+                unconverged += 1
+                continue
+            semantic = check_triple_det(pre, c, post, window, qwindow, 64)
+            proof = check_derivation(conseq_over(d, pre), window, qwindow=qwindow)
+            assert semantic.holds == proof.accepted, (c, pre, post, proof.failures)
+            assert not semantic.inexact
+            if not semantic.holds:
+                state, interp = semantic.counterexample
+                output = execute(c, point_dist(state.as_dict()), 64).output
+                assert not sat_det_dist(post, output, interp, qwindow)
+            verdicts[semantic.holds] += 1
+        assert unconverged == 0 and min(verdicts.values()) >= 100, (verdicts, unconverged)
 
 
 def test_coin_countdown_preterm_budget():

@@ -1,5 +1,7 @@
 """Probabilistic assertion evaluation, validity checking, JSON distributions."""
 
+import contextlib
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -8,23 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phl.core import (
-    AOP_FUN, EMPTY_INTERP, ROP_FUN, Interpretation, Not, PAnd, PImplies, PNot,
-    POr, PRel, Prob, RatConst, RBin, RealVar, State, SubDistribution,
-    UnboundVariable, log_vars, memo_scoped, point_dist, real_vars,
+    AOP_FUN, EMPTY_INTERP, PTRUE, ROP_FUN, TRUE, Interpretation, Not, PAnd,
+    PImplies, PNot, POr, PRel, Prob, RatConst, RBin, RealVar, State,
+    SubDistribution, UnboundVariable, log_vars, memo_scoped, point_dist,
+    real_vars,
 )
 from phl import assertions
 from phl.assertions import (
-    REAL_GRID, DistFamily, StateWindow, ValidityVerdict, check_valid_det,
-    check_valid_prob, dist_from_json, dist_to_json, eval_real, interpretations,
-    load_dist, prob_equivalent_on_family, real_equivalent_on_family, sat_prob,
+    REAL_GRID, DistFamily, StateWindow, ValidityVerdict, check_triple,
+    check_valid, check_valid_det, check_valid_prob, dist_from_json,
+    dist_to_json, eval_real, interpretations, load_dist,
+    prob_equivalent_on_family, real_equivalent_on_family, sat_prob,
 )
 from phl.parser import (
     parse_det_formula, parse_prob_formula, parse_real_expr, parse_triple,
 )
+from phl.preterm import check_triple_prob, wp_prob
 from phl.semantics import eval_batch, sat_det
-from phl.wp import check_triple_det, window_equivalent
+from phl.wp import check_triple_det, window_equivalent, wp
 
 import strategies as sts
+from reference import (
+    check_triple_det_loop, check_triple_prob_loop, check_valid_det_loop,
+    check_valid_prob_loop,
+)
 from test_semantics import reference_sat
 
 HALF = Fraction(1, 2)
@@ -306,6 +315,107 @@ class TestFirstCounterexample:
                              window=StateWindow.make(("X",), -3, 3), qwindow=(-1, 1))
         state, interp = v.counterexample
         assert state == State.make({"X": -1}) and interp.log == {"k": -1}
+
+
+def _fields(check, *args):
+    """A verdict's type and fields, with its interpretation as text, or the
+    type and text of the exception the check raised."""
+    try:
+        verdict = check(*args)
+    except Exception as err:
+        return type(err), str(err)
+    out = {f.name: getattr(verdict, f.name) for f in dataclasses.fields(verdict)}
+    if verdict.counterexample is not None:
+        witness, interp = verdict.counterexample
+        out["counterexample"] = (witness, repr(interp))
+    return type(verdict), out
+
+
+class TestOneChecker:
+    """`check_valid` and `check_triple` over a window or a family give the
+    verdict of the per-flavor loops they replaced (`reference`), field for
+    field, or raise the same exception: the same first witness under the
+    same interpretation, and the same residual up to it."""
+
+    WINDOW = sts.WINDOW
+    FAM_WINDOW = StateWindow.make(("X", "Y"), -1, 1)
+    FAM = DistFamily.build(FAM_WINDOW, seed=0, mixtures=6)
+    QW = (-1, 1)
+    LOOPING = st.one_of(sts.commands(loops=True), sts.coprime_commands())
+    BOUNDS = st.sampled_from((0, 1, 3, 64))
+    DET = st.one_of(sts.det_formulas(lv=("k",)), sts.quantified_formulas())
+    PROB = st.one_of(sts.prob_formulas(), sts.prob_formulas(free=True))
+
+    # passing, failing, truncated, logical, real and unbound-read cases
+    TRIPLES = [
+        ("{ X >= 0 } X := X + 1 { X >= 1 }", 64, "holds"),
+        ("{ true } X := X - 1 { X >= -1 }", 64, "fails"),
+        ("{ k <= X } X := X - 1 { k <= X }", 64, "fails"),
+        ("{ true } while X > 0 do { X := X - 1 } { X <= 0 }", 1, "inexact"),
+        ("{ true } while X < 2 do { X := X + 1 } { X = 2 && Y > -2 }", 1,
+         "fails inexact"),
+        ("{ X > 0 } skip { Z > 0 }", 64, "raises"),
+        ("{ P(X = 0) >= @eps } skip { P(X = 0) >= @eps }", 64, "holds"),
+        ("{ true } X := X + 1 { P(X <= k) = 1 }", 64, "fails"),
+        ("{ true } while X > 0 do { X := X - 1 [1/2] skip } { P(X > 0) <= 1/4 }", 2,
+         "inexact"),
+        ("{ true } while X > 0 do { X := X - 1 [1/2] skip } { P(X <= 0) = 1 }", 2,
+         "fails inexact"),
+        ("{ true } skip { P(Z = 0) = 1 }", 64, "raises"),
+    ]
+
+    def _triple(self, pre, c, post, bound, prob):
+        if prob:
+            return (_fields(check_triple, pre, c, post, self.FAM, self.QW, bound),
+                    _fields(check_triple_prob_loop, pre, c, post, self.FAM, self.QW, bound))
+        return (_fields(check_triple, pre, c, post, self.WINDOW, self.QW, bound),
+                _fields(check_triple_det_loop, pre, c, post, self.WINDOW, self.QW, bound))
+
+    @pytest.mark.parametrize("text, bound, kind", TRIPLES)
+    def test_pinned_triples(self, text, bound, kind):
+        t = parse_triple(text)
+        got, want = self._triple(t.pre, t.command, t.post, bound, t.prob)
+        assert got == want
+        if kind == "raises":
+            assert got[0] is UnboundVariable
+            return
+        fields = got[1]
+        assert fields["holds"] == (not kind.startswith("fails"))
+        assert fields["inexact"] == kind.endswith("inexact")
+        entry = check_triple_prob if t.prob else check_triple_det
+        domain = self.FAM if t.prob else self.WINDOW
+        assert _fields(entry, t.pre, t.command, t.post, domain, self.QW, bound) == got
+
+    @settings(max_examples=80, deadline=None)
+    @given(LOOPING, DET, DET, BOUNDS, st.sampled_from(("drawn", "wp", "true")))
+    def test_det_triple(self, c, pre, post, bound, how):
+        if how == "wp":  # a post that reads Z has no wp on the window
+            with contextlib.suppress(UnboundVariable):
+                pre = wp(c, post, unroll=4, window=self.WINDOW, qwindow=self.QW)[0]
+        elif how == "true":
+            pre = TRUE
+        got, want = self._triple(pre, c, post, bound, False)
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(LOOPING, PROB, PROB, BOUNDS, st.sampled_from(("drawn", "wp", "true")))
+    def test_prob_triple(self, c, pre, post, bound, how):
+        if how == "wp":
+            with contextlib.suppress(UnboundVariable):
+                pre = wp_prob(c, post, unroll=4, depth=2, window=self.FAM_WINDOW,
+                              qwindow=self.QW)[0]
+        elif how == "true":
+            pre = PTRUE
+        got, want = self._triple(pre, c, post, bound, True)
+        assert got == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(DET, PROB)
+    def test_validity(self, f, g):
+        assert _fields(check_valid, f, self.WINDOW, self.QW) \
+            == _fields(check_valid_det_loop, f, self.WINDOW, self.QW)
+        assert _fields(check_valid, g, self.FAM, self.QW) \
+            == _fields(check_valid_prob_loop, g, self.FAM, self.QW)
 
 
 def _outcome(check, *args):

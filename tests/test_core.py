@@ -7,6 +7,7 @@ import gc
 import importlib
 import inspect
 import pickle
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,9 +24,15 @@ from phl.core import (
     prog_vars, real_vars, simplify_formula, subst_prog_var,
 )
 from phl.assertions import StateWindow
-from phl.parser import parse_command, parse_real_expr
+from phl.parser import (
+    parse_command, parse_det_formula, parse_prob_formula, parse_real_expr,
+)
 from phl.preterm import pt
+from phl.proofsys import (
+    build_wp_derivation, check_derivation, conseq_over, derivation_from_json,
+)
 from phl.semantics import sat_det
+from phl.wp import wp
 
 import strategies as sts
 
@@ -349,6 +356,46 @@ class TestInterning:
             assert inspect.isfunction(fn), attr
             assert (fn.__module__, fn.__qualname__) == (module, attr)
         assert len({id(fn) for fn in fns}) == len(fns)
+
+
+class TestNoCycles:
+    """A walk's closures are emptied when it returns, so a call leaves no
+    reference cycle: with the cyclic collector off, its terms and memo
+    tables go as soon as the caller drops the result."""
+
+    def test_tail_terms_die_with_the_result(self):
+        c, r = parse_command(COIN), parse_real_expr("P(X = 0)")
+        window = StateWindow.make(("X", "_F0"), -3, 3)
+        gc.collect()
+        gc.disable()
+        try:
+            term, expansions = pt(c, r, unroll=4, depth=2, window=window)
+            tails = [weakref.ref(t) for e in expansions for t in e.tail_terms]
+            assert len(tails) == 3 and all(t() is not None for t in tails)
+            del term, expansions
+            assert [t() for t in tails] == [None] * 3
+        finally:
+            gc.enable()
+
+    def test_calls_leave_nothing_to_collect(self):
+        coin, countdown = parse_command(COIN), parse_command(COUNTDOWN)
+        post, prob_post = parse_det_formula("Y >= 0"), parse_prob_formula("P(X = 0) >= 1/2")
+        det = conseq_over(derivation_from_json(
+            {"rule": "AS", "conclusion": "{ X - 1 >= 0 } X := X - 1 { X >= 0 }"}),
+            parse_det_formula("X >= 1"))
+        window = StateWindow.make(("X", "Y"), -2, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            pt(coin, prob_post, unroll=4, depth=2, window=window)
+            wp(countdown, post, window=window)
+            prob = build_wp_derivation(coin, prob_post, window, unroll=4, depth=2)
+            assert check_derivation(conseq_over(prob, prob_post), window,
+                                    unroll=4, depth=2).accepted
+            assert check_derivation(det, window).accepted
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSimplify:
