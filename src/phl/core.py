@@ -653,13 +653,13 @@ EMPTY_INTERP = Interpretation()
 # times on terms that share almost every subterm.  So do the formula
 # columns over a state window (`StateWindow.truth`), one table per window,
 # interpretation and quantifier window: the validity checks, fixpoint tests
-# and class tests decide the same subformulas again and again.  The
-# outermost of those public calls opens one memo scope, a dict of tables
-# keyed by transform and arguments, and drops it when it returns or raises;
-# nested public calls reuse it.  Each memoized transform or column is a
-# pure function of its interned node and its table's key, so a shared table
-# changes no result.  Outside a scope every call gets a fresh table, and no
-# cache outlives the outermost public call.
+# and class tests decide the same subformulas again and again; the parser
+# reads each distinct text in `derivation_from_json` once.  The outermost
+# of those public calls opens one memo scope, a dict of tables keyed by
+# transform and arguments, and drops it when it returns or raises; nested
+# public calls reuse it.  Each memoized result is a pure function of its
+# interned node or text and its table's key, so a shared table changes no
+# result.  Outside a scope there is no table and so no cache.
 
 _SCOPE: ContextVar[Optional[dict]] = ContextVar("phl_memo_scope", default=None)
 
@@ -679,11 +679,11 @@ def memo_scoped(fn: Callable) -> Callable:
     return scoped
 
 
-def memo_table(*key) -> dict:
-    """The open scope's table for key, or a fresh one outside any scope."""
+def memo_table(*key) -> Optional[dict]:
+    """The open scope's table for key, or None outside any scope."""
     scope = _SCOPE.get()
     if scope is None:
-        return {}
+        return None
     table = scope.get(key)
     if table is None:
         table = scope[key] = {}

@@ -58,7 +58,7 @@ from .core import (
     ABin, And, Assign, Command, DistSpec, Forall, Formula, If,
     IntConst, LogVar, Not, Or, Implies, PAnd, PImplies, PNot, POr, PRel,
     PFALSE, PTRUE, Prob, ProbFormula, ProgVar, RandAssign, RatConst, RealExpr,
-    RealVar, RBin, Rel, ROPS, Seq, Skip, State, TRUE, FALSE, While,
+    RealVar, RBin, Rel, ROPS, Seq, Skip, State, TRUE, FALSE, While, memo_table,
 )
 
 
@@ -180,12 +180,13 @@ _MEMO_NESTING = 8
 
 class _Parser:
     """Reads token kinds and texts, ending in EOF; `where` gives a token's
-    (line, column), to report an error.  A `memo` shared by several parses
-    holds what they read (see `parse_triple`)."""
+    (line, column), to report an error.  Inside a memo scope the parses
+    share `memo`, the scope's table of the texts they read; outside one it
+    is None, and a parse keys nothing it reads."""
 
-    def __init__(self, kinds: list[str], words: list[str], where: Callable,
-                 memo: Optional[dict] = None):
-        self.kinds, self.words, self.where, self.memo = kinds, words, where, memo
+    def __init__(self, kinds: list[str], words: list[str], where: Callable):
+        self.kinds, self.words, self.where = kinds, words, where
+        self.memo = memo = memo_table("parse")
         self.atoms = {} if memo is None else memo  # text of a number or variable -> node
         self.nesting: dict[str, list[int]] = {}    # "(" or "{" -> depth after each token
         self.pos = 0
@@ -430,11 +431,11 @@ class _Parser:
 
     def cmd_until(self, end: Optional[int]) -> Command:
         """`cmd()` of a command that should end right before token `end`.
-        With a memo, a command text read before is not read again.  One with
+        With an `end`, a command text read before is not read again.  One with
         a `[p]` choice is not kept, as its flag's name depends on the whole
         text; nor is one read after a warning, which must not go unrepeated."""
         start = self.pos
-        if end is None or self.memo is None or "[" in self.kinds[start:end]:
+        if end is None or "[" in self.kinds[start:end]:
             return self.cmd()
         key = (None, " ".join(self.words[start:end]))
         c = self.memo.get(key)
@@ -564,14 +565,14 @@ def _caller_level() -> int:
 # Public entry points
 
 
-def _parser(text: str, memo: Optional[dict] = None) -> _Parser:
+def _parser(text: str) -> _Parser:
     """A parser of the kinds and the texts of the tokens of `text`; the
     tokens' positions are worked out only to report an error."""
     words = _TOKEN_RE.findall(text)
     kinds = [_KINDS.get(word) or _FIRST.get(word[0]) for word in words]
     if None in kinds or ("." in text and any(len(w) > 1 and "." in w for w in words)):
         tokenize(text)  # raises the first error, at its position
-    return _Parser(kinds + ["EOF"], words + [""], lambda at: tokenize(text)[at][2:], memo)
+    return _Parser(kinds + ["EOF"], words + [""], lambda at: tokenize(text)[at][2:])
 
 
 def _run(text: str, read: Callable, *args):
@@ -686,20 +687,17 @@ def _parse_assertion(p: _Parser, lo: int, hi: int, prob: bool, side: str):
     return result
 
 
-def parse_triple(text: str, memo: Optional[dict] = None) -> SourceTriple:
-    """Parse `{ pre } C { post }`.  Calls that share a `memo` dict share
-    their work: each distinct assertion, command and parenthesized formula
-    in them is read once.  Its keys are (flavor, text) for a formula (True
-    for probabilistic), (None, text) for a command, and the text of a number
-    or a variable.  `derivation_from_json` shares one over a derivation."""
-    p = _parser(text, memo)
+def parse_triple(text: str) -> SourceTriple:
+    """Parse `{ pre } C { post }`.  Calls inside one memo scope share their
+    work (see `_Parser`); `derivation_from_json` opens one per derivation."""
+    p = _parser(text)
     kinds = p.kinds
     if kinds[0] != "{":
         raise ParseError("a triple starts with '{'", *p.where(0))
     close_pre = _formula_region(p, 1)
     p.pos = close_pre + 1
     # a well-formed triple's command ends at its last '{'
-    command = p.cmd_until(len(kinds) - 1 - kinds[::-1].index("{") if memo is not None else None)
+    command = p.cmd_until(None if p.memo is None else len(kinds) - 1 - kinds[::-1].index("{"))
     open_post = p.pos
     p.expect("{")
     close_post = _formula_region(p, p.pos)

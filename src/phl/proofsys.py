@@ -14,7 +14,8 @@ AND/OR.  The probabilistic system takes AS/PAS/IF/WHILE as axioms
 any stated precondition family-equivalent to the computed WP is accepted.
 It has no AND/OR rules, and the checker does not invent any.  One memo
 scope spans the whole check, so the nodes' implications, side conditions
-and weakest preconditions decide each shared subformula once.
+and weakest preconditions decide each shared subformula once; another spans
+reading a derivation, so its triples parse each shared text once.
 
 Derivations serialize as JSON:
 
@@ -61,33 +62,30 @@ class Derivation:
     side: tuple[Union[Formula, ProbFormula], ...] = ()
 
 
+@memo_scoped
 def derivation_from_json(data) -> Derivation:
-    """Read a derivation.  Its triples and side formulas share one parse
-    memo (see `parse_triple`), so each distinct text in it is parsed once."""
-    return _from_json(data, {})
+    """Read a derivation in one memo scope, so each distinct assertion,
+    command and parenthesized formula in its triples is read once."""
+    return _from_json(data)
 
 
-def _from_json(data, memo: dict) -> Derivation:
+def _from_json(data) -> Derivation:
     if not isinstance(data, dict):
         raise ValueError("derivation node must be a JSON object")
-    try:
-        rule = str(data["rule"]).upper()
-        conclusion = parse_triple(str(data["conclusion"]), memo)
-    except KeyError as missing:
-        raise ValueError(f"derivation node lacks {missing}") from None
+    for field in ("rule", "conclusion"):
+        if field not in data:
+            raise ValueError(f"derivation node lacks {field!r}")
+        if not isinstance(data[field], str):
+            raise ValueError(f"derivation {field} must be a JSON string")
+    conclusion = parse_triple(data["conclusion"])
     premises, side = data.get("premises", []), data.get("side", [])
     if not (isinstance(premises, list) and isinstance(side, list)):
         raise ValueError("derivation premises and side conditions must be JSON lists")
-    parse_side = parse_prob_formula if conclusion.prob else parse_det_formula
-    formulas = []
-    for s in side:
-        key = (conclusion.prob, str(s))
-        if key not in memo:
-            memo[key] = parse_side(key[1])
-        formulas.append(memo[key])
-    return Derivation(rule, conclusion,
-                      tuple(_from_json(p, memo) for p in premises),
-                      tuple(formulas))
+    if not all(isinstance(s, str) for s in side):
+        raise ValueError("derivation side conditions must be JSON strings")
+    formulas = tuple(map(parse_prob_formula if conclusion.prob else parse_det_formula, side))
+    return Derivation(data["rule"].upper(), conclusion,
+                      tuple(_from_json(p) for p in premises), formulas)
 
 
 def derivation_to_json(d: Derivation) -> dict:

@@ -333,12 +333,16 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("field, value", [
         ("premises", 5), ("premises", {"rule": "SKIP"}), ("premises", "AS"),
-        ("side", 5), ("side", "X = 0"),
+        ("side", 5), ("side", "X = 0"), ("side", [True]),
+        ("rule", ["CONS"]), ("rule", None),
+        ("conclusion", ["{ true } while true do { skip } { P(true) = 0 }"]),
     ])
     def test_derivation(self, capsys, tmp_path, field, value):
         p = tmp_path / "d.json"
         p.write_text(json.dumps({**DIVERGE_DERIV, field: value}))
-        assert_usage_error(*run_cli(capsys, "prove", "--derivation", str(p)))
+        rc, out, err = run_cli(capsys, "prove", "--derivation", str(p))
+        assert_usage_error(rc, out, err)
+        assert field in err
 
     @pytest.mark.parametrize("given", [
         ("--state", "_F0=1"), ("--state", "X=0, _F0=1"), ("--dists", "mu.json"),

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +19,10 @@ from phl.core import (
     ABin, And, ArithExpr, Assign, Command, DistSpec, Forall, Formula, If,
     IntConst, LogVar, Not, Or, Implies, PAnd, PImplies, PNot, POr, PRel, Prob,
     ProbFormula, ProgVar, RandAssign, RatConst, RBin, RealExpr, RealVar, Rel,
-    Seq, State, SubDistribution, While, to_source,
+    Seq, State, SubDistribution, While, memo_scoped, to_source,
 )
 from phl.parser import (
-    FlavorMixError, ParseError, ParserWarning, SourceTriple, parse_arith,
+    FlavorMixError, ParseError, ParserWarning, SourceTriple, _Parser, parse_arith,
     parse_command, Token, parse_det_formula, parse_prob_formula,
     parse_real_expr, parse_state, parse_triple, tokenize,
 )
@@ -518,7 +519,7 @@ class TestSharedMemo:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_same_triples_and_errors_as_alone(self, data):
-        """Triples read through one memo, as `derivation_from_json` reads a
+        """Triples read in one memo scope, as `derivation_from_json` reads a
         derivation's, are the triples and errors each gives alone."""
         rng = random.Random(data.draw(sts.seeds))
         prob = rng.random() < 0.5
@@ -533,17 +534,66 @@ class TestSharedMemo:
                    Seq(rng.choice(blocks), rng.choice(blocks)))
             text = str(SourceTriple(pre, c, post, prob))
             texts.append(mutated(data.draw, text) if data.draw(st.booleans()) else text)
-        memo: dict = {}
-        for text in texts + texts:  # the second time, the memo has seen each text
-            assert outcome(lambda t: parse_triple(t, memo), text) == outcome(parse_triple, text)
+        # the second time, the scope has seen each text
+        assert shared_outcomes(texts + texts) == [outcome(parse_triple, t) for t in texts + texts]
 
     def test_a_group_is_kept_per_flavor(self):
         # each group reads as a deterministic formula inside P(...) and as a
         # probabilistic one outside
-        memo: dict = {}
-        for text in ("{ P((true)) = 1 } skip { (true) }",
-                     "{ P((0 = 0)) = 1 } skip { (0 = 0) && (0 = 0) }"):
-            assert outcome(lambda t: parse_triple(t, memo), text) == outcome(parse_triple, text)
+        texts = ["{ P((true)) = 1 } skip { (true) }",
+                 "{ P((0 = 0)) = 1 } skip { (0 = 0) && (0 = 0) }"]
+        assert shared_outcomes(texts) == [outcome(parse_triple, t) for t in texts]
+
+    @staticmethod
+    def reads(monkeypatch) -> Counter:
+        """Counts each text the parser reads as a command or an expression."""
+        seen = Counter()
+        for name in ("cmd", "expression"):
+            def counted(self, *args, read=getattr(_Parser, name)):
+                start = self.pos
+                node = read(self, *args)
+                seen[" ".join(self.words[start:self.pos])] += 1
+                return node
+            monkeypatch.setattr(_Parser, name, counted)
+        return seen
+
+    def test_a_derivation_reads_each_distinct_text_once(self, monkeypatch):
+        node = {"rule": "CONS", "conclusion": "{ X >= 0 } X := X + 1 { X >= 0 }"}
+        data = node
+        for _ in range(4):
+            data = {**node, "premises": [data]}
+        seen = self.reads(monkeypatch)
+        derivation_from_json(data)
+        assert set(seen) == {"X >= 0", "X := X + 1", "X + 1"}
+        assert set(seen.values()) == {1}
+
+    def test_only_a_scope_shares_reads(self, monkeypatch):
+        text = "{ X >= 0 } X := X + 1 { X >= 0 }"
+        seen = self.reads(monkeypatch)
+        parse_triple(text)
+        parse_triple(text)
+        assert seen["X := X + 1"] == 2
+        seen.clear()
+        memo_scoped(lambda: (parse_triple(text), parse_triple(text)))()
+        assert seen["X := X + 1"] == 1 and set(seen.values()) == {1}
+
+    def test_no_warning_is_swallowed(self):
+        """A command read with a warning is read again where it recurs, so
+        each triple that has it warns.  (The derivation is read, not checked.)"""
+        toss = "X :=$ {1/2: 0, 1/2: 0}"
+        data = {"rule": "PAS", "conclusion": f"{{ true }} {toss} {{ true }}", "premises": [
+            {"rule": "IF", "conclusion":
+             f"{{ true }} if X = 0 then {{ {toss} }} else {{ skip }} {{ true }}"}]}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            derivation_from_json(data)
+        assert [w.category for w in caught] == [ParserWarning] * 2
+
+
+@memo_scoped
+def shared_outcomes(texts: list) -> list:
+    """`outcome(parse_triple, text)` of each text, in one memo scope."""
+    return [outcome(parse_triple, t) for t in texts]
 
 
 class TestNoParseErrorOnValidText:

@@ -92,6 +92,17 @@ class TestJson:
         with pytest.raises(ValueError):
             derivation_from_json(["CONS"])
 
+    def test_deep_derivation_within_the_recursion_limit(self):
+        """A SEQ chain 400 levels deep is read and checked at the default
+        recursion limit: reading costs few frames per level."""
+        def skips(n):
+            return "{ X = 0 } " + "; ".join(["skip"] * n) + " { X = 0 }"
+        data = {"rule": "SKIP", "conclusion": skips(1)}
+        for n in range(2, 401):
+            data = {"rule": "SEQ", "conclusion": skips(n),
+                    "premises": [{"rule": "SKIP", "conclusion": skips(1)}, data]}
+        assert check_derivation(derivation_from_json(data)).accepted
+
 
 class TestAcceptedDet:
     def test_skip_axiom(self):
