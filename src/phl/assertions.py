@@ -91,7 +91,7 @@ class StateWindow:
         states = self._states
         if states is None:
             values = range(self.lo, self.hi + 1)
-            states = tuple(State(tuple(zip(self.names, point))) for point
+            states = tuple(State(zip(self.names, point)) for point
                            in itertools.product(values, repeat=len(self.names)))
             object.__setattr__(self, "_states", states)
         return states
@@ -260,15 +260,19 @@ def check_valid(f: Formula | ProbFormula, domain: StateWindow | DistFamily,
 
 def check_triple(pre: Formula | ProbFormula, c: Command, post: Formula | ProbFormula,
                  domain: StateWindow | DistFamily, qwindow, loop_bound) -> TripleVerdict:
-    """Every domain point satisfying pre must, after running c, satisfy post."""
+    """Every domain point satisfying pre must, after running c, satisfy post.
+    A run does not depend on the interpretation, so each point runs once."""
     scope = f"{_scope(domain, qwindow)}, loop bound {loop_bound}"
     worst = Fraction(0)  # the largest residual mass of a truncated run so far
     witnesses = domain.witnesses()
+    runs = {}  # each point's run, by its index
     for interp in domain.interpretations((pre, post), qwindow):
         for i, ok in enumerate(domain.truth(pre, interp, qwindow)):
             if not ok:
                 continue
-            res = execute(c, domain.input(i), loop_bound)
+            res = runs.get(i)
+            if res is None:
+                res = runs[i] = execute(c, domain.input(i), loop_bound)
             if not res.exact:  # its residual mass is positive
                 worst = max(worst, res.residual_mass)
             if not domain.holds(post, res.output, interp, qwindow):

@@ -444,54 +444,51 @@ PFALSE = PRel("<", RatConst(Fraction(0)), RatConst(Fraction(0)))
 # Stores, sub-distributions, interpretations
 
 
-@dataclass(frozen=True, order=True)
-class State:
-    """Immutable integer store, kept sorted by variable name.  Its hash is
-    computed once, the first time it is asked for; the many window states
-    that are never hashed do not pay for it."""
+class State(tuple):
+    """Immutable integer store: the tuple of its (name, value) pairs, sorted
+    by name.  Hashing, equality and order are the tuple's own C code, so a
+    store equals, and hashes like, the plain tuple of its pairs.  `s[name]`
+    reads a variable; iterating gives the pairs."""
 
-    items: tuple[tuple[str, int], ...]
-    _hash = None  # not a field: equality, order and repr read `items` only
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.items,))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return State, (self.items,)  # string hashes differ between processes
+    @property
+    def items(self) -> tuple[tuple[str, int], ...]:
+        """The pairs, as a plain tuple."""
+        return tuple(self)
 
     @staticmethod
     def make(mapping: Mapping[str, int]) -> "State":
-        return State(tuple(sorted((str(k), int(v)) for k, v in mapping.items())))
+        return State(sorted((str(k), int(v)) for k, v in mapping.items()))
 
     def __getitem__(self, name: str) -> int:
-        for k, v in self.items:
+        for k, v in self:
             if k == name:
                 return v
         raise UnboundVariable(name)
 
     def __contains__(self, name: str) -> bool:
-        return any(k == name for k, _ in self.items)
+        return any(k == name for k, _ in self)
 
     def set(self, name: str, value: int) -> "State":
         """This store with name bound to value: one insertion into the
-        sorted items, or one replacement."""
-        items = self.items
+        sorted pairs, or one replacement."""
+        items = tuple(self)  # a plain tuple: a State's [] reads a variable
         i = bisect_left(items, (name,))  # (name,) sorts before (name, v)
         j = i + 1 if i < len(items) and items[i][0] == name else i
         return State(items[:i] + ((name, int(value)),) + items[j:])
 
     def vars(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.items)
+        return tuple(k for k, _ in self)
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self.items)
+        return dict(self)
+
+    def __repr__(self) -> str:
+        return f"State(items={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"{k}={v}" for k, v in self.items) + "}"
+        return "{" + ", ".join(f"{k}={v}" for k, v in self) + "}"
 
 
 class UnboundVariable(KeyError):
@@ -578,7 +575,7 @@ class SubDistribution:
     def project(self, names: Iterable[str]) -> "SubDistribution":
         """Marginalize onto the given variables."""
         keep = set(names)
-        return SubDistribution((State.make({k: v for k, v in s.items if k in keep}), p)
+        return SubDistribution((State.make({k: v for k, v in s if k in keep}), p)
                                for s, p in self.items())
 
     def __eq__(self, other: object) -> bool:

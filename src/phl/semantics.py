@@ -18,7 +18,10 @@ evaluating one at a time, left to right with short-circuit connectives.
 A `SubDistribution` holds integer numerators over one reduced denominator.
 The interpreter passes those `{State: int}` maps between steps, reducing
 after each, so `execute` converts no weight; `P(phi)` sums numerators and
-makes one `Fraction` per distribution.
+makes one `Fraction` per distribution.  A loop whose sub-distribution one
+more pass leaves unchanged stops unrolling: nothing exits it any more, so
+its output, residual and iteration count are those of unrolling to the
+bound.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def _prog_var(b: _Batch, n: ProgVar) -> list:
     if out is None:
         out = b.prog[name] = []
         for s in b.rows:
-            for k, v in s.items:
+            for k, v in s:
                 if k == name:
                     out.append(v)
                     break
@@ -291,7 +294,9 @@ def execute(c: Command, dist: SubDistribution,
     """Run a command on an input sub-distribution.
 
     Loops are unrolled up to loop_bound body executions per activation; any
-    mass still live at the bound is dropped and reported as residual.
+    mass still live at the bound is dropped and reported as residual.  A
+    loop whose sub-distribution one more pass leaves unchanged stops there,
+    with the same output, residual and iteration count.
     """
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
@@ -387,6 +392,11 @@ def _run(c: Command, dist: Weights, den: int,
             exited, exited_den = _merged(exited, exited_den, *_reduced(done, den))
             if not live or i == loop_bound:
                 return exited, exited_den, max(i, inner)
+            prev, prev_den = dist, den
             dist, den, used = _run(c.body, *_reduced(live, den), loop_bound)
             inner = max(inner, used)
+            if den == prev_den and dist == prev:
+                # a fixed point: nothing exited this pass (commands add no
+                # mass), so no later pass changes anything either
+                return exited, exited_den, max(loop_bound, inner)
     raise TypeError(f"not a command: {c!r}")

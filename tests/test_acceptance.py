@@ -97,6 +97,16 @@ def test_criterion_01_geometric_loop_exact_masses():
         assert res.residual_mass == HALF ** 20
 
 
+def test_divergence_stops_at_its_fixed_point():
+    # one pass leaves the sub-distribution unchanged, so a million-pass
+    # bound costs one body run and still reports every iteration
+    with Budget(1.0):
+        res = execute(parse_command(DIVERGE), point_dist({"X": 0}), loop_bound=10**6)
+    assert res.output == SubDistribution.zero()
+    assert res.residual_mass == 1 and not res.exact
+    assert res.iterations_used == 10**6
+
+
 def test_criterion_02_divergence_returns_zero_distribution():
     with Budget(1.0):
         loop = parse_command(DIVERGE)

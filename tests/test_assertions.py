@@ -386,6 +386,22 @@ class TestOneChecker:
         domain = self.FAM if t.prob else self.WINDOW
         assert _fields(entry, t.pre, t.command, t.post, domain, self.QW, bound) == got
 
+    @pytest.mark.parametrize("text", ["{ k <= X } X := X - 1 { k <= X }",
+                                      "{ k <= X } X := X + 1 { k <= X }"])
+    def test_each_point_runs_once(self, monkeypatch, text):
+        """A run does not depend on the interpretation: each window state
+        runs at most once however many interpretations its pre holds in."""
+        window = StateWindow.make(("X",), -1, 1)
+        t = parse_triple(text)
+        run, runs = assertions.execute, []
+        monkeypatch.setattr(assertions, "execute",
+                            lambda *args: runs.append(args) or run(*args))
+        got = _fields(check_triple, t.pre, t.command, t.post, window, self.QW, 64)
+        assert len(runs) <= 3
+        monkeypatch.undo()
+        assert got == _fields(check_triple_det_loop, t.pre, t.command, t.post,
+                              window, self.QW, 64)
+
     @settings(max_examples=80, deadline=None)
     @given(LOOPING, DET, DET, BOUNDS, st.sampled_from(("drawn", "wp", "true")))
     def test_det_triple(self, c, pre, post, bound, how):

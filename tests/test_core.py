@@ -94,14 +94,14 @@ class TestState:
         b = State.make({"X": 1, "Y": 0})
         assert a < b  # X compared first
 
-    def test_cached_hash(self):
-        """The hash is computed once and kept; equality, order and text are
-        those of the items, whether or not the hash was asked for."""
+    def test_hash_equality_and_order_are_the_tuples(self):
+        """A store is the tuple of its sorted pairs: equal stores built
+        apart are distinct objects that hash alike, and they order and
+        print as pinned."""
         a = State.make({"Y": 2, "X": 1})
         b = State.make({"X": 1}).set("Y", 2)
-        assert hash(a) == hash((a.items,)) and a._hash == hash(a)
-        assert a == b and a is not b and b._hash is None
-        assert hash(b) == hash(a) and len({a, b}) == 1
+        assert a == b and a is not b
+        assert hash(a) == hash(b) and len({a, b}) == 1
         assert sorted([State.make({"X": 1}), a, State.make({"X": 0, "Y": 5}),
                        State.make({"X": 0})]) == [
             State.make({"X": 0}), State.make({"X": 0, "Y": 5}),
@@ -109,11 +109,16 @@ class TestState:
         assert repr(a) == "State(items=(('X', 1), ('Y', 2)))"
         assert str(a) == "{X=1, Y=2}"
 
-    def test_pickled_state_hashes_afresh(self):
-        # a string's hash differs between processes, so the cache is not kept
-        a = State.make({"X": 1})
-        object.__setattr__(a, "_hash", 0)
-        assert hash(pickle.loads(pickle.dumps(a))) == hash((a.items,))
+    def test_equals_the_plain_tuple_of_its_items(self):
+        a = State.make({"Y": 2, "X": 1})
+        assert type(a.items) is tuple and a.items == (("X", 1), ("Y", 2))
+        assert a == a.items and hash(a) == hash(a.items)
+
+    def test_pickle_round_trip(self):
+        a = State.make({"X": 1, "Y": -3})
+        b = pickle.loads(pickle.dumps(a))
+        assert type(b) is State and b == a and hash(b) == hash(a)
+        assert b["Y"] == -3 and str(b) == str(a)
 
 
 class TestDistSpec:

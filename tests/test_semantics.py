@@ -397,6 +397,48 @@ class TestOneWeightForm:
         assert got == [1, 1, 0, Fraction(2, 3)]
 
 
+class TestFixedPoint:
+    """A loop whose sub-distribution one more pass leaves unchanged stops
+    unrolling; its output, residual, `exact` and iteration count are those
+    of unrolling to the bound."""
+
+    CASES = {
+        "diverge": ("while true do { skip }", point_dist({"X": 0})),
+        "stuck-guard": ("while X = 0 do { X := 0 }",
+                        SubDistribution({State.make({"X": 0}): HALF,
+                                         State.make({"X": 1}): Fraction(1, 3)})),
+        "after-one-pass": ("while X > 0 do { Y := 1 }", point_dist({"X": 1, "Y": 0})),
+        "period-2": ("while true do { X := 1 - X }", point_dist({"X": 0})),
+        "nested": ("while X > 0 do { X := X - 1; while Y = 0 do { Y := 0 } }",
+                   SubDistribution({State.make({"X": 2, "Y": 0}): HALF,
+                                    State.make({"X": 2, "Y": 1}): HALF})),
+    }
+
+    @pytest.mark.parametrize("loop_bound", [0, 1, 2, 64])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_agrees_with_unrolling_to_the_bound(self, case, loop_bound):
+        text, mu = self.CASES[case]
+        c = parse_command(text)
+        assert (run_or_unbound(lambda: execute(c, mu, loop_bound))
+                == run_or_unbound(lambda: execute_fractions(c, mu, loop_bound)))
+
+    @pytest.mark.parametrize("case, body_runs", [
+        ("diverge", 1), ("stuck-guard", 2), ("after-one-pass", 2), ("period-2", 64)])
+    def test_body_runs(self, monkeypatch, case, body_runs):
+        text, mu = self.CASES[case]
+        c = parse_command(text)
+        run, runs = semantics._run, []
+
+        def counted(cmd, *args):
+            runs.append(cmd is c.body)
+            return run(cmd, *args)
+
+        monkeypatch.setattr(semantics, "_run", counted)
+        res = execute(c, mu, 64)
+        assert sum(runs) == body_runs
+        assert res.iterations_used == 64 and not res.exact
+
+
 def test_readme_library_block():
     """The README's Library example runs and gives the values its comments
     state."""
