@@ -129,12 +129,9 @@ def interpretations(log_vars: Iterable[str],
     lnames = sorted(set(log_vars))
     rnames = sorted(set(real_vars))
     lo, hi = qwindow
-    lranges = [range(lo, hi + 1)] * len(lnames)
-    rranges = [REAL_GRID] * len(rnames)
-    for lvals in itertools.product(*lranges):
-        log = dict(zip(lnames, lvals))
-        for rvals in itertools.product(*rranges):
-            yield Interpretation(log, dict(zip(rnames, rvals)))
+    k = len(lnames)
+    for vals in itertools.product(*[range(lo, hi + 1)] * k, *[REAL_GRID] * len(rnames)):
+        yield Interpretation(dict(zip(lnames, vals)), dict(zip(rnames, vals[k:])))
 
 
 class DistFamily:
@@ -167,10 +164,8 @@ class DistFamily:
             k = rng.randint(1, min(4, len(states)))
             support = rng.sample(states, k)
             den = rng.randint(max(k, 2), 64)
-            entries = {}
-            for s in support:
-                entries[s] = Fraction(rng.randint(1, max(1, den // k)), den)
-            members.append((f"mix{i}", SubDistribution(entries)))
+            members.append((f"mix{i}", SubDistribution(
+                (s, Fraction(rng.randint(1, max(1, den // k)), den)) for s in support)))
         for j, d in enumerate(extra):
             members.append((f"user{j}", d))
         return DistFamily(members, f"family(seed={seed}, size={len(members)}) on {window}")
@@ -321,7 +316,7 @@ def real_equivalent_on_family(a: RealExpr, b: RealExpr, family: DistFamily,
 def dist_from_json(data) -> SubDistribution:
     if not isinstance(data, list):
         raise ValueError("distribution file must be a JSON list of entries")
-    entries: dict[State, Fraction] = {}
+    entries = []
     for item in data:
         if not isinstance(item, dict) or set(item) != {"state", "prob"}:
             raise ValueError(f"bad distribution entry: {item!r}")
@@ -329,8 +324,8 @@ def dist_from_json(data) -> SubDistribution:
         p = parse_fraction(str(item["prob"]))
         if p <= 0:
             raise ValueError(f"non-positive probability {p} at {state}")
-        entries[state] = entries.get(state, Fraction(0)) + p
-    return SubDistribution(entries)  # rejects total mass > 1
+        entries.append((state, p))
+    return SubDistribution(entries)  # adds repeated states, rejects mass > 1
 
 
 def _state_from_json(data) -> State:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial, wraps
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 AOPS = ("+", "-", "*")
@@ -291,16 +291,9 @@ class DistSpec:
     def make(pairs: Iterable[tuple[Fraction, int]]) -> "DistSpec":
         """Build a DistSpec, merging duplicate values and dropping zero weights."""
         merged: dict[int, Fraction] = {}
-        order: list[int] = []
         for weight, value in pairs:
-            if value not in merged:
-                merged[value] = Fraction(0)
-                order.append(value)
-            merged[value] += weight
-        kept = tuple(
-            (merged[v], v) for v in order if merged[v] != 0
-        )
-        return DistSpec(kept)
+            merged[value] = merged.get(value, Fraction(0)) + weight
+        return DistSpec(tuple((w, v) for v, w in merged.items() if w != 0))
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.pairs)
@@ -509,26 +502,19 @@ class SubDistribution:
     __slots__ = ("nums", "den")
 
     def __init__(self, entries: Mapping[State, Fraction] | Iterable[tuple[State, Fraction]] = ()):
-        nums: dict[State, int] = {}
-        den = 1
+        weights: dict[State, Fraction] = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for state, p in items:
             if not isinstance(p, Fraction):
                 p = Fraction(p)
-            n, d = p.numerator, p.denominator
-            if n < 0:
+            if p.numerator < 0:
                 raise ValueError(f"negative probability {p} at {state}")
-            if n == 0:
-                continue
-            if den % d:
-                k = d // gcd(den, d)
-                den *= k
-                nums = {s: m * k for s, m in nums.items()}
-            n *= den // d
-            nums[state] = nums.get(state, 0) + n
-        g = gcd(den, *nums.values())  # repeated states can share a factor
-        if g > 1:
-            nums, den = {s: m // g for s, m in nums.items()}, den // g
+            if p.numerator:  # most states come once: add only on a repeat
+                weights[state] = weights[state] + p if state in weights else p
+        # over the lcm of the reduced denominators, no prime divides den and
+        # every numerator: the form is already reduced
+        den = lcm(*(p.denominator for p in weights.values()))
+        nums = {s: p.numerator * (den // p.denominator) for s, p in weights.items()}
         total = sum(nums.values())
         if total > den:
             raise ValueError(f"total mass {Fraction(total, den)} exceeds 1")
@@ -605,36 +591,28 @@ def point_dist(state: State | Mapping[str, int]) -> SubDistribution:
 class Interpretation:
     """Values for free logical variables (ints) and real variables (rationals)."""
 
-    __slots__ = ("_log", "_real")
+    __slots__ = ("log", "real")
 
     def __init__(self, log: Mapping[str, int] | None = None,
                  real: Mapping[str, Fraction] | None = None):
-        self._log = dict(log or {})
-        self._real = dict(real or {})
-
-    @property
-    def log(self) -> Mapping[str, int]:
-        return self._log
-
-    @property
-    def real(self) -> Mapping[str, Fraction]:
-        return self._real
+        self.log = dict(log or {})
+        self.real = dict(real or {})
 
     def log_value(self, name: str) -> int:
         try:
-            return self._log[name]
+            return self.log[name]
         except KeyError:
             raise UnboundVariable(name) from None
 
     def real_value(self, name: str) -> Fraction:
         try:
-            return self._real[name]
+            return self.real[name]
         except KeyError:
             raise UnboundVariable(name) from None
 
     def __repr__(self) -> str:
-        parts = [f"{k}={v}" for k, v in sorted(self._log.items())]
-        parts += [f"@{k}={v}" for k, v in sorted(self._real.items())]
+        parts = [f"{k}={v}" for k, v in sorted(self.log.items())]
+        parts += [f"@{k}={v}" for k, v in sorted(self.real.items())]
         return "[" + ", ".join(parts) + "]"
 
 

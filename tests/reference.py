@@ -6,6 +6,9 @@ against them:
 - `execute_fractions` runs a program with a `Fraction` per state, the
   interpreter `semantics.execute` reproduces with integer numerators over
   one denominator;
+- `subdist_form` builds a sub-distribution's numerators and denominator
+  by rescaling at each new denominator and dividing by a gcd at the end,
+  the form `SubDistribution` reaches in one pass over summed weights;
 - `iterate_cmd` builds C^n, the n-fold composition the termination-class
   key lemma unrolls a loop into;
 - `pas_preterm_subset_sum` writes the random-assignment preterm as the
@@ -42,8 +45,10 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import not_
 from typing import Optional
 
@@ -140,6 +145,37 @@ def _run(c: Command, dist: Weights, loop_bound: int) -> tuple[Weights, int]:
             dist, used = _run(c.body, dist, loop_bound)
             inner = max(inner, used)
     raise TypeError(f"not a command: {c!r}")
+
+
+def subdist_form(entries) -> tuple[dict[State, int], int]:
+    """`(nums, den)` of the entries by the incremental construction: grow
+    the lcm one entry at a time, rescale every numerator at each new
+    denominator, then divide by the gcd of the denominator and the
+    numerators.  Raises `SubDistribution`'s `ValueError`s."""
+    nums: dict[State, int] = {}
+    den = 1
+    items = entries.items() if isinstance(entries, Mapping) else entries
+    for state, p in items:
+        if not isinstance(p, Fraction):
+            p = Fraction(p)
+        n, d = p.numerator, p.denominator
+        if n < 0:
+            raise ValueError(f"negative probability {p} at {state}")
+        if n == 0:
+            continue
+        if den % d:
+            k = d // gcd(den, d)
+            den *= k
+            nums = {s: m * k for s, m in nums.items()}
+        n *= den // d
+        nums[state] = nums.get(state, 0) + n
+    g = gcd(den, *nums.values())  # repeated states can share a factor
+    if g > 1:
+        nums, den = {s: m // g for s, m in nums.items()}, den // g
+    total = sum(nums.values())
+    if total > den:
+        raise ValueError(f"total mass {Fraction(total, den)} exceeds 1")
+    return nums, den
 
 
 def iterate_cmd(c: Command, n: int) -> Command:

@@ -228,6 +228,15 @@ class TestWindowsAndFamilies:
         assert [(i.log_value("k"), i.real_value("eps")) for i in interps] \
             == [(k, e) for k in (-1, 0, 1) for e in REAL_GRID]
 
+    def test_interpretations_order(self):
+        """Logical values outer, in name order, then the real grid."""
+        interps = list(interpretations(("j", "k"), (-1, 1), ("eps",)))
+        assert [(i.log, i.real) for i in interps] == [
+            ({"j": j, "k": k}, {"eps": e})
+            for j in (-1, 0, 1) for k in (-1, 0, 1) for e in REAL_GRID]
+        assert list(interps[0].log) == ["j", "k"]
+        assert repr(interps[1]) == "[j=-1, k=-1, @eps=0]"
+
     def test_family_contents(self):
         w = StateWindow.make(("X",), 0, 1)
         fam = DistFamily.build(w, seed=0, mixtures=5)

@@ -35,6 +35,7 @@ from phl.semantics import sat_det
 from phl.wp import wp
 
 import strategies as sts
+from reference import subdist_form
 
 
 class TestFractions:
@@ -144,8 +145,43 @@ class TestDistSpec:
         assert d == DistSpec(pairs) and hash(d) == hash(DistSpec(pairs))
         assert repr(d) == f"DistSpec(pairs={pairs!r})"
 
+    def test_integer_weights_become_fractions(self):
+        d = DistSpec.make([(0, 9), (1, 2)])
+        assert d.pairs == ((Fraction(1), 2),) and type(d.pairs[0][0]) is Fraction
+
+    def test_weights_merging_to_zero_drop_their_value(self):
+        d = DistSpec.make([(Fraction(1, 2), 3), (Fraction(1, 4), 5),
+                           (Fraction(1, 2), 7), (Fraction(-1, 4), 5)])
+        assert d.pairs == ((Fraction(1, 2), 3), (Fraction(1, 2), 7))
+
+
+# entry lists with repeated states, zero and negative weights, and integer
+# and mixed-denominator weights; many exceed mass 1
+_ENTRY_LISTS = st.lists(st.tuples(
+    st.sampled_from([State.make({"X": x}) for x in (0, 1, 2)] + [State.make({})]),
+    st.one_of(st.integers(-1, 1),
+              st.fractions(Fraction(-1, 8), Fraction(1, 2), max_denominator=36))),
+    max_size=6)
+
 
 class TestSubDistribution:
+    @given(_ENTRY_LISTS)
+    def test_one_pass_form_is_the_incremental_one(self, entries):
+        """Summing each state's weights and taking one lcm of the reduced
+        denominators gives the incrementally built form: the same
+        numerators in the same key order over the same denominator, or
+        the same rejection."""
+        try:
+            nums, den = subdist_form(entries)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                SubDistribution(entries)
+            assert str(got.value) == str(exc)
+            return
+        mu = SubDistribution(entries)
+        assert list(mu.nums.items()) == list(nums.items()) and mu.den == den
+        assert all(type(n) is int for n in mu.nums.values())
+
     def test_point_mass(self):
         s = State.make({"X": 0})
         mu = point_dist(s)
