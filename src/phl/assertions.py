@@ -195,10 +195,6 @@ class DistFamily:
 
     holds = staticmethod(sat_prob)
 
-    def states(self) -> list[State]:
-        """Every state in some member's support, in first-seen order."""
-        return list(dict.fromkeys(s for _, d in self.members for s in d.nums))
-
 
 # ---------------------------------------------------------------------------
 # Bounded validity

@@ -1,10 +1,10 @@
 """Weakest preconditions for deterministic assertions.
 
 The loop clause builds the approximant chain psi_0 = true,
-psi_{i+1} = (B && wp(body, psi_i)) || (!B && post) and stops when two
-successive approximants f and g agree on the fixpoint window (the validity
-of (f && g) || (!f && !g)) or when the unroll budget runs out; the
-returned formula is the conjunction of the approximants computed so far.
+psi_{i+1} = (B && wp(body, psi_i)) || (!B && post) until two successive
+approximants have equal truth columns on the fixpoint window or the unroll
+budget runs out, and returns the last: for a monotone step, as with every
+loop-free body, the chain descends, so its last member is its conjunction.
 Quantifier-free inputs stay quantifier-free, so every approximant can be
 decided exactly on a finite window.
 """
@@ -12,6 +12,7 @@ decided exactly on a finite window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 from typing import Optional
 
 from .core import (
@@ -20,7 +21,7 @@ from .core import (
 )
 from .semantics import DEFAULT_LOOP_BOUND, DEFAULT_QWINDOW
 from .assertions import (  # TripleVerdict is also read from here
-    DEFAULT_INT_WINDOW, StateWindow, TripleVerdict, check_triple, check_valid_det,
+    DEFAULT_INT_WINDOW, StateWindow, TripleVerdict, check_triple,
 )
 
 DEFAULT_UNROLL = 32
@@ -39,10 +40,11 @@ class WpLoopTrace:
 def window_equivalent(f: Formula, g: Formula, window: StateWindow,
                       qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
     """Same truth value at every window state under every interpretation:
-    the validity of (f && g) || (!f && !g).  One formula (terms are
-    hash-consed) is equivalent to itself."""
-    return f is g or check_valid_det(
-        Or(And(f, g), And(Not(f), Not(g))), window, qwindow).valid
+    equal columns, compared with `ne` (list equality skips a shared unbound
+    value).  One formula (terms are hash-consed) is equivalent to itself."""
+    return f is g or not any(
+        any(map(ne, window.truth(f, i, qwindow), window.truth(g, i, qwindow)))
+        for i in window.interpretations((f, g), qwindow))
 
 
 def default_window(*nodes: Node, lo: int = DEFAULT_INT_WINDOW[0],
@@ -94,7 +96,7 @@ def wp(c: Command, post: Formula, unroll: int = DEFAULT_UNROLL,
                     fixpoint = i + 1
                     break
             traces.append(WpLoopTrace(c, tuple(psis), converged, fixpoint))
-            return simplify_formula(and_all(psis))
+            return psis[-1]
         raise TypeError(f"not a command: {c!r}")
 
     try:

@@ -29,6 +29,11 @@ against them:
   interpretations outside and window states or family members inside, the
   verdicts `assertions.check_valid` and `assertions.check_triple` reproduce
   with one loop each over a window or a family;
+- `wp_conjunction` is `wp` as it was before a loop's precondition became
+  its last approximant: each loop gives the conjunction of its whole
+  approximant chain, and each step is tested by the validity of
+  (f && g) || (!f && !g) (`window_equivalent_by_validity`), where
+  `wp.window_equivalent` compares two truth columns;
 - `det_derivation_from_traces` builds a deterministic derivation of
   {wp(C, post)} C {post} whose loop invariants are the last approximants
   of `wp`'s loop traces, for the paper's first completeness step: a triple
@@ -62,7 +67,8 @@ from phl.core import (
     Formula, If, Implies, IntConst, LogVar, Not, Or, PAnd, PFALSE, PImplies,
     PNot, POr, PRel, PTRUE, Prob, ProbFormula, ProgVar, RandAssign, RatConst,
     RealExpr, RealVar, RBin, Rel, ROPS, Seq, Skip, State, SubDistribution, TRUE,
-    While, and_all, log_vars, memo_scoped, real_sum, real_vars, subst_prog_var,
+    While, and_all, log_vars, memo_scoped, real_sum, real_vars, simplify_formula,
+    subst_prog_var,
 )
 from phl.proofsys import (
     DET_RULES, PROB_RULES, Derivation, DerivationVerdict, _check_node,
@@ -75,7 +81,7 @@ from phl.semantics import (
 from phl.parser import ParseError, ParserWarning, SourceTriple, Token, tokenize
 from phl.preterm import DEFAULT_DEPTH, WhileExpansion, pt
 from phl.wp import (
-    DEFAULT_UNROLL, check_triple_det, default_window, pas_precondition, wp,
+    DEFAULT_UNROLL, WpLoopTrace, check_triple_det, default_window, pas_precondition, wp,
 )
 
 SUBSET_SUM_LIMIT = 12
@@ -497,6 +503,58 @@ def check_triple_prob_loop(pre: ProbFormula, c: Command, post: ProbFormula,
             if not sat_prob(post, res.output, interp, qwindow):
                 return TripleVerdict(False, scope, (label, interp), inexact, worst)
     return TripleVerdict(True, scope, None, inexact, worst)
+
+
+# ---------------------------------------------------------------------------
+# wp with a loop's precondition the conjunction of its approximant chain
+
+
+def window_equivalent_by_validity(f: Formula, g: Formula, window: StateWindow,
+                                  qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> bool:
+    """The validity of (f && g) || (!f && !g) on the window; one formula is
+    equivalent to itself."""
+    return f is g or check_valid_det(
+        Or(And(f, g), And(Not(f), Not(g))), window, qwindow).valid
+
+
+@memo_scoped
+def wp_conjunction(c: Command, post: Formula, unroll: int = DEFAULT_UNROLL,
+                   window: Optional[StateWindow] = None,
+                   qwindow: tuple[int, int] = DEFAULT_QWINDOW,
+                   ) -> tuple[Formula, list[WpLoopTrace]]:
+    """`wp`, with each loop's precondition the simplified conjunction of
+    its approximants and each fixpoint test a validity check."""
+    if window is None:
+        window = default_window(c, post)
+    traces: list[WpLoopTrace] = []
+
+    def go(c: Command, post: Formula) -> Formula:
+        if isinstance(c, Skip):
+            return post
+        if isinstance(c, Assign):
+            return subst_prog_var(post, c.var, c.expr)
+        if isinstance(c, RandAssign):
+            return simplify_formula(pas_precondition(c, post))
+        if isinstance(c, Seq):
+            return go(c.first, go(c.second, post))
+        if isinstance(c, If):
+            return simplify_formula(Or(
+                And(c.guard, go(c.then_branch, post)),
+                And(Not(c.guard), go(c.else_branch, post))))
+        if isinstance(c, While):
+            psis = [TRUE]
+            fixpoint = None
+            for i in range(unroll):
+                psis.append(simplify_formula(Or(
+                    And(c.guard, go(c.body, psis[-1])), And(Not(c.guard), post))))
+                if window_equivalent_by_validity(psis[-1], psis[-2], window, qwindow):
+                    fixpoint = i + 1
+                    break
+            traces.append(WpLoopTrace(c, tuple(psis), fixpoint is not None, fixpoint))
+            return simplify_formula(and_all(psis))
+        raise TypeError(f"not a command: {c!r}")
+
+    return go(c, post), traces
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,23 @@ def safe_loops(draw):
 
 
 @st.composite
+def general_loops(draw):
+    """A generated guard over a generated loop-free body."""
+    rng = _rng(draw(seeds))
+    return While(gen.gen_guard(rng, PV), gen.gen_loopfree(rng, PV))
+
+
+@st.composite
+def nested_loops(draw):
+    """A generated guard over a loop-free command and a safe loop, in
+    either order."""
+    rng = _rng(draw(seeds))
+    guard, step = gen.gen_guard(rng, PV), gen.gen_loopfree(rng, PV, 1)
+    inner = gen.gen_safe_loop(rng, PV, -2, 2)
+    return While(guard, Seq(step, inner) if rng.random() < 0.5 else Seq(inner, step))
+
+
+@st.composite
 def commands(draw, loops=False):
     return gen.gen_command(_rng(draw(seeds)), PV, depth=draw(st.integers(0, 3)),
                            loops=loops)

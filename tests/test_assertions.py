@@ -216,12 +216,6 @@ class TestWindowsAndFamilies:
             bool(column[0])
         assert column[1] is True
 
-    def test_family_states_in_first_seen_order(self):
-        fam = DistFamily.build(StateWindow.make(("X",), -1, 1), seed=0, mixtures=4)
-        got = fam.states()
-        assert len(got) == len(set(got)) == 3
-        assert got == [s for s in StateWindow.make(("X",), -1, 1).states()]
-
     def test_interpretations_cover_grid(self):
         interps = list(interpretations(("k",), (-1, 1), ("eps",)))
         assert len(interps) == 3 * len(REAL_GRID)

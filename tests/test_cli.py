@@ -106,6 +106,13 @@ class TestTransformers:
         assert out.splitlines()[0] == "X = 0 || !(X = 0) && (X = 1)"
         assert "converged at 2" in out
 
+    def test_wp_of_a_loop_is_its_last_approximant(self, capsys):
+        rc, out, _ = run_cli(capsys, "wp",
+                             "--program", "while X = -2 do { X :=$ {3/4:1, 1/4:0} }",
+                             "--post", "X = 0")
+        assert (rc, out) == (0, "!(X = -2) && (X = 0)\n"
+                                "loop 0 (X = -2): converged at 3, 4 approximants\n")
+
     def test_pt_json(self, capsys):
         rc, out, _ = run_cli(capsys, "pt",
                              "--program", "while true do { skip }",

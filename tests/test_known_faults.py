@@ -139,7 +139,17 @@ def test_deep_derivation_is_read_checked_and_written():
     with frames_dropped():
         d = derivation_from_json(data)
         assert check_derivation(d, X8).accepted
-        assert derivation_to_json(d) == data
+        assert same_tower(derivation_to_json(d), data)
+
+
+def same_tower(a: dict, b: dict) -> bool:
+    """Equal towers of one-premise nodes, compared down the `premises[0]`
+    chain: `==` on the dicts recurses in C, once per level."""
+    while a.keys() == b.keys() and all(a[k] == b[k] for k in a if k != "premises"):
+        if "premises" not in a:
+            return True
+        a, b = a["premises"][0], b["premises"][0]
+    return False
 
 
 @known_fault("item 5", "term walkers recurse once per nesting level",

@@ -493,10 +493,15 @@ def mutated(draw, text: str) -> str:
 
 
 def outcome(parse, text: str):
-    try:
-        return "node", parse(text)
-    except ValueError as err:  # a ParseError, or a node's own check
-        return type(err).__name__, str(err), getattr(err, "line", None), getattr(err, "col", None)
+    """The node or the error, then the message of each warning given."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = "node", parse(text)
+        except ValueError as err:  # a ParseError, or a node's own check
+            got = (type(err).__name__, str(err), getattr(err, "line", None),
+                   getattr(err, "col", None))
+    return (*got, *(str(w.message) for w in caught))
 
 
 class TestAgainstRecursiveDescent:

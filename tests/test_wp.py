@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phl.core import (
-    EMPTY_INTERP, TRUE, And, Not, Or, log_vars, point_dist, to_source,
+    EMPTY_INTERP, TRUE, And, Implies, Not, Or, UnboundVariable, log_vars,
+    memo_scoped, point_dist, simplify_formula, to_source,
 )
-from phl.assertions import StateWindow, interpretations
+from phl.assertions import StateWindow, check_valid_det, interpretations
 from phl.parser import parse_command, parse_det_formula, parse_triple
 from phl.semantics import execute, sat_det, sat_det_dist
-from phl.wp import check_triple_det, wp
-from reference import iterate_cmd
+from phl.wp import check_triple_det, window_equivalent, wp
+from reference import (
+    iterate_cmd, window_equivalent_by_validity, wp_conjunction,
+)
 
 import strategies as sts
 
@@ -169,3 +173,68 @@ class TestCheckTriple:
     def test_wp_gives_valid_triples(self, c, post):
         pre, _ = wp(c, post, window=sts.WINDOW, qwindow=QW)
         assert check_triple_det(pre, c, post, window=sts.WINDOW, qwindow=QW).holds
+
+
+class TestLastApproximant:
+    """A loop's precondition is the last approximant of its chain, where it
+    was the conjunction of the chain; the two agree beyond the window the
+    fixpoint is tested on."""
+
+    WIDE = StateWindow.make(sts.PV, -9, 9)
+    X_ONLY = StateWindow.make(("X",), -2, 2)
+
+    def agrees_with_conjunction(self, c, post):
+        f, traces = wp(c, post, unroll=8, window=sts.WINDOW, qwindow=QW)
+        g, _ = wp_conjunction(c, post, unroll=8, window=sts.WINDOW, qwindow=QW)
+        for window in (sts.WINDOW, self.WIDE):
+            assert window_equivalent_by_validity(f, g, window, QW), (str(f), str(g))
+        return f, traces
+
+    def descends(self, c, post):
+        """Loop-free bodies: each approximant implies the one before it, so
+        the result is the trace's last approximant and equals the old one."""
+        f, traces = self.agrees_with_conjunction(c, post)
+        assert f is traces[-1].approximants[-1]
+        for t in traces:
+            for before, after in zip(t.approximants, t.approximants[1:]):
+                assert check_valid_det(Implies(after, before), self.WIDE, QW).valid
+
+    @given(sts.safe_loops(), sts.det_formulas(lv=("k",)))
+    @settings(deadline=None, max_examples=30)
+    def test_safe_loops(self, c, post):
+        self.descends(c, post)
+
+    @given(sts.general_loops(), sts.det_formulas(lv=("k",)))
+    @settings(deadline=None, max_examples=30)
+    def test_general_loops(self, c, post):
+        self.descends(c, post)
+
+    @given(sts.nested_loops(), sts.det_formulas(lv=("k",)))
+    @settings(deadline=None, max_examples=30)
+    def test_nested_loops(self, c, post):
+        self.agrees_with_conjunction(c, post)
+
+    @given(sts.det_formulas(lv=("k",)), sts.det_formulas(lv=("k",)), st.integers(0, 3),
+           st.sampled_from((sts.WINDOW, X_ONLY)), st.booleans())
+    @settings(deadline=None, max_examples=150)
+    def test_columns_decide_as_validity(self, f, g, how, window, scoped):
+        """Same answer, or the same unbound read, as the validity of
+        (f && g) || (!f && !g), inside a memo scope or not."""
+        g = (g, Not(Not(f)), simplify_formula(f), Or(f, And(f, g)))[how]
+
+        def outcome(check):
+            try:
+                return check(f, g, window, QW)
+            except UnboundVariable as err:
+                return "unbound", err.args[0]
+
+        if scoped:
+            outcome = memo_scoped(outcome)
+        assert outcome(window_equivalent) == outcome(window_equivalent_by_validity)
+
+    def test_shared_unbound_read_raises(self):
+        """In a memo scope both columns hold the same unbound value of Y = 0;
+        list equality would skip it and call the two equivalent."""
+        f, g = parse_det_formula("Y = 0 && X = 1"), parse_det_formula("Y = 0")
+        with pytest.raises(UnboundVariable):
+            memo_scoped(window_equivalent)(f, g, self.X_ONLY)
