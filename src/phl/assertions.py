@@ -35,8 +35,8 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (
     Command, Formula, Interpretation, EMPTY_INTERP, PAnd, PNot, POr, PRel,
-    ProbFormula, RealExpr, State, SubDistribution, format_fraction, log_vars,
-    memo_table, parse_fraction, real_vars,
+    ProbFormula, RealExpr, State, SubDistribution, log_vars, memo_table,
+    parse_fraction, real_vars,
 )
 from .parser import ParseError, parse_state
 from .semantics import DEFAULT_QWINDOW, eval_batch, execute, sat_det_batch, sat_det_dist
@@ -340,7 +340,7 @@ def _state_from_json(data) -> State:
 
 def dist_to_json(dist: SubDistribution) -> list:
     return [
-        {"state": s.as_dict(), "prob": format_fraction(p)}
+        {"state": s.as_dict(), "prob": str(p)}
         for s, p in sorted(dist.items())
     ]
 

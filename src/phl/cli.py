@@ -20,9 +20,7 @@ import os
 import sys
 from typing import Callable
 
-from .core import (
-    SubDistribution, UnboundVariable, format_fraction, prog_vars,
-)
+from .core import SubDistribution, UnboundVariable, prog_vars
 from .parser import (
     ParseError, parse_command, parse_det_formula, parse_prob_formula,
     parse_real_expr, parse_state, parse_triple, tokenize,
@@ -115,13 +113,13 @@ def resolve_settings(args: argparse.Namespace) -> None:
 
 
 def _dist_json(dist: SubDistribution) -> list[dict]:
-    return [{"vars": s.as_dict(), "prob": format_fraction(p)}
+    return [{"vars": s.as_dict(), "prob": str(p)}
             for s, p in sorted(dist.items())]
 
 
 def _interp_json(interp) -> dict:
     return {"log": dict(interp.log),
-            "real": {k: format_fraction(v) for k, v in interp.real.items()}}
+            "real": {k: str(v) for k, v in interp.real.items()}}
 
 
 def _triple_verdict_payload(verdict) -> dict:
@@ -129,7 +127,7 @@ def _triple_verdict_payload(verdict) -> dict:
         "holds": verdict.holds,
         "scope": verdict.scope,
         "inexact": verdict.inexact,
-        "residual": format_fraction(verdict.max_residual),
+        "residual": str(verdict.max_residual),
         "counterexample": None,
     }
     if verdict.counterexample is not None:
@@ -172,10 +170,10 @@ def cmd_run(args) -> Outcome:
                          f"generated for a `[p]` choice; rename it")
     result = execute(program, dist, args.loop_bound)
     output = result.output.project(written | given)
-    residual = format_fraction(result.residual_mass)
+    residual = str(result.residual_mass)
     payload = lambda: {"states": _dist_json(output), "residual": residual,
                        "iterations": result.iterations_used, "exact": result.exact}
-    lines = [f"  {format_fraction(p)}  {state}" for state, p in sorted(output.items())]
+    lines = [f"  {p}  {state}" for state, p in sorted(output.items())]
     return 0, payload, lines + [f"residual mass: {residual}",
                                 f"iterations used: {result.iterations_used}",
                                 f"exact: {result.exact}"]

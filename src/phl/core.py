@@ -13,8 +13,10 @@ operator.
 
 AST nodes are hash-consed: structurally equal nodes are one object, so `==`
 is `is` and terms built by the transformers share every common subterm.
-Free variables come from one collector per sort, each accepting any node:
-`prog_vars`, `log_vars` and `real_vars`.  One printer, `to_source`, serves
+Only `forall` binds, and only logical variables: `prog_vars`, `real_vars`,
+the DAG size `node_size` and the guard and assignment checks each read one
+scan of a node's distinct nodes, and `log_vars`, the free logical
+variables, is the one bottom-up walk.  One printer, `to_source`, serves
 every node class: it gives `str()` of every node and prints each distinct
 node once per call.  The term transforms (substitution, simplification,
 normalization) and the formula columns over a state window memoize per
@@ -62,11 +64,6 @@ def parse_fraction(text: str) -> Fraction:
     if den is not None and int(den) == 0:
         raise ValueError(f"zero denominator in {text!r}")
     return Fraction(int(num), int(den or 1))
-
-
-def format_fraction(q: Fraction) -> str:
-    """Render a Fraction as 'n/d' (or a bare integer), never a decimal."""
-    return str(q)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +118,6 @@ class Node:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
-
-    def children(self) -> tuple["Node", ...]:
-        return tuple(getattr(self, k) for k in self._kids)
 
     def map(self, fn: Callable[["Node"], "Node"]) -> "Node":
         """This node with fn applied to each child."""
@@ -310,7 +304,8 @@ class Assign(Command):
     expr: ArithExpr
 
     def _validate(self):
-        bad = log_vars(self.expr)
+        # arithmetic has no binder: every logical variable in it is free
+        bad = {n.name for n in _nodes(self.expr) if type(n) is LogVar}
         if bad:
             raise ValueError(
                 f"assignment right-hand side uses logical variables {sorted(bad)}"
@@ -330,7 +325,7 @@ class Seq(Command):
 
 
 def _check_guard(guard: Formula) -> None:
-    if log_vars(guard) or _has_quantifier(guard):
+    if any(type(n) is LogVar or type(n) is Forall for n in _nodes(guard)):
         raise ValueError(f"guard must be quantifier- and logical-var-free: {guard}")
 
 
@@ -684,57 +679,59 @@ def dag_walk(root: Node, step: Callable, memo: Optional[dict] = None) -> object:
         del go
 
 
-def node_size(node: Node) -> int:
-    """Number of AST nodes counted with sharing (DAG size)."""
-    seen = {node}
-    stack = [node]
+def _nodes(root: Node) -> set[Node]:
+    """Every distinct node under root, root included, found with an
+    explicit stack: no recursion, whatever the depth."""
+    seen = {root}
+    stack = [root]
     while stack:
-        for child in stack.pop().children():
+        n = stack.pop()
+        for k in n._kids:
+            child = getattr(n, k)
             if child not in seen:
                 seen.add(child)
                 stack.append(child)
-    return len(seen)
+    return seen
+
+
+def node_size(node: Node) -> int:
+    """Number of AST nodes counted with sharing (DAG size)."""
+    return len(_nodes(node))
 
 
 # ---------------------------------------------------------------------------
-# Variable collection, one collector per variable sort; each accepts any node
+# Variable collection; each collector accepts any node.  Only `forall`
+# binds, and it binds logical variables only: the program and real
+# variables of a node are those occurring in it, read off one scan of its
+# nodes.  Free logical variables take the one bottom-up walk.
 
 
 _NO_VARS: frozenset[str] = frozenset()
 
 
-def _free_vars(root: Node, sort: type) -> frozenset[str]:
-    def step(n, go):
-        if type(n) is sort:
-            return frozenset((n.name,))
-        out = _NO_VARS
-        for k in n._kids:
-            out |= go(getattr(n, k))
-        if sort is ProgVar and isinstance(n, (Assign, RandAssign)):
-            out |= {n.var}
-        elif sort is LogVar and isinstance(n, Forall):
-            out -= {n.var}
-        return out
-    return dag_walk(root, step)
-
-
 def prog_vars(node: Node) -> frozenset[str]:
     """Program variables read or assigned anywhere in node."""
-    return _free_vars(node, ProgVar)
+    nodes = _nodes(node)
+    return frozenset({n.name for n in nodes if type(n) is ProgVar}
+                     | {n.var for n in nodes if type(n) is Assign or type(n) is RandAssign})
 
 
 def log_vars(node: Node) -> frozenset[str]:
     """Free logical variables; Forall binds its variable."""
-    return _free_vars(node, LogVar)
+    def step(n, go):
+        if type(n) is LogVar:
+            return frozenset((n.name,))
+        out = _NO_VARS
+        for k in n._kids:
+            out |= go(getattr(n, k))
+        if type(n) is Forall:
+            out -= {n.var}
+        return out
+    return dag_walk(node, step)
 
 
 def real_vars(node: Node) -> frozenset[str]:
-    return _free_vars(node, RealVar)
-
-
-def _has_quantifier(node: Node) -> bool:
-    return dag_walk(node, lambda n, go: isinstance(n, Forall)
-                    or any(go(child) for child in n.children()))
+    return frozenset(n.name for n in _nodes(node) if type(n) is RealVar)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +930,7 @@ def _show(n: Node, memo: dict, need: int) -> str:
         elif cls is Assign:
             got = (f"{n.var} := {_show(n.expr, memo, 0)}", _ATOM)
         elif cls is RandAssign:
-            body = ", ".join(f"{format_fraction(w)}:{v}" for w, v in n.dist.pairs)
+            body = ", ".join(f"{w}:{v}" for w, v in n.dist.pairs)
             got = (f"{n.var} :=$ {{{body}}}", _ATOM)
         elif cls is If:
             got = (f"if {_show(n.guard, memo, 0)} "

@@ -163,15 +163,6 @@ def check_derivation(d: Derivation, window: Optional[StateWindow] = None,
     return DerivationVerdict(not failures, scope, tuple(failures))
 
 
-def _check_sides(node: Derivation, check) -> Optional[str]:
-    """Any author-supplied side formulas must themselves be valid."""
-    for s in node.side:
-        verdict = check(s)
-        if not verdict.valid:
-            return f"stated side condition {s} is not valid: {verdict}"
-    return None
-
-
 def _check_node(node: Derivation, window: StateWindow,
                 family: Optional[DistFamily], qwindow, unroll: int,
                 depth: int) -> Optional[str]:
@@ -206,9 +197,11 @@ def _check_node(node: Derivation, window: StateWindow,
             return (check_valid_prob(f, family, qwindow) if t.prob
                     else check_valid_det(f, window, qwindow))
 
-        bad = _check_sides(node, valid)
-        if bad:
-            return bad
+        # any author-supplied side formulas must themselves be valid
+        for s in node.side:
+            verdict = valid(s)
+            if not verdict.valid:
+                return f"stated side condition {s} is not valid: {verdict}"
         # an implication between one formula and itself (terms are
         # hash-consed) holds without a check
         for side, stronger, weaker in (("precondition", t.pre, p.pre),

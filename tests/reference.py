@@ -38,6 +38,13 @@ against them:
   {wp(C, post)} C {post} whose loop invariants are the last approximants
   of `wp`'s loop traces, for the paper's first completeness step: a triple
   that holds on the window has an accepted derivation;
+- `_free_vars` and `_has_quantifier` answer each variable sort and the
+  quantifier test with a bottom-up `dag_walk` that tests the sort at
+  every node, and `node_size_walk` counts the nodes that walk visits;
+  `guard_error` and `assign_error` build on them the two construction
+  checks.  `core` reads program and real variables, DAG size and both
+  checks off one scan of the distinct nodes, and walks bottom-up only
+  for the free logical variables;
 - `ReferenceParser` reads expressions by recursive descent, one method per
   precedence level, and reads a parenthesized relation by trying an
   operand first and backtracking on failure; `phl.parser` reads the same
@@ -63,12 +70,12 @@ from phl.assertions import (
     eval_real, interpretations, sat_prob,
 )
 from phl.core import (
-    ABin, And, Assign, Command, DistSpec, EMPTY_INTERP, FALSE, Forall,
-    Formula, If, Implies, IntConst, LogVar, Not, Or, PAnd, PFALSE, PImplies,
-    PNot, POr, PRel, PTRUE, Prob, ProbFormula, ProgVar, RandAssign, RatConst,
-    RealExpr, RealVar, RBin, Rel, ROPS, Seq, Skip, State, SubDistribution, TRUE,
-    While, and_all, log_vars, memo_scoped, real_sum, real_vars, simplify_formula,
-    subst_prog_var,
+    ABin, And, ArithExpr, Assign, Command, DistSpec, EMPTY_INTERP, FALSE,
+    Forall, Formula, If, Implies, IntConst, LogVar, Node, Not, Or, PAnd,
+    PFALSE, PImplies, PNot, POr, PRel, PTRUE, Prob, ProbFormula, ProgVar,
+    RandAssign, RatConst, RealExpr, RealVar, RBin, Rel, ROPS, Seq, Skip, State,
+    SubDistribution, TRUE, While, and_all, dag_walk, log_vars, memo_scoped,
+    real_sum, real_vars, simplify_formula, subst_prog_var,
 )
 from phl.proofsys import (
     DET_RULES, PROB_RULES, Derivation, DerivationVerdict, _check_node,
@@ -603,6 +610,55 @@ def det_derivation_from_traces(c: Command, post: Formula, window: StateWindow,
         raise TypeError(f"not a command: {c!r}")
 
     return build(c, post), converged
+
+
+# ---------------------------------------------------------------------------
+# Variable collection as one bottom-up walk per sort, and the construction
+# checks of guards and assignments built on it.
+
+_NO_VARS: frozenset[str] = frozenset()
+
+
+def _free_vars(root: Node, sort: type) -> frozenset[str]:
+    def step(n, go):
+        if type(n) is sort:
+            return frozenset((n.name,))
+        out = _NO_VARS
+        for k in n._kids:
+            out |= go(getattr(n, k))
+        if sort is ProgVar and isinstance(n, (Assign, RandAssign)):
+            out |= {n.var}
+        elif sort is LogVar and isinstance(n, Forall):
+            out -= {n.var}
+        return out
+    return dag_walk(root, step)
+
+
+def _has_quantifier(node: Node) -> bool:
+    return dag_walk(node, lambda n, go: isinstance(n, Forall)
+                    or any(go(getattr(n, k)) for k in n._kids))
+
+
+def node_size_walk(root: Node) -> int:
+    """The number of distinct nodes a bottom-up walk of root visits."""
+    memo: dict = {}
+    dag_walk(root, lambda n, go: [go(getattr(n, k)) for k in n._kids], memo)
+    return len(memo)
+
+
+def guard_error(guard: Formula) -> Optional[str]:
+    """The ValueError text of an `If` or `While` over guard, or None."""
+    if _free_vars(guard, LogVar) or _has_quantifier(guard):
+        return f"guard must be quantifier- and logical-var-free: {guard}"
+    return None
+
+
+def assign_error(expr: ArithExpr) -> Optional[str]:
+    """The ValueError text of an `Assign` of expr, or None."""
+    bad = _free_vars(expr, LogVar)
+    if bad:
+        return f"assignment right-hand side uses logical variables {sorted(bad)}"
+    return None
 
 
 # ---------------------------------------------------------------------------

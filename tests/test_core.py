@@ -7,25 +7,29 @@ import gc
 import importlib
 import inspect
 import pickle
+import re
+import sys
 import weakref
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, strategies as st
 
 from phl import core
 from phl.core import (
-    ABin, And, Assign, BoolLit, DistSpec, FALSE, Forall, IntConst,
+    ABin, And, Assign, BoolLit, DistSpec, FALSE, Forall, If, IntConst,
     Interpretation, LogVar, Node, Not, Or, Prob, ProgVar, RatConst,
-    RBin, Rel, Skip, State, SubDistribution, TRUE, UnboundVariable, While,
-    and_all, format_fraction, log_vars, normalize_real,
+    RBin, RealVar, Rel, Skip, State, SubDistribution, TRUE, UnboundVariable, While,
+    and_all, log_vars, normalize_real,
     parse_fraction, point_dist,
     prog_vars, real_vars, simplify_formula, subst_prog_var,
 )
 from phl.assertions import StateWindow
 from phl.parser import (
-    parse_command, parse_det_formula, parse_prob_formula, parse_real_expr,
+    parse_arith, parse_command, parse_det_formula, parse_prob_formula,
+    parse_real_expr,
 )
 from phl.preterm import pt
 from phl.proofsys import (
@@ -35,7 +39,10 @@ from phl.semantics import sat_det
 from phl.wp import wp
 
 import strategies as sts
-from reference import subdist_form
+from reference import (
+    _free_vars, assign_error, guard_error, node_size_walk,
+    subdist_form,
+)
 
 
 class TestFractions:
@@ -64,7 +71,7 @@ class TestFractions:
 
     def test_format_round_trip(self):
         for q in (Fraction(1, 2), Fraction(-7, 3), Fraction(4), Fraction(0)):
-            assert parse_fraction(format_fraction(q)) == q
+            assert parse_fraction(str(q)) == q
 
 
 class TestState:
@@ -305,6 +312,104 @@ class TestVariableCollection:
         assert prog_vars(r) == {"X"}
         assert log_vars(r) == {"j"}
         assert real_vars(r) == {"eps"}
+
+    @given(st.one_of(sts.ANY_TERM, sts.quantified_formulas(), sts.commands(loops=True),
+                     sts.open_real_exprs(), sts.prob_formulas(free=True)))
+    def test_scan_matches_walk(self, n):
+        assert prog_vars(n) == _free_vars(n, ProgVar)
+        assert log_vars(n) == _free_vars(n, LogVar)
+        assert real_vars(n) == _free_vars(n, RealVar)
+        assert core.node_size(n) == node_size_walk(n)
+
+    @pytest.mark.parametrize("text, free", [
+        ("(forall k. k = 0) && k = 1", {"k"}),
+        ("forall k. (forall k. k = j) && k < 0", {"j"}),
+        ("forall k. forall k. k = 0", set()),
+    ], ids=["bound-and-free", "shadowed", "shadowed-closed"])
+    def test_forall_binds(self, text, free):
+        f = parse_det_formula(text)
+        assert log_vars(f) == _free_vars(f, LogVar) == free
+
+    def test_unread_targets(self):
+        c = parse_command("Z := 1; W :=$ {1/2:0, 1/2:1}")
+        assert prog_vars(c) == _free_vars(c, ProgVar) == {"Z", "W"}
+
+
+def construction_error(build) -> Optional[str]:
+    """The text of the ValueError build() raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestConstructionChecks:
+    """Guards and assignment right-hand sides are checked as the
+    per-sort walks check them, to the same error text."""
+
+    @pytest.mark.parametrize("text, bad", [
+        ("!(X = k)", True),
+        ("X = 0 && !(k < 1)", True),
+        ("!(forall k. X < k)", True),
+        ("X = 0 && !!(forall j. Y = 1)", True),
+        ("!(X = 0) && forall k. k = k", True),
+        ("!!(X = 0) && !(Y < 1)", False),
+    ])
+    def test_guards(self, text, bad):
+        g = parse_det_formula(text)
+        expected = guard_error(g)
+        assert (expected is not None) == bad
+        assert construction_error(lambda: If(g, Skip(), Skip())) == expected
+        assert construction_error(lambda: While(g, Skip())) == expected
+
+    @given(st.one_of(sts.det_formulas(lv=("k",)), sts.quantified_formulas()))
+    def test_any_guard(self, g):
+        expected = guard_error(g)
+        assert construction_error(lambda: If(g, Skip(), Skip())) == expected
+        assert construction_error(lambda: While(g, Skip())) == expected
+
+    def test_right_hand_side_names_sorted(self):
+        e = parse_arith("k * X + j - (m + k) * j")
+        assert assign_error(e) == ("assignment right-hand side uses logical "
+                                   "variables ['j', 'k', 'm']")
+        assert construction_error(lambda: Assign("X", e)) == assign_error(e)
+
+    @given(sts.aexprs(lv=("j", "k")))
+    def test_any_right_hand_side(self, e):
+        assert construction_error(lambda: Assign("X", e)) == assign_error(e)
+
+
+class TestDepth:
+    """Terms thousands of levels deep: a `;` chain, a `P` sum, a guard and
+    a right-hand side.  None of them is printed, since `str` still takes a
+    frame per level."""
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
+
+    def test_long_chain_variables_and_size(self):
+        c = parse_command("; ".join(["X := Y", "Y := X"] * 5000))
+        assert prog_vars(c) == {"X", "Y"}
+        assert core.node_size(c) == 10003
+
+    def test_wp_of_a_chain_without_a_window(self):
+        c = parse_command("; ".join(["X := Y", "Y := X"] * 300))
+        assert wp(c, parse_det_formula("X = 1"))[0] is parse_det_formula("Y = 1")
+
+    def test_real_vars_of_a_long_sum(self):
+        r = parse_real_expr(" + ".join(f"P(X = {i})" for i in range(3000)) + " + @e")
+        assert real_vars(r) == {"e"}
+
+    def test_deep_guard_builds(self):
+        g = parse_det_formula("!" * 3000 + "(X = 0)")
+        assert While(g, Skip()).guard is g
+
+    def test_deep_right_hand_side_is_checked(self):
+        e = parse_arith(" + ".join(["X"] * 3000 + ["k"]))
+        with pytest.raises(ValueError, match=re.escape("logical variables ['k']")):
+            Assign("X", e)
 
 
 def rebuilt(n):

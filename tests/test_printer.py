@@ -15,7 +15,7 @@ from phl.core import (
     ABin, And, ArithExpr, Assign, BoolLit, Command, Forall, Formula, If,
     Implies, IntConst, LogVar, Node, Not, Or, PAnd, PImplies, PNot, POr, PRel,
     Prob, ProbFormula, ProgVar, RandAssign, RatConst, RBin, RealExpr, RealVar,
-    Rel, Seq, Skip, While, format_fraction, normalize_real, to_source,
+    Rel, Seq, Skip, While, normalize_real, to_source,
 )
 from phl.parser import parse_command, parse_real_expr
 from phl.preterm import pt, wp_prob
@@ -75,7 +75,7 @@ def ref_command(c, prec=0):
     if isinstance(c, Assign):
         return f"{c.var} := {ref_arith(c.expr)}"
     if isinstance(c, RandAssign):
-        body = ", ".join(f"{format_fraction(w)}:{v}" for w, v in c.dist.pairs)
+        body = ", ".join(f"{w}:{v}" for w, v in c.dist.pairs)
         return f"{c.var} :=$ {{{body}}}"
     if isinstance(c, Seq):
         s = f"{ref_command(c.first, 1)}; {ref_command(c.second, 0)}"
@@ -91,7 +91,7 @@ def ref_command(c, prec=0):
 
 def ref_real(r, prec=0):
     if isinstance(r, RatConst):
-        return format_fraction(r.value)
+        return str(r.value)
     if isinstance(r, RealVar):
         return f"@{r.name}"
     if isinstance(r, Prob):
