@@ -13,6 +13,9 @@ operator.
 
 AST nodes are hash-consed: structurally equal nodes are one object, so `==`
 is `is` and terms built by the transformers share every common subterm.
+Nodes are immutable.  Each node class gets one constructor and one `map`,
+generated when the class is declared; the unique table holds one keyed weak
+reference per node.
 Only `forall` binds, and only logical variables: `prog_vars`, `real_vars`,
 the DAG size `node_size` and the guard and assignment checks each read one
 scan of a node's distinct nodes, and `log_vars`, the free logical
@@ -31,9 +34,9 @@ import re
 import weakref
 from bisect import bisect_left
 from contextvars import ContextVar
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, wraps
+from functools import wraps
 from itertools import chain
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -73,65 +76,120 @@ def parse_fraction(text: str) -> Fraction:
 # first built.  Child nodes compare by identity inside the key; scalar
 # fields that compare equal across types (1 == True == Fraction(1)) also
 # key on their type.  The table holds its nodes weakly: a node no one else
-# refers to is dropped, and so is its entry.
+# refers to is dropped, and so is its entry.  Each entry is one weak
+# reference that carries its own key, so the callback drops that entry.
+# `_node` generates each class's constructor and `map` once, when the
+# class is declared: straight-line code over the class's own fields.
 
-_TABLE: dict[tuple, weakref.ref] = {}
+_TABLE: dict[tuple, "_Ref"] = {}
 _NODE_FAMILIES = ("ArithExpr", "Formula", "Command", "RealExpr", "ProbFormula")
-_set_field = object.__setattr__
 
 
-def _evict(key: tuple, ref: weakref.ref) -> None:
-    if _TABLE.get(key) is ref:
-        del _TABLE[key]
+class _Ref(weakref.ref):
+    """The table's weak reference to a node; `key` is its entry's key."""
+
+    __slots__ = ("key",)
+
+
+def _evict(ref: _Ref) -> None:
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
 
 
 class Node:
-    """Base of every AST node: construction returns the interned node."""
+    """Base of every AST node: construction returns the interned node.
+    Nodes are immutable; each field is set once, when the node is built."""
 
     __slots__ = ("__weakref__",)
     _fields: tuple[str, ...] = ()   # constructor arguments, in order
     _kids: tuple[str, ...] = ()     # the fields that hold child nodes
     _typed = False                  # key on the type of the first field too
 
-    def __new__(cls, *args):
-        key = (cls, type(args[0])) + args if cls._typed else (cls,) + args
-        ref = _TABLE.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        if len(args) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments "
-                            f"({', '.join(cls._fields)}), got {len(args)}")
-        node = object.__new__(cls)
-        for name, value in zip(cls._fields, args):
-            _set_field(node, name, value)
-        node._validate()
-        _TABLE[key] = weakref.ref(node, partial(_evict, key))
-        return node
-
     def _validate(self) -> None:
         """Raise ValueError for an ill-formed node; runs before interning."""
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
     def __str__(self) -> str:
         return to_source(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({to_source(self)!r})"
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def map(self, fn: Callable[["Node"], "Node"]) -> "Node":
-        """This node with fn applied to each child."""
-        if not self._kids:
-            return self
-        return type(self)(*[fn(getattr(self, f)) if f in self._kids
-                            else getattr(self, f) for f in self._fields])
+        """This node with fn applied to each child, in field order: `_node`
+        generates it for each class with children; a leaf is itself."""
+        return self
+
+
+# The generated functions' source: `_NEW` and `_MAP` are the bodies, and
+# `_make` wraps one in a function whose parameters become its closure.  The
+# bodies' own names start with `_`, which no field name does.
+_NEW = """\
+    def __new__({params}):
+        _key = ({key},)
+        _ref = _get(_key)
+        if _ref is not None:
+            _self = _ref()
+            if _self is not None:
+                return _self
+        _self = _object_new(cls)
+{sets}{validate}        _ref = _Ref(_self, _evict)
+        _ref.key = _key
+        _TABLE[_key] = _ref
+        return _self
+"""
+_MAP = """\
+    def map(self, fn):
+        return _cls({args})
+"""
+
+
+def _make(name: str, qualname: str, body: str, env: dict) -> Callable:
+    source = f"def _outer({', '.join(env)}):\n{body}    return {name}\n"
+    scope: dict = {}
+    # a file name per function keeps the classes apart in profiles
+    exec(compile(source, f"<{qualname}>", "exec"), globals(), scope)
+    fn = scope["_outer"](**env)
+    fn.__qualname__ = qualname
+    return fn
 
 
 def _node(cls):
-    """Declare an AST node class from its annotated fields."""
-    cls = dataclass(frozen=True, eq=False, init=False, slots=True)(cls)
-    cls._fields = tuple(f.name for f in fields(cls))
-    cls._kids = tuple(f.name for f in fields(cls) if f.type in _NODE_FAMILIES)
+    """Declare an AST node class from its annotated fields.  The class is
+    rebuilt with one slot per field and gets one generated constructor,
+    `__new__(cls, <fields>)`, which returns the live node on a hit and on a
+    miss sets the slots, runs `_validate` if the class has one and enters
+    one keyed weak reference in the table; a class with children also gets
+    one generated `map`."""
+    notes = cls.__dict__.get("__annotations__", {})
+    names = tuple(notes)
+    body = dict(cls.__dict__, __slots__=names)
+    del body["__dict__"]  # Node's slots already hold the weak reference
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    cls._fields = names
+    cls._kids = tuple(n for n in names if notes[n] in _NODE_FAMILIES)
+    setters = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+    key = ("cls", f"type({names[0]})") if cls._typed else ("cls",)
+    new = _NEW.format(
+        params=", ".join(("cls",) + names),
+        key=", ".join(key + names),
+        sets="".join(f"        _set_{n}(_self, {n})\n" for n in names),
+        validate="        _self._validate()\n" if cls._validate is not Node._validate else "")
+    cls.__new__ = staticmethod(_make(
+        "__new__", f"{cls.__name__}.__new__", new,
+        dict(setters, _get=_TABLE.get, _object_new=object.__new__, _Ref=_Ref,
+             _evict=_evict, _TABLE=_TABLE)))
+    if cls._kids:
+        args = ", ".join(f"fn(self.{n})" if n in cls._kids else f"self.{n}" for n in names)
+        cls.map = _make("map", f"{cls.__name__}.map", _MAP.format(args=args), {"_cls": cls})
     return cls
 
 

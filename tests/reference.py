@@ -45,6 +45,11 @@ against them:
   checks.  `core` reads program and real variables, DAG size and both
   checks off one scan of the distinct nodes, and walks bottom-up only
   for the free logical variables;
+- `map_generic` rebuilds a node from every field in order, a child
+  through the function, the one `map` body the generated per-class `map`s
+  of `core` reproduce; `dataclass_repr` prints a node as a frozen
+  dataclass did, down the whole tree, where `repr` prints each distinct
+  node once;
 - `ReferenceParser` reads expressions by recursive descent, one method per
   precedence level, and reads a parenthesized relation by trying an
   operand first and backtracking on failure; `phl.parser` reads the same
@@ -659,6 +664,29 @@ def assign_error(expr: ArithExpr) -> Optional[str]:
     if bad:
         return f"assignment right-hand side uses logical variables {sorted(bad)}"
     return None
+
+
+# ---------------------------------------------------------------------------
+# One generic `map` for every node class, and the tree a frozen dataclass
+# printed as a node's repr.
+
+
+def map_generic(n: Node, fn) -> Node:
+    """n with fn applied to each child: its class rebuilt from every field
+    in order, a child field through fn."""
+    if not n._kids:
+        return n
+    return type(n)(*[fn(getattr(n, f)) if f in n._kids
+                     else getattr(n, f) for f in n._fields])
+
+
+def dataclass_repr(n) -> str:
+    """`Class(field=value, ...)` down the whole tree: a node shared k times
+    is printed k times."""
+    if not isinstance(n, Node):
+        return repr(n)
+    return (f"{type(n).__name__}("
+            + ", ".join(f"{f}={dataclass_repr(getattr(n, f))}" for f in n._fields) + ")")
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ from hypothesis import given, strategies as st
 
 from phl import core
 from phl.core import (
-    ABin, And, Assign, BoolLit, DistSpec, FALSE, Forall, If, IntConst,
-    Interpretation, LogVar, Node, Not, Or, Prob, ProgVar, RatConst,
-    RBin, RealVar, Rel, Skip, State, SubDistribution, TRUE, UnboundVariable, While,
+    ABin, And, Assign, BoolLit, DistSpec, FALSE, Forall, If, Implies, IntConst,
+    Interpretation, LogVar, Node, Not, Or, PAnd, PFALSE, PImplies, PNot, POr,
+    PTRUE, Prob, ProgVar, RandAssign, RatConst, RBin, RealVar, Rel, Seq, Skip,
+    State, SubDistribution, TRUE, UnboundVariable, While,
     and_all, log_vars, normalize_real,
     parse_fraction, point_dist,
     prog_vars, real_vars, simplify_formula, subst_prog_var,
@@ -40,8 +41,8 @@ from phl.wp import wp
 
 import strategies as sts
 from reference import (
-    _free_vars, assign_error, guard_error, node_size_walk,
-    subdist_form,
+    _free_vars, assign_error, dataclass_repr, guard_error, map_generic,
+    node_size_walk, subdist_form,
 )
 
 
@@ -446,6 +447,9 @@ class TestInterning:
         assert RatConst(Fraction(1)) is not RatConst(1)
         assert BoolLit(True) is not BoolLit(1)
         assert type(IntConst(True).value) is bool
+        # the generated constructor keys on the type as pickle rebuilds it
+        for n in (IntConst(True), BoolLit(True), RatConst(Fraction(1))):
+            assert pickle.loads(pickle.dumps(n)) is n
 
     @pytest.mark.parametrize("build", [
         lambda: ABin("/", ProgVar("X"), IntConst(1)),
@@ -459,6 +463,19 @@ class TestInterning:
         size = len(core._TABLE)
         for _ in range(2):
             with pytest.raises(ValueError):
+                build()
+            assert len(core._TABLE) == size
+        assert children
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: ABin("+", ProgVar("X")), "ABin"),
+        (lambda: Skip(1), "Skip"),
+    ], ids=["missing-field", "extra-field"])
+    def test_wrong_arity_names_the_class(self, build, name):
+        children = (ProgVar("X"), Skip())
+        size = len(core._TABLE)
+        for _ in range(2):
+            with pytest.raises(TypeError, match=rf"\b{name}\b"):
                 build()
             assert len(core._TABLE) == size
         assert children
@@ -502,6 +519,58 @@ class TestInterning:
             assert inspect.isfunction(fn), attr
             assert (fn.__module__, fn.__qualname__) == (module, attr)
         assert len({id(fn) for fn in fns}) == len(fns)
+
+
+# one node of every class `_node` declares
+NODE_SAMPLES = [
+    IntConst(1), ProgVar("X"), LogVar("k"), ABin("+", ProgVar("X"), IntConst(1)),
+    BoolLit(True), Rel("<", ProgVar("X"), IntConst(1)), Not(TRUE), And(TRUE, FALSE),
+    Or(TRUE, FALSE), Implies(TRUE, FALSE), Forall("k", Rel("=", LogVar("k"), IntConst(0))),
+    Skip(), Assign("X", IntConst(1)), RandAssign("X", DistSpec.make([(Fraction(1), 0)])),
+    Seq(Skip(), Skip()), If(TRUE, Skip(), Skip()), While(FALSE, Skip()),
+    RatConst(Fraction(1, 2)), RealVar("eps"), Prob(TRUE), RBin("+", RealVar("eps"), Prob(TRUE)),
+    PTRUE, PNot(PTRUE), PAnd(PTRUE, PFALSE), POr(PTRUE, PFALSE), PImplies(PTRUE, PFALSE),
+]
+
+
+class TestNodeClasses:
+    def test_samples_cover_every_class(self):
+        declared = {c for c in vars(core).values()
+                    if isinstance(c, type) and issubclass(c, Node) and "__new__" in vars(c)}
+        assert {type(n) for n in NODE_SAMPLES} == declared
+        assert len(NODE_SAMPLES) == len(declared)
+
+    @pytest.mark.parametrize("n", NODE_SAMPLES, ids=lambda n: type(n).__name__)
+    def test_fields_are_immutable(self, n):
+        before = [getattr(n, f) for f in n._fields]
+        for f in n._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(n, f, IntConst(0))
+            with pytest.raises(AttributeError):
+                delattr(n, f)
+        assert [getattr(n, f) for f in n._fields] == before
+        assert not hasattr(n, "__dict__")
+
+    @given(st.one_of(sts.ANY_TERM, sts.commands(loops=True), sts.prob_formulas(free=True)))
+    def test_map_is_the_generic_map(self, n):
+        repl = ABin("+", ProgVar("Y"), IntConst(1))
+        for fn in (lambda k: k, lambda k: core._subst(k, "X", repl)):
+            assert n.map(fn) is map_generic(n, fn)
+        assert n.map(lambda k: k) is n
+
+    def test_repr_is_the_class_and_its_text(self):
+        assert repr(ProgVar("X")) == "ProgVar('X')"
+        assert repr(Skip()) == "Skip('skip')"
+
+    def test_repr_prints_each_distinct_node_once(self):
+        term, _ = pt(parse_command(COIN), parse_real_expr("P(X = 0)"), unroll=4, depth=2,
+                     window=StateWindow.make(("X", "_F0"), -2, 2))
+        assert core.node_size(term) == 86
+        # a frozen dataclass printed the tree: every shared node again
+        assert len(dataclass_repr(term)) == 54_060
+        assert len(str(term)) == 6_512
+        assert repr(term) == f"{type(term).__name__}({str(term)!r})"
+        assert len(repr(term)) == 6_520
 
 
 class TestNoCycles:
