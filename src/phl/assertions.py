@@ -15,8 +15,10 @@ probabilistic formula one column over the family's members, whose P(phi)
 bodies are decided once over the union of the members' supports.
 `eval_real` and `sat_prob` are batches of one distribution.  A window
 keeps its states, and inside a memo scope (`core.memo_scoped`) a node's
-column over a window is decided once for every check that reads it.  The
-first counterexample is the one of the state-by-state loops
+column over a window is decided once for every check that reads it.  A
+triple check runs the points satisfying pre as lanes of a few interpreter
+passes, each point once, and decides post in one batch over a pass's
+outputs.  The first counterexample is the one of the state-by-state loops
 (interpretation outer, state or member inner).  Equivalence is validity:
 of a = b for real terms, of (f && g) || (!f && !g) for probabilistic
 formulas.  Terms are hash-consed, so identical operands are one object,
@@ -35,11 +37,13 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (
     Command, Formula, Interpretation, EMPTY_INTERP, PAnd, PNot, POr, PRel,
-    ProbFormula, RealExpr, State, SubDistribution, log_vars, memo_table,
-    parse_fraction, real_vars,
+    ProbFormula, RealExpr, State, SubDistribution, UnboundVariable, log_vars,
+    memo_table, parse_fraction, prog_vars, real_vars,
 )
 from .parser import ParseError, parse_state
-from .semantics import DEFAULT_QWINDOW, eval_batch, execute, sat_det_batch, sat_det_dist
+from .semantics import (
+    DEFAULT_QWINDOW, eval_batch, eval_lanes, run_lanes, sat_det_batch, sat_det_lanes,
+)
 
 DEFAULT_INT_WINDOW = (-8, 8)
 
@@ -106,7 +110,7 @@ class StateWindow:
 
     # the domain questions `check_valid` and `check_triple` ask, as DistFamily's
     witnesses = states
-    holds = staticmethod(sat_det_dist)
+    holds = staticmethod(sat_det_lanes)
 
     def input(self, i: int) -> SubDistribution:
         return SubDistribution.point(self.states()[i])  # built on demand
@@ -147,6 +151,9 @@ class DistFamily:
                  description: str = "explicit family"):
         self.members = tuple(members)
         self.description = description
+        # every variable of a member's store, sorted, as StateWindow's
+        self.names = tuple(sorted({k for member in self.members for s in member[1].nums
+                                   for k, _ in s}))
 
     @staticmethod
     def build(window: StateWindow, seed: int = 0, mixtures: int = 32,
@@ -193,7 +200,7 @@ class DistFamily:
     def input(self, i: int) -> SubDistribution:
         return self.members[i][1]
 
-    holds = staticmethod(sat_prob)
+    holds = staticmethod(eval_lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -252,23 +259,56 @@ def check_valid(f: Formula | ProbFormula, domain: StateWindow | DistFamily,
 def check_triple(pre: Formula | ProbFormula, c: Command, post: Formula | ProbFormula,
                  domain: StateWindow | DistFamily, qwindow, loop_bound) -> TripleVerdict:
     """Every domain point satisfying pre must, after running c, satisfy post.
-    A run does not depend on the interpretation, so each point runs once."""
+
+    A run does not depend on the interpretation, so each point runs once.
+    Under each interpretation, the points satisfying pre that have not run
+    go to one interpreter pass per chunk, the chunks of 1, 2, 4, ... points
+    in domain order, and post is decided in one batch over a pass's
+    outputs.  The points are then read in domain order, so the verdict, its
+    residual bound and any `UnboundVariable` raised are those of running
+    and checking one point at a time."""
+    if loop_bound < 0:
+        raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
     scope = f"{_scope(domain, qwindow)}, loop bound {loop_bound}"
+    names = sorted(prog_vars(c).union(domain.names))
     worst = Fraction(0)  # the largest residual mass of a truncated run so far
     witnesses = domain.witnesses()
-    runs = {}  # each point's run, by its index
+    lanes = {}  # each point that ran: its pass and lane
+    size = 1
     for interp in domain.interpretations((pre, post), qwindow):
-        for i, ok in enumerate(domain.truth(pre, interp, qwindow)):
-            if not ok:
-                continue
-            res = runs.get(i)
-            if res is None:
-                res = runs[i] = execute(c, domain.input(i), loop_bound)
-            if not res.exact:  # its residual mass is positive
-                worst = max(worst, res.residual_mass)
-            if not domain.holds(post, res.output, interp, qwindow):
+        points, unbound = _selected(domain.truth(pre, interp, qwindow))
+        held = {}  # each pass's post verdicts under interp, by lane
+        for k, i in enumerate(points):
+            if i not in lanes:
+                chunk = [*itertools.islice((j for j in points[k:] if j not in lanes), size)]
+                size *= 2
+                run = run_lanes(c, names, [domain.input(j) for j in chunk], loop_bound)
+                lanes.update((j, (run, lane)) for lane, j in enumerate(chunk))
+            run, lane = lanes[i]
+            if lane in run.unbound:
+                raise UnboundVariable(run.unbound[lane])
+            if run.residuals[lane]:  # positive: the run was truncated
+                worst = max(worst, run.residuals[lane])
+            verdicts = held.get(run)
+            if verdicts is None:
+                verdicts = held[run] = domain.holds(post, run, interp, qwindow)
+            if not verdicts[lane]:
                 return TripleVerdict(False, scope, (witnesses[i], interp), worst > 0, worst)
+        if unbound is not None:
+            raise unbound
     return TripleVerdict(True, scope, None, worst > 0, worst)
+
+
+def _selected(truth: list) -> tuple[list[int], Optional[UnboundVariable]]:
+    """The indices of the true entries, in order, up to the first entry
+    that raises `UnboundVariable` when read, and what it raised."""
+    out = []
+    try:
+        for i in itertools.compress(range(len(truth)), truth):
+            out.append(i)
+    except UnboundVariable as unbound:
+        return out, unbound
+    return out, None
 
 
 def check_valid_det(f: Formula, window: StateWindow,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 AOPS = ("+", "-", "*")
@@ -312,7 +312,8 @@ class DistSpec:
     """Finite rational distribution literal: weights in (0,1] summing to 1.
 
     `den` is the lcm of the weights' denominators and `scaled` lists each
-    (weight * den, value) pair, so the interpreter draws in integers."""
+    (weight * den, value) pair, so the interpreter draws in integers.  The
+    weights are checked in those integers."""
 
     pairs: tuple[tuple[Fraction, int], ...]
     den: int = field(init=False, compare=False, repr=False)
@@ -321,31 +322,52 @@ class DistSpec:
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("empty distribution literal")
-        total = Fraction(0)
         seen = set()
         for weight, value in self.pairs:
             if not isinstance(weight, Fraction):
                 raise ValueError("distribution weights must be exact fractions")
-            if not (0 < weight <= 1):
+            if not 0 < weight.numerator <= weight.denominator:
                 raise ValueError(f"weight {weight} outside (0, 1]")
             if value in seen:
                 raise ValueError(f"duplicate value {value} in distribution")
             seen.add(value)
-            total += weight
-        if total != 1:
-            raise ValueError(f"distribution weights sum to {total}, expected 1")
         den = lcm(*(w.denominator for w, _ in self.pairs))
+        self._set(den, tuple((w.numerator * (den // w.denominator), v)
+                             for w, v in self.pairs))
+
+    def _set(self, den: int, scaled: tuple[tuple[int, int], ...]) -> None:
+        """Keep den and the weights scaled over it, which must sum to it."""
+        total = sum(n for n, _ in scaled)
+        if total != den:
+            raise ValueError(f"distribution weights sum to {Fraction(total, den)}, expected 1")
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "scaled", tuple(
-            (w.numerator * (den // w.denominator), v) for w, v in self.pairs))
+        object.__setattr__(self, "scaled", scaled)
 
     @staticmethod
     def make(pairs: Iterable[tuple[Fraction, int]]) -> "DistSpec":
-        """Build a DistSpec, merging duplicate values and dropping zero weights."""
-        merged: dict[int, Fraction] = {}
+        """Build a DistSpec, merging duplicate values and dropping zero
+        weights, in one pass over the weights' numerators scaled to the lcm
+        of their denominators."""
+        pairs = list(pairs)
+        if not all(isinstance(w, (int, Fraction)) for w, _ in pairs):
+            raise ValueError("distribution weights must be exact fractions")
+        den = lcm(*(w.denominator for w, _ in pairs))
+        merged: dict[int, int] = {}
         for weight, value in pairs:
-            merged[value] = merged.get(value, Fraction(0)) + weight
-        return DistSpec(tuple((w, v) for v, w in merged.items() if w != 0))
+            merged[value] = merged.get(value, 0) + weight.numerator * (den // weight.denominator)
+        scaled = [(n, v) for v, n in merged.items() if n != 0]
+        if not scaled:
+            raise ValueError("empty distribution literal")
+        g = gcd(den, *(n for n, _ in scaled))  # den // g: the merged weights' lcm
+        den //= g
+        scaled = tuple((n // g, v) for n, v in scaled)
+        for n, _ in scaled:
+            if not 0 < n <= den:
+                raise ValueError(f"weight {Fraction(n, den)} outside (0, 1]")
+        spec = object.__new__(DistSpec)
+        object.__setattr__(spec, "pairs", tuple((Fraction(n, den), v) for n, v in scaled))
+        spec._set(den, scaled)
+        return spec
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.pairs)

@@ -545,11 +545,14 @@ class _Parser:
             self.warned = True
             warnings.warn("duplicate values in distribution literal merged",
                           ParserWarning, stacklevel=_caller_level())
-        total = sum(w for w, _ in pairs)
-        if total != 1:  # frac() is never negative, so no weight exceeds 1
+        try:
+            return DistSpec.make(pairs)
+        except ValueError:
+            # frac() is never negative, so a literal DistSpec rejects has
+            # weights that do not sum to 1: all zero, or one above 1
+            total = sum(w for w, _ in pairs)
             raise ParseError(f"distribution weights sum to {total}, expected 1",
-                             *self.where(open_at))
-        return DistSpec.make(pairs)
+                             *self.where(open_at)) from None
 
 
 def _caller_level() -> int:

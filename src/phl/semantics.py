@@ -15,13 +15,18 @@ of the supports).  `sat_det_batch` and `eval_batch` are its entry points;
 checker run one batch over their domain.  The answers, the first failing
 state or distribution and the `UnboundVariable` raised are those of
 evaluating one at a time, left to right with short-circuit connectives.
-A `SubDistribution` holds integer numerators over one reduced denominator.
-The interpreter passes those `{State: int}` maps between steps, reducing
-after each, so `execute` converts no weight; `P(phi)` sums numerators and
-makes one `Fraction` per distribution.  A loop whose sub-distribution one
-more pass leaves unchanged stops unrolling: nothing exits it any more, so
-its output, residual and iteration count are those of unrolling to the
-bound.
+
+The interpreter, `run_lanes`, runs many inputs in one pass, one lane each,
+over value rows: a store's values in one sorted variable layout, None where
+a variable is unbound, and the lane's index last.  Each lane's output,
+residual and first unbound read are those of running its input alone, and
+`sat_det_lanes` and `eval_lanes` decide a formula over every lane's output
+in one batch.  `execute` is the pass of one lane.  Weights are integer
+numerators over one denominator, reduced after each step, as a
+`SubDistribution` holds them; `P(phi)` sums numerators and makes one
+`Fraction` per distribution.  A loop whose sub-distribution one more pass
+leaves unchanged stops unrolling: nothing exits it any more, so its output,
+residual and iteration count are those of unrolling to the bound.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import and_, is_, or_, xor
+from operator import and_, attrgetter, is_, is_not, itemgetter, or_, xor
 from typing import Optional, Sequence
 
 from .core import (
@@ -38,7 +43,7 @@ from .core import (
     Forall, Formula, If, IntConst, Interpretation, LogVar, Not, Or, Implies,
     PAnd, PImplies, PNot, POr, PRel, Prob, ProbFormula, ProgVar, RandAssign,
     RatConst, RBin, RealExpr, RealVar, Rel, Seq, Skip, State, SubDistribution,
-    UnboundVariable, While,
+    UnboundVariable, While, prog_vars,
 )
 
 DEFAULT_QWINDOW = (-8, 8)
@@ -92,22 +97,28 @@ class _Unbound:
 class _Batch:
     """One evaluation: its rows, the values of the variables the rows do
     not bind, the quantifier window and a column per distinct node.  Rows
-    are states, with logical variables' values, or distributions, with real
-    variables' values; a distribution is a list of (state's index in
+    are stores, with logical variables' values, or distributions, with real
+    variables' values; a distribution is a list of (store's index in
     `union`, numerator) pairs and its denominator, and `union` is the batch
-    over the union of the supports that decides the bodies of P(phi).
-    Program-variable columns do not depend on the logical values, so the
-    batches of a quantifier's body share them with the enclosing one."""
+    over the union of the supports that decides the bodies of P(phi).  A
+    store is a `State`, or, where `layout` maps each variable to its
+    position, a value row (see `run_lanes`).  Program-variable columns do
+    not depend on the logical values, so the batches of a quantifier's body
+    share them with the enclosing one.  `unbound` says whether a
+    program-variable column this batch built holds an unbound read."""
 
-    __slots__ = ("rows", "values", "qwindow", "prog", "union", "memo")
+    __slots__ = ("rows", "values", "qwindow", "prog", "layout", "union", "memo",
+                 "unbound")
 
-    def __init__(self, rows, values, qwindow, prog, union=None):
+    def __init__(self, rows, values, qwindow, prog, layout=None, union=None):
         self.rows = rows
         self.values = values
         self.qwindow = qwindow
         self.prog = prog
+        self.layout = layout
         self.union = union
         self.memo = {}
+        self.unbound = False
 
 
 def _column(b: _Batch, n) -> list:
@@ -129,14 +140,27 @@ def _prog_var(b: _Batch, n: ProgVar) -> list:
     name = n.name
     out = b.prog.get(name)
     if out is None:
-        out = b.prog[name] = []
-        for s in b.rows:
-            for k, v in s:
-                if k == name:
-                    out.append(v)
-                    break
+        if b.layout is None:
+            out = []
+            for s in b.rows:
+                for k, v in s:
+                    if k == name:
+                        out.append(v)
+                        break
+                else:
+                    out.append(_Unbound(name))
+                    b.unbound = True
+        else:
+            i = b.layout.get(name)
+            if i is None:
+                out = [_Unbound(name)] * len(b.rows)
+                b.unbound = True
             else:
-                out.append(_Unbound(name))
+                out = [*map(itemgetter(i), b.rows)]
+                if None in out:
+                    out = [_Unbound(name) if v is None else v for v in out]
+                    b.unbound = True
+        b.prog[name] = out
     return out
 
 
@@ -174,7 +198,7 @@ def _forall(b: _Batch, n: Forall) -> list:
     lo, hi = b.qwindow
     out = [True] * len(b.rows)
     for value in range(lo, hi + 1):
-        body = _Batch(b.rows, {**b.values, n.var: value}, b.qwindow, b.prog)
+        body = _Batch(b.rows, {**b.values, n.var: value}, b.qwindow, b.prog, b.layout)
         out = [*map(and_, out, _column(body, n.body))]
         if not any(map(is_, out, repeat(True))):
             break  # every state is decided: false, or unbound from here on
@@ -235,7 +259,7 @@ def eval_batch(n: RealExpr | ProbFormula, dists: Sequence[SubDistribution],
     rows = [([(index.setdefault(s, len(index)), m) for s, m in dist.nums.items()],
              dist.den) for dist in dists]
     union = _Batch(list(index), interp.log, qwindow, {})
-    return _column(_Batch(rows, interp.real, qwindow, None, union), n)
+    return _column(_Batch(rows, interp.real, qwindow, None, None, union), n)
 
 
 def eval_arith(e, state: State, interp: Interpretation = EMPTY_INTERP) -> int:
@@ -296,27 +320,136 @@ def execute(c: Command, dist: SubDistribution,
     Loops are unrolled up to loop_bound body executions per activation; any
     mass still live at the bound is dropped and reported as residual.  A
     loop whose sub-distribution one more pass leaves unchanged stops there,
-    with the same output, residual and iteration count.
+    with the same output, residual and iteration count.  This is a pass of
+    one lane, whose output rows become `State`s again.
     """
+    names = sorted({k for s in dist.nums for k, _ in s}.union(prog_vars(c)))
+    run = run_lanes(c, names, (dist,), loop_bound)
+    if run.unbound:
+        raise UnboundVariable(run.unbound[0])
+    if run.partial:
+        nums = {State([(k, v) for k, v in zip(names, r) if v is not None]): n
+                for r, n in run.rows.items()}
+    else:
+        nums = {State(zip(names, r)): n for r, n in run.rows.items()}
+    residual = run.residuals[0]
+    return ExecResult(SubDistribution.of_weights(nums, run.den), residual,
+                      run.iterations, residual == 0)
+
+
+# The interpreter runs many inputs in one pass; the semantics is linear, so
+# each input, a lane, gives what it gives alone.  A store is a row: its
+# values in one layout of sorted variable names, None where a variable is
+# unbound, and last the index of its lane, so lanes never merge.  An
+# assignment rebuilds the row at the variable's position, and an expression
+# reads a variable's column by position.  A lane's first unbound read, the
+# read that running it alone would raise at, stops that lane alone.
+#
+# The weight maps hold integer numerators, whose shared denominator travels
+# beside the map.  Every map a step makes is reduced by the gcd of its
+# denominator and numerators, as a `SubDistribution` is, so its integers
+# are never larger than those of the reduced fractions.
+
+Weights = dict[tuple, int]
+_value = itemgetter(1)
+_den = attrgetter("den")
+
+
+class Lanes:
+    """One pass over several inputs.  Its steps share each variable's
+    position in a row, the loop bound, whether some loop dropped live mass
+    and the variable each stopped lane read unbound.  It ends with the rows
+    of every running lane's output in one map over one denominator, each
+    lane's residual mass and the deepest unrolling of any lane; from them
+    `sat_det_lanes` and `eval_lanes` evaluate over the outputs."""
+
+    __slots__ = ("index", "loop_bound", "count", "partial", "truncated", "unbound",
+                 "rows", "den", "residuals", "iterations", "prog", "dists")
+
+    def __init__(self, names: Sequence[str], count: int, loop_bound: int):
+        self.index = {name: i for i, name in enumerate(names)}
+        self.loop_bound = loop_bound
+        self.count = count
+        self.partial = False     # some input row has an unbound variable
+        self.truncated = False
+        self.unbound: dict[int, str] = {}
+        self.prog = {}           # program-variable columns over the output rows
+        self.dists = None        # each lane's output over those rows, built on demand
+
+
+def run_lanes(c: Command, names: Sequence[str], inputs: Sequence[SubDistribution],
+              loop_bound: int = DEFAULT_LOOP_BOUND) -> Lanes:
+    """Run c on each input, a lane, in one pass.  names is the layout,
+    sorted: every variable of an input store and every program variable of
+    c.  Each lane's output, residual and unbound read are those of
+    `execute` on its input alone."""
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
-    nums, den = dist.nums, dist.den
-    out, out_den, iters = _run(c, nums, den, loop_bound)
-    residual = Fraction(sum(nums.values()) * out_den - sum(out.values()) * den,
-                        den * out_den)
-    return ExecResult(SubDistribution.of_weights(out, out_den), residual, iters,
-                      residual == 0)
+    run = Lanes(names, len(inputs), loop_bound)
+    index = run.index
+    width = len(names)
+    den = lcm(*map(_den, inputs))
+    rows: Weights = {}
+    for lane, d in enumerate(inputs):
+        k = den // d.den
+        for s, n in d.nums.items():
+            if len(s) == width:  # it binds every variable of the layout
+                row = (*map(_value, s), lane)
+            else:
+                run.partial = True
+                row = [None] * width
+                for name, v in s:
+                    row[index[name]] = v
+                row.append(lane)
+                row = tuple(row)
+            rows[row] = n * k
+    out, out_den, run.iterations = _run(c, *_reduced(rows, den), run)
+    if run.unbound:
+        out = {r: n for r, n in out.items() if r[-1] not in run.unbound}
+    run.rows, run.den = out, out_den
+    run.residuals = [_ZERO] * len(inputs)
+    if run.truncated:  # otherwise every running lane kept its mass
+        held = [0] * len(inputs)
+        for r, n in out.items():
+            held[r[-1]] += n
+        run.residuals = [Fraction(sum(d.nums.values()) * (den // d.den) * out_den - h * den,
+                                  den * out_den) for d, h in zip(inputs, held)]
+    return run
 
 
-# The interpreter's weight maps are `SubDistribution.nums`, whose shared
-# denominator travels beside the map.  Every map a step makes is reduced by
-# the gcd of its denominator and numerators, as a `SubDistribution` is, so
-# its integers are never larger than those of the reduced fractions.
+def sat_det_lanes(f: Formula, run: Lanes, interp: Interpretation = EMPTY_INTERP,
+                  qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list:
+    """For each lane, whether every store of its output satisfies f, as
+    `sat_det_dist` decides it: f is one column over all the output rows,
+    and a lane's entry is True, or its first row's entry that is not: False,
+    or one that raises `UnboundVariable` when read as a truth value."""
+    rows = list(run.rows)
+    truth = _column(_Batch(rows, interp.log, qwindow, run.prog, run.index), f)
+    out = [True] * run.count
+    if any(map(is_not, truth, repeat(True))):
+        for r, ok in zip(rows, truth):
+            if ok is not True and out[r[-1]] is True:
+                out[r[-1]] = ok
+    return out
 
-Weights = dict[State, int]
+
+def eval_lanes(n: RealExpr | ProbFormula, run: Lanes,
+               interp: Interpretation = EMPTY_INTERP,
+               qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list:
+    """The value of a real expression, or the truth of a probabilistic
+    formula, on each lane's output, as `eval_batch` gives it: each P(phi)
+    body is decided once over all the output rows."""
+    if run.dists is None:
+        run.dists = [([], run.den) for _ in range(run.count)]
+        for i, (r, m) in enumerate(run.rows.items()):
+            run.dists[r[-1]][0].append((i, m))
+    union = _Batch(list(run.rows), interp.log, qwindow, run.prog, run.index)
+    return _column(_Batch(run.dists, interp.real, qwindow, None, None, union), n)
 
 
-def _reduced(weights: Weights, den: int) -> tuple[Weights, int]:
+def _reduced(weights: dict, den: int) -> tuple[dict, int]:
+    if den == 1:  # a deterministic run's weights stay over 1
+        return weights, den
     g = gcd(den, *weights.values())
     if g == 1:
         return weights, den
@@ -344,8 +477,38 @@ def _merged(acc: Weights, acc_den: int, weights: Weights,
     return _reduced(acc, common)
 
 
-def _run(c: Command, dist: Weights, den: int,
-         loop_bound: int) -> tuple[Weights, int, int]:
+def _entries(dist: Weights, b: _Batch, column: list, p: Lanes):
+    """Each (row, weight) of dist with its entry in column, which b made.
+    A lane whose entry is an unbound read stops there: its rows from then
+    on are left out, and p records the variable."""
+    if not (b.unbound or p.unbound):
+        return zip(dist.items(), column)
+    return _running(dist, column, p.unbound)
+
+
+def _running(dist: Weights, column: list, stopped: dict[int, str]):
+    for item, v in zip(dist.items(), column):
+        lane = item[0][-1]
+        if lane in stopped:
+            continue
+        if type(v) is _Unbound:
+            stopped[lane] = v.name
+            continue
+        yield item, v
+
+
+def _branches(dist: Weights, guard: Formula, p: Lanes) -> tuple[Weights, Weights]:
+    """The weights on rows where guard holds, and the rest, from one batch."""
+    b = _Batch(list(dist), {}, DEFAULT_QWINDOW, {}, p.index)
+    truth = _column(b, guard)
+    yes = {}
+    no = {}
+    for (r, n), ok in _entries(dist, b, truth, p):
+        (yes if ok else no)[r] = n
+    return yes, no
+
+
+def _run(c: Command, dist: Weights, den: int, p: Lanes) -> tuple[Weights, int, int]:
     """The output weights, their denominator and the deepest unrolling.
     The input is never changed; the output is the input itself or a map
     made here."""
@@ -354,49 +517,60 @@ def _run(c: Command, dist: Weights, den: int,
     if isinstance(c, Skip):
         return dist, den, 0
     if isinstance(c, Assign):
-        values = _column(_Batch(list(dist), {}, DEFAULT_QWINDOW, {}), c.expr)
+        b = _Batch(list(dist), {}, DEFAULT_QWINDOW, {}, p.index)
+        values = _column(b, c.expr)
+        i = p.index[c.var]
         acc: Weights = {}
         get = acc.get
-        for (s, n), v in zip(dist.items(), values):
-            t = s.set(c.var, v)  # reads v with int(): an unbound read raises
+        for (r, n), v in _entries(dist, b, values, p):
+            t = list(r)
+            t[i] = int(v)  # as `State.make`: a bool constant stores 0 or 1
+            t = tuple(t)
             q = get(t)
             acc[t] = n if q is None else q + n
         return (*_reduced(acc, den), 0)
     if isinstance(c, RandAssign):
         acc = {}
         get = acc.get
-        var, scaled = c.var, c.dist.scaled
-        for s, n in dist.items():
+        i = p.index[c.var]
+        scaled = [(m, int(value)) for m, value in c.dist.scaled]
+        for r, n in dist.items():
+            t = list(r)
             for m, value in scaled:
-                t = s.set(var, value)
-                q = get(t)
-                acc[t] = n * m if q is None else q + n * m
+                t[i] = value
+                u = tuple(t)
+                q = get(u)
+                acc[u] = n * m if q is None else q + n * m
         return (*_reduced(acc, den * c.dist.den), 0)
     if isinstance(c, Seq):
-        mid, mid_den, i1 = _run(c.first, dist, den, loop_bound)
-        out, out_den, i2 = _run(c.second, mid, mid_den, loop_bound)
+        mid, mid_den, i1 = _run(c.first, dist, den, p)
+        out, out_den, i2 = _run(c.second, mid, mid_den, p)
         return out, out_den, max(i1, i2)
     if isinstance(c, If):
-        then_in, else_in = _split(dist, c.guard)
-        then_out, then_den, i1 = _run(c.then_branch, *_reduced(then_in, den), loop_bound)
-        else_out, else_den, i2 = _run(c.else_branch, *_reduced(else_in, den), loop_bound)
-        # then_out is made here: _split made then_in
+        then_in, else_in = _branches(dist, c.guard, p)
+        then_out, then_den, i1 = _run(c.then_branch, *_reduced(then_in, den), p)
+        else_out, else_den, i2 = _run(c.else_branch, *_reduced(else_in, den), p)
+        # then_out is made here: _branches made then_in
         return (*_merged(then_out, then_den, else_out, else_den), max(i1, i2))
     if isinstance(c, While):
         # output = sum over i of the mass that exits after exactly i bodies
         exited: Weights = {}
         exited_den = 1
         inner = 0
+        loop_bound = p.loop_bound
         for i in range(loop_bound + 1):
-            live, done = _split(dist, c.guard)
+            live, done = _branches(dist, c.guard, p)
             exited, exited_den = _merged(exited, exited_den, *_reduced(done, den))
             if not live or i == loop_bound:
+                p.truncated = p.truncated or bool(live)
                 return exited, exited_den, max(i, inner)
             prev, prev_den = dist, den
-            dist, den, used = _run(c.body, *_reduced(live, den), loop_bound)
+            dist, den, used = _run(c.body, *_reduced(live, den), p)
             inner = max(inner, used)
             if den == prev_den and dist == prev:
                 # a fixed point: nothing exited this pass (commands add no
-                # mass), so no later pass changes anything either
+                # mass), so no later pass changes anything either, and the
+                # live mass is what unrolling to the bound drops
+                p.truncated = True
                 return exited, exited_den, max(loop_bound, inner)
     raise TypeError(f"not a command: {c!r}")

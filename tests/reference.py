@@ -9,6 +9,9 @@ against them:
 - `subdist_form` builds a sub-distribution's numerators and denominator
   by rescaling at each new denominator and dividing by a gcd at the end,
   the form `SubDistribution` reaches in one pass over summed weights;
+- `dist_spec_by_fractions` merges, sums and checks a distribution
+  literal's weights as `Fraction`s, what `DistSpec.make` does in integers
+  over the lcm of their denominators;
 - `iterate_cmd` builds C^n, the n-fold composition the termination-class
   key lemma unrolls a loop into;
 - `pas_preterm_subset_sum` writes the random-assignment preterm as the
@@ -65,7 +68,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import not_
 from typing import Optional
 
@@ -194,6 +197,28 @@ def subdist_form(entries) -> tuple[dict[State, int], int]:
     if total > den:
         raise ValueError(f"total mass {Fraction(total, den)} exceeds 1")
     return nums, den
+
+
+def dist_spec_by_fractions(pairs) -> tuple:
+    """`DistSpec.make`'s pairs, lcm denominator and scaled weights, merging
+    and summing `Fraction`s.  Raises `DistSpec`'s `ValueError`s."""
+    merged: dict[int, Fraction] = {}
+    for weight, value in pairs:
+        merged[value] = merged.get(value, _ZERO) + weight
+    pairs = tuple((w, v) for v, w in merged.items() if w != 0)
+    if not pairs:
+        raise ValueError("empty distribution literal")
+    total = _ZERO
+    for weight, _ in pairs:
+        if not isinstance(weight, Fraction):
+            raise ValueError("distribution weights must be exact fractions")
+        if not (0 < weight <= 1):
+            raise ValueError(f"weight {weight} outside (0, 1]")
+        total += weight
+    if total != 1:
+        raise ValueError(f"distribution weights sum to {total}, expected 1")
+    den = lcm(*(w.denominator for w, _ in pairs))
+    return pairs, den, tuple((w.numerator * (den // w.denominator), v) for w, v in pairs)
 
 
 def iterate_cmd(c: Command, n: int) -> Command:

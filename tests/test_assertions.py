@@ -365,6 +365,16 @@ class TestOneChecker:
         ("{ true } while X > 0 do { X := X - 1 [1/2] skip } { P(X <= 0) = 1 }", 2,
          "fails inexact"),
         ("{ true } skip { P(Z = 0) = 1 }", 64, "raises"),
+        # the second and third points run in one pass: the earlier of a
+        # failing point and one whose run reads Z unbound decides
+        ("{ true } if Y = 0 then { Z := Z + 1 } else { skip } { Y = -2 || Y = 0 }", 64,
+         "fails"),
+        ("{ true } if Y = -1 then { Z := Z + 1 } else { skip } { Y = -2 || Y = -1 }", 64,
+         "raises"),
+        ("{ true } if Y = 1 then { Z := Z + 1 } else { skip } { P(Y = -1 || Y = 1) = 1 }",
+         64, "fails"),
+        ("{ true } if Y = 0 then { Z := Z + 1 } else { skip } { P(Y = -1 || Y = 0) = 1 }",
+         64, "raises"),
     ]
 
     def _triple(self, pre, c, post, bound, prob):
@@ -393,17 +403,33 @@ class TestOneChecker:
                                       "{ k <= X } X := X + 1 { k <= X }"])
     def test_each_point_runs_once(self, monkeypatch, text):
         """A run does not depend on the interpretation: each window state
-        runs at most once however many interpretations its pre holds in."""
+        runs at most once however many interpretations its pre holds in,
+        counted as the lanes handed to the interpreter."""
         window = StateWindow.make(("X",), -1, 1)
         t = parse_triple(text)
-        run, runs = assertions.execute, []
-        monkeypatch.setattr(assertions, "execute",
-                            lambda *args: runs.append(args) or run(*args))
+        run, runs = assertions.run_lanes, []
+        monkeypatch.setattr(assertions, "run_lanes",
+                            lambda c, names, inputs, bound: runs.extend(inputs)
+                            or run(c, names, inputs, bound))
         got = _fields(check_triple, t.pre, t.command, t.post, window, self.QW, 64)
         assert len(runs) <= 3
         monkeypatch.undo()
         assert got == _fields(check_triple_det_loop, t.pre, t.command, t.post,
                               window, self.QW, 64)
+
+    @pytest.mark.parametrize("text, bound", [
+        ("{ X > 100 } X := X + 1 { X > 0 }", -1),
+        ("{ X > 0 } X := X + 1 { X > 0 }", -1),
+        ("{ P(X > 100) = 1 } X := X + 1 { P(X > 0) = 1 }", -3),
+        ("{ P(X > 0) = 1 } X := X + 1 { P(X > 0) = 1 }", -3)])
+    def test_negative_bound_rejected_before_any_run(self, text, bound):
+        """A negative loop bound is an error whether or not some point
+        satisfies pre."""
+        t = parse_triple(text)
+        entry, domain = ((check_triple_prob, self.FAM) if t.prob
+                         else (check_triple_det, StateWindow.make(("X",), -2, 2)))
+        with pytest.raises(ValueError, match=f"^loop bound must be non-negative, got {bound}$"):
+            entry(t.pre, t.command, t.post, domain, self.QW, bound)
 
     @settings(max_examples=80, deadline=None)
     @given(LOOPING, DET, DET, BOUNDS, st.sampled_from(("drawn", "wp", "true")))

@@ -41,8 +41,8 @@ from phl.wp import wp
 
 import strategies as sts
 from reference import (
-    _free_vars, assign_error, dataclass_repr, guard_error, map_generic,
-    node_size_walk, subdist_form,
+    _free_vars, assign_error, dataclass_repr, dist_spec_by_fractions, guard_error,
+    map_generic, node_size_walk, subdist_form,
 )
 
 
@@ -161,6 +161,27 @@ class TestDistSpec:
         d = DistSpec.make([(Fraction(1, 2), 3), (Fraction(1, 4), 5),
                            (Fraction(1, 2), 7), (Fraction(-1, 4), 5)])
         assert d.pairs == ((Fraction(1, 2), 3), (Fraction(1, 2), 7))
+
+    @given(st.lists(st.tuples(st.one_of(st.integers(-1, 1),
+                                        st.fractions(-1, 2, max_denominator=12)),
+                              st.integers(0, 3)), max_size=5),
+           st.booleans())
+    def test_make_checks_as_fraction_sums(self, pairs, complete):
+        """Merging and checking in integers gives what summing `Fraction`s
+        gives: the same spec, or the same error."""
+        if complete:  # a last weight that brings the sum to 1
+            pairs.append((1 - sum((w for w, _ in pairs), Fraction(0)), 4))
+
+        def outcome(build):
+            try:
+                return build(pairs)
+            except ValueError as err:
+                return str(err)
+
+        got = outcome(lambda ps: (lambda d: (d.pairs, d.den, d.scaled))(DistSpec.make(ps)))
+        assert got == outcome(dist_spec_by_fractions)
+        if not isinstance(got, str):
+            assert all(type(w) is Fraction for w, _ in got[0])
 
 
 # entry lists with repeated states, zero and negative weights, and integer

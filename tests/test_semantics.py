@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from phl import semantics
 from phl.core import (
-    EMPTY_INTERP, FALSE, ABin, And, BoolLit, Forall, Implies,
-    Interpretation, IntConst, LogVar, Not, Or, ProgVar, Rel, State,
-    SubDistribution, UnboundVariable, point_dist,
+    EMPTY_INTERP, FALSE, ABin, And, Assign, BoolLit, DistSpec, Forall, Implies,
+    Interpretation, IntConst, LogVar, Not, Or, ProgVar, RandAssign, Rel, State,
+    SubDistribution, UnboundVariable, point_dist, prog_vars,
 )
 from phl.parser import parse_command, parse_det_formula, parse_real_expr, parse_state
 from phl.semantics import (
@@ -332,8 +332,9 @@ class TestIntegerWeights:
 
     def test_chain_reduces_to_denominator_one(self):
         c = parse_command("; ".join(["X :=$ {1/2:0, 1/2:1}; X := 0"] * 100))
-        s = State.make({"X": 0})
-        assert semantics._run(c, {s: 1}, 1, 64) == ({s: 1}, 1, 0)
+        row = (0, 0)  # X = 0 in lane 0
+        p = semantics.Lanes(["X"], 1, 64)
+        assert semantics._run(c, {row: 1}, 1, p) == ({row: 1}, 1, 0)
 
     def test_weights_still_checked(self):
         s, t = State.make({"X": 0}), State.make({"X": 1})
@@ -395,6 +396,48 @@ class TestOneWeightForm:
         assert all(type(v) is Fraction for v in got)
         got = semantics.eval_batch(parse_real_expr("P(true)"), dists)
         assert got == [1, 1, 0, Fraction(2, 3)]
+
+
+class TestLanes:
+    """One pass over several inputs gives each lane what running its input
+    alone gives: the same output, in the same order, and residual, or the
+    same unbound variable."""
+
+    @given(st.one_of(sts.commands(loops=True), sts.coprime_commands()),
+           st.lists(st.one_of(sts.subdists(), sts.coprime_subdists()),
+                    min_size=1, max_size=5),
+           st.integers(0, 6))
+    @settings(deadline=None, max_examples=200)
+    def test_each_lane_as_run_alone(self, c, inputs, loop_bound):
+        names = sorted({k for mu in inputs for s in mu.nums for k in s.vars()}
+                       | prog_vars(c))
+        run = semantics.run_lanes(c, names, inputs, loop_bound)
+        for lane, mu in enumerate(inputs):
+            if lane in run.unbound:
+                got = ("unbound", run.unbound[lane])
+            else:
+                got = ([(State((k, v) for k, v in zip(names, r) if v is not None),
+                         Fraction(n, run.den))
+                        for r, n in run.rows.items() if r[-1] == lane],
+                       run.residuals[lane])
+            want = run_or_unbound(lambda: execute_fractions(c, mu, loop_bound))
+            assert got == (want if want[0] == "unbound" else want[:2])
+
+    def test_bool_constants_store_integers(self):
+        """A store holds integers, as `State.make` makes them: assigning
+        the constant `True` stores 1."""
+        for c in (Assign("X", IntConst(True)),
+                  RandAssign("X", DistSpec.make([(Fraction(1), True)]))):
+            (s, p), = execute(c, point_dist({"X": 0})).output.items()
+            assert s.items == (("X", 1),) and type(s["X"]) is int and p == 1
+
+    def test_lanes_do_not_merge(self):
+        """Two lanes reaching the same store keep their own weights."""
+        c = parse_command("X := 0")
+        inputs = [point_dist({"X": 1}), SubDistribution({State.make({"X": 2}): HALF})]
+        run = semantics.run_lanes(c, ["X"], inputs)
+        assert run.rows == {(0, 0): 2, (0, 1): 1} and run.den == 2
+        assert run.residuals == [0, 0] and not run.unbound
 
 
 class TestFixedPoint:
