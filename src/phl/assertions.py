@@ -37,8 +37,8 @@ from typing import Iterable, Iterator, Optional
 
 from .core import (
     Command, Formula, Interpretation, EMPTY_INTERP, PAnd, PNot, POr, PRel,
-    ProbFormula, RealExpr, State, SubDistribution, UnboundVariable, log_vars,
-    memo_table, parse_fraction, prog_vars, real_vars,
+    ProbFormula, RealExpr, State, SubDistribution, UnboundVariable, assigned_vars,
+    log_vars, memo_table, parse_fraction, real_vars,
 )
 from .parser import ParseError, parse_state
 from .semantics import (
@@ -270,7 +270,7 @@ def check_triple(pre: Formula | ProbFormula, c: Command, post: Formula | ProbFor
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
     scope = f"{_scope(domain, qwindow)}, loop bound {loop_bound}"
-    names = sorted(prog_vars(c).union(domain.names))
+    names = sorted(assigned_vars(c).union(domain.names))
     worst = Fraction(0)  # the largest residual mass of a truncated run so far
     witnesses = domain.witnesses()
     lanes = {}  # each point that ran: its pass and lane

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 AOPS = ("+", "-", "*")
@@ -312,8 +312,9 @@ class DistSpec:
     """Finite rational distribution literal: weights in (0,1] summing to 1.
 
     `den` is the lcm of the weights' denominators and `scaled` lists each
-    (weight * den, value) pair, so the interpreter draws in integers.  The
-    weights are checked in those integers."""
+    (weight * den, value) pair, the value as a store holds it (a bool
+    constant as 0 or 1), so the interpreter draws in integers.  The weights'
+    sum is checked in those integers."""
 
     pairs: tuple[tuple[Fraction, int], ...]
     den: int = field(init=False, compare=False, repr=False)
@@ -332,11 +333,8 @@ class DistSpec:
                 raise ValueError(f"duplicate value {value} in distribution")
             seen.add(value)
         den = lcm(*(w.denominator for w, _ in self.pairs))
-        self._set(den, tuple((w.numerator * (den // w.denominator), v)
-                             for w, v in self.pairs))
-
-    def _set(self, den: int, scaled: tuple[tuple[int, int], ...]) -> None:
-        """Keep den and the weights scaled over it, which must sum to it."""
+        scaled = tuple((w.numerator * (den // w.denominator), int(v))
+                       for w, v in self.pairs)
         total = sum(n for n, _ in scaled)
         if total != den:
             raise ValueError(f"distribution weights sum to {Fraction(total, den)}, expected 1")
@@ -346,8 +344,7 @@ class DistSpec:
     @staticmethod
     def make(pairs: Iterable[tuple[Fraction, int]]) -> "DistSpec":
         """Build a DistSpec, merging duplicate values and dropping zero
-        weights, in one pass over the weights' numerators scaled to the lcm
-        of their denominators."""
+        weights in integers over the lcm of the weights' denominators."""
         pairs = list(pairs)
         if not all(isinstance(w, (int, Fraction)) for w, _ in pairs):
             raise ValueError("distribution weights must be exact fractions")
@@ -355,19 +352,7 @@ class DistSpec:
         merged: dict[int, int] = {}
         for weight, value in pairs:
             merged[value] = merged.get(value, 0) + weight.numerator * (den // weight.denominator)
-        scaled = [(n, v) for v, n in merged.items() if n != 0]
-        if not scaled:
-            raise ValueError("empty distribution literal")
-        g = gcd(den, *(n for n, _ in scaled))  # den // g: the merged weights' lcm
-        den //= g
-        scaled = tuple((n // g, v) for n, v in scaled)
-        for n, _ in scaled:
-            if not 0 < n <= den:
-                raise ValueError(f"weight {Fraction(n, den)} outside (0, 1]")
-        spec = object.__new__(DistSpec)
-        object.__setattr__(spec, "pairs", tuple((Fraction(n, den), v) for n, v in scaled))
-        spec._set(den, scaled)
-        return spec
+        return DistSpec(tuple((Fraction(n, den), v) for v, n in merged.items() if n != 0))
 
     def values(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.pairs)
@@ -794,6 +779,28 @@ def prog_vars(node: Node) -> frozenset[str]:
     nodes = _nodes(node)
     return frozenset({n.name for n in nodes if type(n) is ProgVar}
                      | {n.var for n in nodes if type(n) is Assign or type(n) is RandAssign})
+
+
+_SUBCOMMANDS = {Seq: ("first", "second"), If: ("then_branch", "else_branch"),
+                While: ("body",)}
+
+
+def assigned_vars(c: Command) -> frozenset[str]:
+    """Program variables assigned anywhere in c: a scan of its commands
+    alone, which skips every guard and expression."""
+    seen = {c}
+    stack = [c]
+    out = set()
+    while stack:
+        n = stack.pop()
+        if type(n) is Assign or type(n) is RandAssign:
+            out.add(n.var)
+        for k in _SUBCOMMANDS.get(type(n), ()):
+            child = getattr(n, k)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return frozenset(out)
 
 
 def log_vars(node: Node) -> frozenset[str]:

@@ -43,7 +43,7 @@ from .core import (
     Forall, Formula, If, IntConst, Interpretation, LogVar, Not, Or, Implies,
     PAnd, PImplies, PNot, POr, PRel, Prob, ProbFormula, ProgVar, RandAssign,
     RatConst, RBin, RealExpr, RealVar, Rel, Seq, Skip, State, SubDistribution,
-    UnboundVariable, While, prog_vars,
+    UnboundVariable, While, assigned_vars,
 )
 
 DEFAULT_QWINDOW = (-8, 8)
@@ -104,11 +104,9 @@ class _Batch:
     store is a `State`, or, where `layout` maps each variable to its
     position, a value row (see `run_lanes`).  Program-variable columns do
     not depend on the logical values, so the batches of a quantifier's body
-    share them with the enclosing one.  `unbound` says whether a
-    program-variable column this batch built holds an unbound read."""
+    share them with the enclosing one."""
 
-    __slots__ = ("rows", "values", "qwindow", "prog", "layout", "union", "memo",
-                 "unbound")
+    __slots__ = ("rows", "values", "qwindow", "prog", "layout", "union", "memo")
 
     def __init__(self, rows, values, qwindow, prog, layout=None, union=None):
         self.rows = rows
@@ -118,7 +116,6 @@ class _Batch:
         self.layout = layout
         self.union = union
         self.memo = {}
-        self.unbound = False
 
 
 def _column(b: _Batch, n) -> list:
@@ -149,17 +146,14 @@ def _prog_var(b: _Batch, n: ProgVar) -> list:
                         break
                 else:
                     out.append(_Unbound(name))
-                    b.unbound = True
         else:
             i = b.layout.get(name)
             if i is None:
                 out = [_Unbound(name)] * len(b.rows)
-                b.unbound = True
             else:
                 out = [*map(itemgetter(i), b.rows)]
                 if None in out:
                     out = [_Unbound(name) if v is None else v for v in out]
-                    b.unbound = True
         b.prog[name] = out
     return out
 
@@ -323,15 +317,12 @@ def execute(c: Command, dist: SubDistribution,
     with the same output, residual and iteration count.  This is a pass of
     one lane, whose output rows become `State`s again.
     """
-    names = sorted({k for s in dist.nums for k, _ in s}.union(prog_vars(c)))
+    names = sorted({k for s in dist.nums for k, _ in s}.union(assigned_vars(c)))
     run = run_lanes(c, names, (dist,), loop_bound)
     if run.unbound:
         raise UnboundVariable(run.unbound[0])
-    if run.partial:
-        nums = {State([(k, v) for k, v in zip(names, r) if v is not None]): n
-                for r, n in run.rows.items()}
-    else:
-        nums = {State(zip(names, r)): n for r, n in run.rows.items()}
+    nums = {State([(k, v) for k, v in zip(names, r) if v is not None]): n
+            for r, n in run.rows.items()}
     residual = run.residuals[0]
     return ExecResult(SubDistribution.of_weights(nums, run.den), residual,
                       run.iterations, residual == 0)
@@ -347,8 +338,11 @@ def execute(c: Command, dist: SubDistribution,
 #
 # The weight maps hold integer numerators, whose shared denominator travels
 # beside the map.  Every map a step makes is reduced by the gcd of its
-# denominator and numerators, as a `SubDistribution` is, so its integers
-# are never larger than those of the reduced fractions.
+# denominator and numerators, as a `SubDistribution` is.  All the lanes of a
+# pass share that denominator, from the lcm of the inputs' on, so they are
+# reduced jointly: a lane's numerators may carry the other lanes'
+# denominators and be larger than those of its own reduced fractions.  Each
+# lane's weights are exact whatever the shared denominator.
 
 Weights = dict[tuple, int]
 _value = itemgetter(1)
@@ -363,14 +357,13 @@ class Lanes:
     lane's residual mass and the deepest unrolling of any lane; from them
     `sat_det_lanes` and `eval_lanes` evaluate over the outputs."""
 
-    __slots__ = ("index", "loop_bound", "count", "partial", "truncated", "unbound",
+    __slots__ = ("index", "loop_bound", "count", "truncated", "unbound",
                  "rows", "den", "residuals", "iterations", "prog", "dists")
 
     def __init__(self, names: Sequence[str], count: int, loop_bound: int):
         self.index = {name: i for i, name in enumerate(names)}
         self.loop_bound = loop_bound
         self.count = count
-        self.partial = False     # some input row has an unbound variable
         self.truncated = False
         self.unbound: dict[int, str] = {}
         self.prog = {}           # program-variable columns over the output rows
@@ -380,9 +373,10 @@ class Lanes:
 def run_lanes(c: Command, names: Sequence[str], inputs: Sequence[SubDistribution],
               loop_bound: int = DEFAULT_LOOP_BOUND) -> Lanes:
     """Run c on each input, a lane, in one pass.  names is the layout,
-    sorted: every variable of an input store and every program variable of
-    c.  Each lane's output, residual and unbound read are those of
-    `execute` on its input alone."""
+    sorted: every variable of an input store and every variable c assigns
+    (a read of any other variable is unbound in every row).  Each lane's
+    output, residual and unbound read are those of `execute` on its input
+    alone."""
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
     run = Lanes(names, len(inputs), loop_bound)
@@ -396,7 +390,6 @@ def run_lanes(c: Command, names: Sequence[str], inputs: Sequence[SubDistribution
             if len(s) == width:  # it binds every variable of the layout
                 row = (*map(_value, s), lane)
             else:
-                run.partial = True
                 row = [None] * width
                 for name, v in s:
                     row[index[name]] = v
@@ -477,11 +470,12 @@ def _merged(acc: Weights, acc_den: int, weights: Weights,
     return _reduced(acc, common)
 
 
-def _entries(dist: Weights, b: _Batch, column: list, p: Lanes):
-    """Each (row, weight) of dist with its entry in column, which b made.
-    A lane whose entry is an unbound read stops there: its rows from then
-    on are left out, and p records the variable."""
-    if not (b.unbound or p.unbound):
+def _entries(dist: Weights, column: list, p: Lanes):
+    """Each (row, weight) of dist with its entry in column.  A lane whose
+    entry is an unbound read stops there: its rows from then on are left
+    out, and p records the variable.  While no lane has stopped, a C-level
+    scan of the column's types finds that there is nothing to leave out."""
+    if not p.unbound and _Unbound not in map(type, column):
         return zip(dist.items(), column)
     return _running(dist, column, p.unbound)
 
@@ -499,11 +493,10 @@ def _running(dist: Weights, column: list, stopped: dict[int, str]):
 
 def _branches(dist: Weights, guard: Formula, p: Lanes) -> tuple[Weights, Weights]:
     """The weights on rows where guard holds, and the rest, from one batch."""
-    b = _Batch(list(dist), {}, DEFAULT_QWINDOW, {}, p.index)
-    truth = _column(b, guard)
+    truth = _column(_Batch(list(dist), {}, DEFAULT_QWINDOW, {}, p.index), guard)
     yes = {}
     no = {}
-    for (r, n), ok in _entries(dist, b, truth, p):
+    for (r, n), ok in _entries(dist, truth, p):
         (yes if ok else no)[r] = n
     return yes, no
 
@@ -517,12 +510,11 @@ def _run(c: Command, dist: Weights, den: int, p: Lanes) -> tuple[Weights, int, i
     if isinstance(c, Skip):
         return dist, den, 0
     if isinstance(c, Assign):
-        b = _Batch(list(dist), {}, DEFAULT_QWINDOW, {}, p.index)
-        values = _column(b, c.expr)
+        values = _column(_Batch(list(dist), {}, DEFAULT_QWINDOW, {}, p.index), c.expr)
         i = p.index[c.var]
         acc: Weights = {}
         get = acc.get
-        for (r, n), v in _entries(dist, b, values, p):
+        for (r, n), v in _entries(dist, values, p):
             t = list(r)
             t[i] = int(v)  # as `State.make`: a bool constant stores 0 or 1
             t = tuple(t)
@@ -533,10 +525,9 @@ def _run(c: Command, dist: Weights, den: int, p: Lanes) -> tuple[Weights, int, i
         acc = {}
         get = acc.get
         i = p.index[c.var]
-        scaled = [(m, int(value)) for m, value in c.dist.scaled]
         for r, n in dist.items():
             t = list(r)
-            for m, value in scaled:
+            for m, value in c.dist.scaled:
                 t[i] = value
                 u = tuple(t)
                 q = get(u)

@@ -23,7 +23,7 @@ from phl.core import (
     Interpretation, LogVar, Node, Not, Or, PAnd, PFALSE, PImplies, PNot, POr,
     PTRUE, Prob, ProgVar, RandAssign, RatConst, RBin, RealVar, Rel, Seq, Skip,
     State, SubDistribution, TRUE, UnboundVariable, While,
-    and_all, log_vars, normalize_real,
+    and_all, assigned_vars, log_vars, normalize_real,
     parse_fraction, point_dist,
     prog_vars, real_vars, simplify_formula, subst_prog_var,
 )
@@ -330,6 +330,7 @@ class TestVariableCollection:
     def test_any_node(self):
         c = parse_command("Z :=$ {1/2:0, 1/2:1}; while X > 0 do { Y := X }")
         assert prog_vars(c) == {"X", "Y", "Z"}
+        assert assigned_vars(c) == {"Y", "Z"}
         r = parse_real_expr("@eps * P(forall k. X < k && k < j)")
         assert prog_vars(r) == {"X"}
         assert log_vars(r) == {"j"}
@@ -355,6 +356,17 @@ class TestVariableCollection:
     def test_unread_targets(self):
         c = parse_command("Z := 1; W :=$ {1/2:0, 1/2:1}")
         assert prog_vars(c) == _free_vars(c, ProgVar) == {"Z", "W"}
+
+    @given(sts.commands(loops=True))
+    def test_assigned_vars_are_the_targets(self, c):
+        assert assigned_vars(c) == {n.var for n in core._nodes(c)
+                                    if type(n) is Assign or type(n) is RandAssign}
+
+    def test_assigned_vars_scan_shared_commands_once(self):
+        c = Assign("X", ProgVar("Y"))
+        for _ in range(200):  # 2^200 paths, 201 distinct nodes
+            c = Seq(c, c)
+        assert assigned_vars(c) == {"X"}
 
 
 def construction_error(build) -> Optional[str]:
@@ -413,7 +425,7 @@ class TestDepth:
 
     def test_long_chain_variables_and_size(self):
         c = parse_command("; ".join(["X := Y", "Y := X"] * 5000))
-        assert prog_vars(c) == {"X", "Y"}
+        assert prog_vars(c) == assigned_vars(c) == {"X", "Y"}
         assert core.node_size(c) == 10003
 
     def test_wp_of_a_chain_without_a_window(self):

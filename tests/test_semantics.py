@@ -14,7 +14,7 @@ from phl import semantics
 from phl.core import (
     EMPTY_INTERP, FALSE, ABin, And, Assign, BoolLit, DistSpec, Forall, Implies,
     Interpretation, IntConst, LogVar, Not, Or, ProgVar, RandAssign, Rel, State,
-    SubDistribution, UnboundVariable, point_dist, prog_vars,
+    SubDistribution, UnboundVariable, assigned_vars, point_dist, prog_vars,
 )
 from phl.parser import parse_command, parse_det_formula, parse_real_expr, parse_state
 from phl.semantics import (
@@ -406,11 +406,13 @@ class TestLanes:
     @given(st.one_of(sts.commands(loops=True), sts.coprime_commands()),
            st.lists(st.one_of(sts.subdists(), sts.coprime_subdists()),
                     min_size=1, max_size=5),
-           st.integers(0, 6))
+           st.integers(0, 6), st.sampled_from([assigned_vars, prog_vars]))
     @settings(deadline=None, max_examples=200)
-    def test_each_lane_as_run_alone(self, c, inputs, loop_bound):
+    def test_each_lane_as_run_alone(self, c, inputs, loop_bound, program_names):
+        # the layout holds the inputs' variables and at least c's targets:
+        # a variable c only reads is unbound in every row without a position
         names = sorted({k for mu in inputs for s in mu.nums for k in s.vars()}
-                       | prog_vars(c))
+                       | program_names(c))
         run = semantics.run_lanes(c, names, inputs, loop_bound)
         for lane, mu in enumerate(inputs):
             if lane in run.unbound:
