@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import and_, attrgetter, is_, is_not, itemgetter, or_, xor
+from operator import and_, attrgetter, is_, is_not, itemgetter, mul, or_, xor
 from typing import Optional, Sequence
 
 from .core import (
@@ -50,7 +50,8 @@ DEFAULT_QWINDOW = (-8, 8)
 DEFAULT_LOOP_BOUND = 64
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_value = itemgetter(1)
+_den = attrgetter("den")
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +98,25 @@ class _Unbound:
 class _Batch:
     """One evaluation: its rows, the values of the variables the rows do
     not bind, the quantifier window and a column per distinct node.  Rows
-    are stores, with logical variables' values, or distributions, with real
-    variables' values; a distribution is a list of (store's index in
-    `union`, numerator) pairs and its denominator, and `union` is the batch
-    over the union of the supports that decides the bodies of P(phi).  A
-    store is a `State`, or, where `layout` maps each variable to its
-    position, a value row (see `run_lanes`).  Program-variable columns do
-    not depend on the logical values, so the batches of a quantifier's body
-    share them with the enclosing one."""
+    are stores, with logical variables' values, or mixtures, with real
+    variables' values.  A store is a `State`, or, where `layout` maps each
+    variable to its position, a value row (see `run_lanes`).  A mixture is
+    a list of (index, numerator) pairs over the shared denominator `den`,
+    and `union` weighs the indices for a P(phi) body: it gives a column of
+    integer weights, or truth values, over one denominator.  Program-
+    variable columns do not depend on the logical values, so the batches
+    of a quantifier's body share them with the enclosing one."""
 
-    __slots__ = ("rows", "values", "qwindow", "prog", "layout", "union", "memo")
+    __slots__ = ("rows", "values", "qwindow", "prog", "layout", "union", "den", "memo")
 
-    def __init__(self, rows, values, qwindow, prog, layout=None, union=None):
+    def __init__(self, rows, values, qwindow, prog, layout=None, union=None, den=1):
         self.rows = rows
         self.values = values
         self.qwindow = qwindow
         self.prog = prog
         self.layout = layout
         self.union = union
+        self.den = den
         self.memo = {}
 
 
@@ -158,16 +160,16 @@ def _prog_var(b: _Batch, n: ProgVar) -> list:
     return out
 
 
-def _var(b: _Batch, n: LogVar | RealVar) -> list:
+def _var(b: _Batch, n: LogVar) -> list:
     value = b.values.get(n.name)
     return [_Unbound(n.name) if value is None else value] * len(b.rows)
 
 
-def _abin(b: _Batch, n: ABin | RBin) -> list:
+def _abin(b: _Batch, n: ABin) -> list:
     return [*map(AOP_FUN[n.op], _column(b, n.left), _column(b, n.right))]
 
 
-def _rel(b: _Batch, n: Rel | PRel) -> list:
+def _rel(b: _Batch, n: Rel) -> list:
     return [*map(ROP_FUN[n.op], _column(b, n.left), _column(b, n.right))]
 
 
@@ -199,26 +201,54 @@ def _forall(b: _Batch, n: Forall) -> list:
     return out
 
 
-def _prob(b: _Batch, n: Prob) -> list:
-    """Each distribution's mass where the body holds (a point's 0 or 1 is
-    shared); the first support state to read an unbound variable stops it."""
-    truth = _column(b.union, n.formula)
-    out = []
-    for nums, den in b.rows:
-        try:
-            held = sum([m for i, m in nums if truth[i]])
-        except UnboundVariable as unbound:
-            out.append(_Unbound(unbound.args[0]))
-            continue
-        out.append(_ZERO if held == 0 else _ONE if held == den else Fraction(held, den))
-    return out
+# A real column is a pair: integer numerators, or unbound reads, over one
+# positive denominator.  A `Fraction` is made only where a value leaves the
+# engine (`eval_batch`).
+
+
+def _rational(b: _Batch, n: RatConst) -> tuple[list, int]:
+    return [n.value.numerator] * len(b.rows), n.value.denominator
+
+
+def _real_var(b: _Batch, n: RealVar) -> tuple[list, int]:
+    value = b.values.get(n.name)
+    if value is None:
+        return [_Unbound(n.name)] * len(b.rows), 1
+    return [value.numerator] * len(b.rows), value.denominator
+
+
+def _scaled(column: tuple[list, int], den: int) -> list:
+    nums, d = column
+    return nums if d == den else [*map(mul, nums, repeat(den // d))]
+
+
+def _rbin(b: _Batch, n: RBin) -> tuple[list, int]:
+    left, right = _column(b, n.left), _column(b, n.right)
+    if n.op == "*":
+        return [*map(mul, left[0], right[0])], left[1] * right[1]
+    den = lcm(left[1], right[1])
+    return [*map(AOP_FUN[n.op], _scaled(left, den), _scaled(right, den))], den
+
+
+def _prel(b: _Batch, n: PRel) -> list:
+    left, right = _column(b, n.left), _column(b, n.right)
+    den = lcm(left[1], right[1])
+    return [*map(ROP_FUN[n.op], _scaled(left, den), _scaled(right, den))]
+
+
+def _prob(b: _Batch, n: Prob) -> tuple[list, int]:
+    """Each mixture's weighed mass where the body holds: a sum in the
+    mixture's own order, so its first unbound read is the one it stops
+    at (an unbound read absorbs the sum)."""
+    weights, den = b.union(n.formula)
+    return [sum([m * weights[i] for i, m in pairs]) for pairs in b.rows], b.den * den
 
 
 _COLUMN = {
     IntConst: _const, BoolLit: _const, ProgVar: _prog_var, LogVar: _var,
     ABin: _abin, Rel: _rel, Not: _not, And: _conj, Or: _disj,
     Implies: _implies, Forall: _forall,
-    RatConst: _const, RealVar: _var, Prob: _prob, RBin: _abin, PRel: _rel,
+    RatConst: _rational, RealVar: _real_var, Prob: _prob, RBin: _rbin, PRel: _prel,
     PNot: _not, PAnd: _conj, POr: _disj, PImplies: _implies,
 }
 
@@ -240,20 +270,69 @@ def sat_det_batch(f: Formula, states: Sequence[State],
     return _column(b, f)
 
 
+class Mixtures:
+    """Sub-distributions as integer vectors over their distinct stores.
+    `rows` holds each distinct store once, in first-seen order, as a value
+    row in the sorted layout `names` of every variable a store binds (None
+    where it binds none); `vectors` holds each distribution as a list of
+    (row index, numerator) pairs, in its own order, over the shared
+    denominator `den`.  `prog` keeps the program-variable columns over the
+    rows, which no interpretation changes."""
+
+    __slots__ = ("names", "layout", "rows", "vectors", "den", "prog")
+
+    def __init__(self, dists: Sequence[SubDistribution]):
+        self.names = tuple(sorted({k for d in dists for s in d.nums for k, _ in s}))
+        self.layout = layout = {name: i for i, name in enumerate(self.names)}
+        width = len(self.names)
+        self.den = den = lcm(*map(_den, dists))
+        index: dict[State, int] = {}
+        self.rows = rows = []
+        self.vectors = []
+        for d in dists:
+            k = den // d.den
+            vector = []
+            for s, m in d.nums.items():
+                i = index.get(s)
+                if i is None:
+                    i = index[s] = len(rows)
+                    if len(s) == width:  # it binds every variable of the layout
+                        rows.append((*map(_value, s),))
+                    else:
+                        row = [None] * width
+                        for name, v in s:
+                            row[layout[name]] = v
+                        rows.append(tuple(row))
+                vector.append((i, m * k))
+            self.vectors.append(vector)
+        self.prog = {}
+
+
+def eval_mixtures(n: RealExpr | ProbFormula, mix: Mixtures,
+                  interp: Interpretation = EMPTY_INTERP,
+                  qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list | tuple[list, int]:
+    """The column of a probabilistic formula, or of a real expression (a
+    pair, see `_prob`), over mix's distributions: each P(phi) body is one
+    column over mix's rows, and a distribution's mass is an integer dot
+    product with it."""
+    stores = _Batch(mix.rows, interp.log, qwindow, mix.prog, mix.layout)
+    return _column(_Batch(mix.vectors, interp.real, qwindow, None, None,
+                          lambda f: (_column(stores, f), 1), mix.den), n)
+
+
 def eval_batch(n: RealExpr | ProbFormula, dists: Sequence[SubDistribution],
                interp: Interpretation = EMPTY_INTERP,
                qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list:
     """The exact rational value of a real expression, or the truth of a
-    probabilistic formula, on each distribution, in order.  Each distinct
-    node is read once for the whole batch and each P(phi) body decided once
-    over the union of the supports.  Where evaluating one distribution at a
-    time would raise `UnboundVariable`, the entry raises it when read as a
-    truth value."""
-    index: dict[State, int] = {}  # the union of the supports, in first-seen order
-    rows = [([(index.setdefault(s, len(index)), m) for s, m in dist.nums.items()],
-             dist.den) for dist in dists]
-    union = _Batch(list(index), interp.log, qwindow, {})
-    return _column(_Batch(rows, interp.real, qwindow, None, None, union), n)
+    probabilistic formula, on each distribution, in order: `eval_mixtures`
+    over their `Mixtures`.  Where evaluating one distribution at a time
+    would raise `UnboundVariable`, the entry raises it when read as a truth
+    value."""
+    out = eval_mixtures(n, Mixtures(dists), interp, qwindow)
+    if isinstance(n, RealExpr):
+        nums, den = out
+        return [Fraction(v, den) if type(v) is int else v for v in nums]
+    return out
 
 
 def eval_arith(e, state: State, interp: Interpretation = EMPTY_INTERP) -> int:
@@ -345,8 +424,6 @@ def execute(c: Command, dist: SubDistribution,
 # lane's weights are exact whatever the shared denominator.
 
 Weights = dict[tuple, int]
-_value = itemgetter(1)
-_den = attrgetter("den")
 
 
 class Lanes:
@@ -354,11 +431,12 @@ class Lanes:
     position in a row, the loop bound, whether some loop dropped live mass
     and the variable each stopped lane read unbound.  It ends with the rows
     of every running lane's output in one map over one denominator, each
-    lane's residual mass and the deepest unrolling of any lane; from them
-    `sat_det_lanes` and `eval_lanes` evaluate over the outputs."""
+    lane's residual mass, as a numerator over `lost_den` (None when no loop
+    dropped mass), and the deepest unrolling of any lane; from them
+    `sat_det_lanes` and `eval_outputs` evaluate over the outputs."""
 
-    __slots__ = ("index", "loop_bound", "count", "truncated", "unbound",
-                 "rows", "den", "residuals", "iterations", "prog", "dists")
+    __slots__ = ("index", "loop_bound", "count", "truncated", "unbound", "rows", "den",
+                 "lost", "lost_den", "iterations", "prog")
 
     def __init__(self, names: Sequence[str], count: int, loop_bound: int):
         self.index = {name: i for i, name in enumerate(names)}
@@ -367,24 +445,35 @@ class Lanes:
         self.truncated = False
         self.unbound: dict[int, str] = {}
         self.prog = {}           # program-variable columns over the output rows
-        self.dists = None        # each lane's output over those rows, built on demand
+
+    @property
+    def residuals(self) -> list[Fraction]:
+        """Each lane's input mass minus its output mass."""
+        if self.lost is None:
+            return [_ZERO] * self.count
+        return [Fraction(n, self.lost_den) for n in self.lost]
 
 
-def run_lanes(c: Command, names: Sequence[str], inputs: Sequence[SubDistribution],
+def run_lanes(c: Command, names: Sequence[str],
+              inputs: Sequence[SubDistribution | tuple],
               loop_bound: int = DEFAULT_LOOP_BOUND) -> Lanes:
     """Run c on each input, a lane, in one pass.  names is the layout,
     sorted: every variable of an input store and every variable c assigns
-    (a read of any other variable is unbound in every row).  Each lane's
-    output, residual and unbound read are those of `execute` on its input
-    alone."""
+    (a read of any other variable is unbound in every row).  An input is a
+    sub-distribution, or a value row in that layout, the point of mass 1
+    there.  Each lane's output, residual and unbound read are those of
+    `execute` on its input alone."""
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
     run = Lanes(names, len(inputs), loop_bound)
     index = run.index
     width = len(names)
-    den = lcm(*map(_den, inputs))
+    den = lcm(*[d.den for d in inputs if type(d) is not tuple])
     rows: Weights = {}
     for lane, d in enumerate(inputs):
+        if type(d) is tuple:
+            rows[(*d, lane)] = den
+            continue
         k = den // d.den
         for s, n in d.nums.items():
             if len(s) == width:  # it binds every variable of the layout
@@ -400,13 +489,14 @@ def run_lanes(c: Command, names: Sequence[str], inputs: Sequence[SubDistribution
     if run.unbound:
         out = {r: n for r, n in out.items() if r[-1] not in run.unbound}
     run.rows, run.den = out, out_den
-    run.residuals = [_ZERO] * len(inputs)
+    run.lost = None
     if run.truncated:  # otherwise every running lane kept its mass
         held = [0] * len(inputs)
         for r, n in out.items():
             held[r[-1]] += n
-        run.residuals = [Fraction(sum(d.nums.values()) * (den // d.den) * out_den - h * den,
-                                  den * out_den) for d, h in zip(inputs, held)]
+        run.lost = [(den if type(d) is tuple else sum(d.nums.values()) * (den // d.den))
+                    * out_den - h * den for d, h in zip(inputs, held)]
+        run.lost_den = den * out_den
     return run
 
 
@@ -426,18 +516,37 @@ def sat_det_lanes(f: Formula, run: Lanes, interp: Interpretation = EMPTY_INTERP,
     return out
 
 
-def eval_lanes(n: RealExpr | ProbFormula, run: Lanes,
-               interp: Interpretation = EMPTY_INTERP,
-               qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list:
-    """The value of a real expression, or the truth of a probabilistic
-    formula, on each lane's output, as `eval_batch` gives it: each P(phi)
-    body is decided once over all the output rows."""
-    if run.dists is None:
-        run.dists = [([], run.den) for _ in range(run.count)]
-        for i, (r, m) in enumerate(run.rows.items()):
-            run.dists[r[-1]][0].append((i, m))
-    union = _Batch(list(run.rows), interp.log, qwindow, run.prog, run.index)
-    return _column(_Batch(run.dists, interp.real, qwindow, None, None, union), n)
+def eval_outputs(n: ProbFormula, vectors: list, den: int, ran: dict,
+                 interp: Interpretation, qwindow: tuple[int, int], cache: dict) -> list:
+    """The truth of a probabilistic formula on each mixture of outputs:
+    the vectors hold each mixture's (row, numerator) pairs over den, and
+    ran maps a row to the pass and lane that ran it, as a point.  By
+    linearity a mixture's P(phi) is the sum of its numerators times c, the
+    mass of each row's output where phi holds: one column of phi over a
+    pass's output rows gives c for all its lanes.  cache keeps, under this
+    interp, each pass's batch and each (pass, body)'s c.  An unbound read
+    is a row's first, not necessarily the mixture's; `execute` on the
+    mixture gives the latter."""
+    rows = {s for vector in vectors for s, _ in vector}
+
+    def weigh(f):
+        common = lcm(*{ran[s][0].den for s in rows})
+        weights = {}
+        for s in rows:
+            run, lane = ran[s]
+            masses = cache.get((run, f))
+            if masses is None:
+                batch = cache.get(run)
+                if batch is None:
+                    batch = cache[run] = _Batch(list(run.rows), interp.log, qwindow,
+                                                run.prog, run.index)
+                masses = cache[run, f] = [0] * run.count
+                for (r, m), ok in zip(run.rows.items(), _column(batch, f)):
+                    masses[r[-1]] += m * ok
+            weights[s] = masses[lane] * (common // run.den)
+        return weights, common
+
+    return _column(_Batch(vectors, interp.real, qwindow, None, None, weigh, den), n)
 
 
 def _reduced(weights: dict, den: int) -> tuple[dict, int]:
