@@ -383,7 +383,7 @@ def check_triple(pre: Formula | ProbFormula, c: Command, post: Formula | ProbFor
             ok = held.get(i)
             if ok is None:
                 members = [*itertools.islice(
-                    (j for j in points[k:] if j in done and j not in held), batch)]
+                    (j for j in points[k:] if j not in held and not pending(j)), batch)]
                 batch *= 2
                 held.update(zip(members, domain.verdicts(post, members, ran, interp,
                                                          qwindow, cache)))

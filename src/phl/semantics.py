@@ -527,13 +527,16 @@ def eval_outputs(n: ProbFormula, vectors: list, den: int, ran: dict,
     interp, each pass's batch and each (pass, body)'s c.  An unbound read
     is a row's first, not necessarily the mixture's; `execute` on the
     mixture gives the latter."""
-    rows = {s for vector in vectors for s, _ in vector}
+    lanes: dict[Lanes, list] = {}  # the rows of the vectors, by the pass that ran them
+    for vector in vectors:
+        for s, _ in vector:
+            run, lane = ran[s]
+            lanes.setdefault(run, {})[s] = lane
+    common = lcm(*[run.den for run in lanes])
 
     def weigh(f):
-        common = lcm(*{ran[s][0].den for s in rows})
         weights = {}
-        for s in rows:
-            run, lane = ran[s]
+        for run, rows in lanes.items():
             masses = cache.get((run, f))
             if masses is None:
                 batch = cache.get(run)
@@ -543,7 +546,9 @@ def eval_outputs(n: ProbFormula, vectors: list, den: int, ran: dict,
                 masses = cache[run, f] = [0] * run.count
                 for (r, m), ok in zip(run.rows.items(), _column(batch, f)):
                     masses[r[-1]] += m * ok
-            weights[s] = masses[lane] * (common // run.den)
+            k = common // run.den
+            for s, lane in rows.items():
+                weights[s] = masses[lane] * k
         return weights, common
 
     return _column(_Batch(vectors, interp.real, qwindow, None, None, weigh, den), n)
