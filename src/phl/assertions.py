@@ -11,18 +11,21 @@ questions, so one `check_valid` and one `check_triple` serve both flavors.
 Each check decides a formula one node per domain, not one state at a time,
 through the one evaluator in `semantics`: under each interpretation, a
 deterministic formula is one column over the window's states, and a
-probabilistic formula one column over the family's members, whose P(phi)
-bodies are decided once over the union of the members' supports.
-`eval_real` and `sat_prob` are batches of one distribution.  A window
-keeps its states, and inside a memo scope (`core.memo_scoped`) a node's
-column over a window is decided once for every check that reads it.  A
-triple check runs the points satisfying pre as lanes of a few interpreter
-passes, each point once, and decides post in one batch over a pass's
-outputs.  The first counterexample is the one of the state-by-state loops
-(interpretation outer, state or member inner).  Equivalence is validity:
-of a = b for real terms, of (f && g) || (!f && !g) for probabilistic
-formulas.  Terms are hash-consed, so identical operands are one object,
-and they are equivalent without being evaluated.
+probabilistic formula one column over the family's members.  A family
+keeps, from its first use on, its members' distinct stores as value rows
+and each member as a vector of integer numerators over them, so a P(phi)
+body is decided once over the rows.  `eval_real` and `sat_prob` are
+batches of one distribution.  A window keeps its states, and inside a memo
+scope (`core.memo_scoped`) a node's column over a window is decided once
+for every check that reads it.  A triple check runs each distinct row of
+the points satisfying pre once, as a lane of a few interpreter passes, and
+reads a point's output as the mixture of its rows' outputs: post is decided
+in a few batches over the passes' outputs.  The first counterexample is the
+one of the state-by-state loops (interpretation outer, state or member
+inner).  Equivalence is validity: of a = b for real terms, of
+(f && g) || (!f && !g) for probabilistic formulas.  Terms are hash-consed,
+so identical operands are one object, and they are equivalent without
+being evaluated.
 """
 
 from __future__ import annotations

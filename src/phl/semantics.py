@@ -8,25 +8,31 @@ every support state does, so the zero distribution satisfies everything.
 
 One engine evaluates every expression level set-at-a-time: a batch decides
 each distinct DAG node once for a whole sequence of states (integer terms,
-deterministic formulas) or of sub-distributions (real expressions,
-probabilistic formulas, whose P(phi) bodies are decided once over the union
-of the supports).  `sat_det_batch` and `eval_batch` are its entry points;
-`eval_arith`, `sat_det`, the interpreter's assignments and guards and every
-checker run one batch over their domain.  The answers, the first failing
-state or distribution and the `UnboundVariable` raised are those of
-evaluating one at a time, left to right with short-circuit connectives.
+deterministic formulas) or of mixtures (real expressions, probabilistic
+formulas).  A mixture is a sub-distribution held as a vector of integer
+numerators over a list of distinct stores, the value rows of a `Mixtures`
+or the outputs of an interpreter pass, so a P(phi) body is one column over
+those stores and a mixture's mass an integer dot product with it.  A real
+value stays an integer numerator over one denominator per column; a
+`Fraction` is made only where a value leaves the engine.  `sat_det_batch`,
+`eval_mixtures` and `eval_batch` are its entry points; `eval_arith`,
+`sat_det`, the interpreter's assignments and guards and every checker run
+one batch over their domain.  The answers, the first failing state or
+distribution and the `UnboundVariable` raised are those of evaluating one
+at a time, left to right with short-circuit connectives.
 
 The interpreter, `run_lanes`, runs many inputs in one pass, one lane each,
 over value rows: a store's values in one sorted variable layout, None where
 a variable is unbound, and the lane's index last.  Each lane's output,
-residual and first unbound read are those of running its input alone, and
-`sat_det_lanes` and `eval_lanes` decide a formula over every lane's output
-in one batch.  `execute` is the pass of one lane.  Weights are integer
-numerators over one denominator, reduced after each step, as a
-`SubDistribution` holds them; `P(phi)` sums numerators and makes one
-`Fraction` per distribution.  A loop whose sub-distribution one more pass
-leaves unchanged stops unrolling: nothing exits it any more, so its output,
-residual and iteration count are those of unrolling to the bound.
+residual and first unbound read are those of running its input alone.  The
+program is linear on sub-distributions, so a mixture of inputs runs to the
+same mixture of their outputs: `sat_det_lanes` decides a formula over every
+lane's output, and `eval_outputs` over mixtures of lanes, in one batch.
+`execute` is the pass of one lane.  Weights are integer numerators over one
+denominator, reduced after each step, as a `SubDistribution` holds them.  A
+loop whose sub-distribution one more pass leaves unchanged stops unrolling:
+nothing exits it any more, so its output, residual and iteration count are
+those of unrolling to the bound.
 """
 
 from __future__ import annotations
@@ -270,6 +276,17 @@ def sat_det_batch(f: Formula, states: Sequence[State],
     return _column(b, f)
 
 
+def _value_row(s: State, layout: dict[str, int], *tail) -> tuple:
+    """The values of s at their positions in layout, None where s binds
+    no value, then tail."""
+    if len(s) == len(layout):  # it binds every variable of the layout
+        return (*map(_value, s), *tail)
+    row = [None] * len(layout)
+    for name, v in s:
+        row[layout[name]] = v
+    return (*row, *tail)
+
+
 class Mixtures:
     """Sub-distributions as integer vectors over their distinct stores.
     `rows` holds each distinct store once, in first-seen order, as a value
@@ -284,7 +301,6 @@ class Mixtures:
     def __init__(self, dists: Sequence[SubDistribution]):
         self.names = tuple(sorted({k for d in dists for s in d.nums for k, _ in s}))
         self.layout = layout = {name: i for i, name in enumerate(self.names)}
-        width = len(self.names)
         self.den = den = lcm(*map(_den, dists))
         index: dict[State, int] = {}
         self.rows = rows = []
@@ -296,13 +312,7 @@ class Mixtures:
                 i = index.get(s)
                 if i is None:
                     i = index[s] = len(rows)
-                    if len(s) == width:  # it binds every variable of the layout
-                        rows.append((*map(_value, s),))
-                    else:
-                        row = [None] * width
-                        for name, v in s:
-                            row[layout[name]] = v
-                        rows.append(tuple(row))
+                    rows.append(_value_row(s, layout))
                 vector.append((i, m * k))
             self.vectors.append(vector)
         self.prog = {}
@@ -466,8 +476,6 @@ def run_lanes(c: Command, names: Sequence[str],
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
     run = Lanes(names, len(inputs), loop_bound)
-    index = run.index
-    width = len(names)
     den = lcm(*[d.den for d in inputs if type(d) is not tuple])
     rows: Weights = {}
     for lane, d in enumerate(inputs):
@@ -476,15 +484,7 @@ def run_lanes(c: Command, names: Sequence[str],
             continue
         k = den // d.den
         for s, n in d.nums.items():
-            if len(s) == width:  # it binds every variable of the layout
-                row = (*map(_value, s), lane)
-            else:
-                row = [None] * width
-                for name, v in s:
-                    row[index[name]] = v
-                row.append(lane)
-                row = tuple(row)
-            rows[row] = n * k
+            rows[_value_row(s, run.index, lane)] = n * k
     out, out_den, run.iterations = _run(c, *_reduced(rows, den), run)
     if run.unbound:
         out = {r: n for r, n in out.items() if r[-1] not in run.unbound}
@@ -527,7 +527,7 @@ def eval_outputs(n: ProbFormula, vectors: list, den: int, ran: dict,
     interp, each pass's batch and each (pass, body)'s c.  An unbound read
     is a row's first, not necessarily the mixture's; `execute` on the
     mixture gives the latter."""
-    lanes: dict[Lanes, list] = {}  # the rows of the vectors, by the pass that ran them
+    lanes: dict[Lanes, dict] = {}  # the rows of the vectors, by the pass that ran them
     for vector in vectors:
         for s, _ in vector:
             run, lane = ran[s]

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from phl.core import (
     AOP_FUN, EMPTY_INTERP, PTRUE, ROP_FUN, TRUE, Interpretation, Not, PAnd,
     PImplies, PNot, POr, PRel, Prob, RatConst, RBin, RealVar, State,
-    SubDistribution, UnboundVariable, log_vars, memo_scoped, point_dist,
-    real_vars,
+    SubDistribution, UnboundVariable, assigned_vars, log_vars, memo_scoped,
+    point_dist, real_vars,
 )
 from phl import assertions
 from phl.assertions import (
@@ -23,10 +23,10 @@ from phl.assertions import (
     prob_equivalent_on_family, real_equivalent_on_family, sat_prob,
 )
 from phl.parser import (
-    parse_det_formula, parse_prob_formula, parse_real_expr, parse_triple,
+    parse_command, parse_det_formula, parse_prob_formula, parse_real_expr, parse_triple,
 )
 from phl.preterm import check_triple_prob, wp_prob
-from phl.semantics import eval_batch, sat_det
+from phl.semantics import eval_batch, eval_outputs, execute, run_lanes, sat_det
 from phl.wp import check_triple_det, window_equivalent, wp
 
 import strategies as sts
@@ -343,6 +343,10 @@ class TestOneChecker:
     WINDOW = sts.WINDOW
     FAM_WINDOW = StateWindow.make(("X", "Y"), -1, 1)
     FAM = DistFamily.build(FAM_WINDOW, seed=0, mixtures=6)
+    # mixtures sharing their support states with the points and each other,
+    # and a `--dists` member off the window whose first store lacks Y
+    SHARED = DistFamily.build(FAM_WINDOW, seed=1, mixtures=16, extra=[SubDistribution({
+        State.make({"X": 3}): Fraction(1, 3), State.make({"X": 0, "Y": 1}): HALF})])
     QW = (-1, 1)
     LOOPING = st.one_of(sts.commands(loops=True), sts.coprime_commands())
     BOUNDS = st.sampled_from((0, 1, 3, 64))
@@ -377,10 +381,11 @@ class TestOneChecker:
          64, "raises"),
     ]
 
-    def _triple(self, pre, c, post, bound, prob):
+    def _triple(self, pre, c, post, bound, prob, family=None):
         if prob:
-            return (_fields(check_triple, pre, c, post, self.FAM, self.QW, bound),
-                    _fields(check_triple_prob_loop, pre, c, post, self.FAM, self.QW, bound))
+            family = family or self.FAM
+            return (_fields(check_triple, pre, c, post, family, self.QW, bound),
+                    _fields(check_triple_prob_loop, pre, c, post, family, self.QW, bound))
         return (_fields(check_triple, pre, c, post, self.WINDOW, self.QW, bound),
                 _fields(check_triple_det_loop, pre, c, post, self.WINDOW, self.QW, bound))
 
@@ -398,6 +403,34 @@ class TestOneChecker:
         entry = check_triple_prob if t.prob else check_triple_det
         domain = self.FAM if t.prob else self.WINDOW
         assert _fields(entry, t.pre, t.command, t.post, domain, self.QW, bound) == got
+
+    @pytest.mark.parametrize("text, bound", [
+        (text, bound) for text, bound, _ in TRIPLES if text.endswith("}") and "P(" in text])
+    def test_pinned_triples_on_shared_rows(self, text, bound):
+        t = parse_triple(text)
+        got, want = self._triple(t.pre, t.command, t.post, bound, True, self.SHARED)
+        assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "{ P(X <= k) >= 1/2 } X := X - 1 { P(X <= k) >= 1/4 }",
+        "{ P(X >= k) > 0 } while X > -1 do { X := X - 1 [1/2] skip } { P(X < k) >= 0 }",
+        "{ P(Y = k) <= 1/2 } if X > 0 then { Y := Y + 1 } else { skip } { P(Y = k) < 1 }",
+        "{ P(true) >= @eps } X := X + 1 { P(X > 1) <= @eps }"])
+    def test_each_row_runs_once(self, monkeypatch, text):
+        """Each distinct store of the family runs at most once however many
+        members and interpretations read it, counted as the rows handed to
+        the interpreter; the verdict is the member-by-member one."""
+        t = parse_triple(text)
+        runs = []
+        monkeypatch.setattr(assertions, "run_lanes",
+                            lambda c, names, inputs, bound: runs.extend(inputs)
+                            or run_lanes(c, names, inputs, bound))
+        got = _fields(check_triple, t.pre, t.command, t.post, self.SHARED, self.QW, 64)
+        assert runs and len(runs) == len(set(runs)) <= len(self.SHARED.mixtures().rows)
+        assert all(type(r) is tuple for r in runs)
+        monkeypatch.undo()
+        assert got == _fields(check_triple_prob_loop, t.pre, t.command, t.post,
+                              self.SHARED, self.QW, 64)
 
     @pytest.mark.parametrize("text", ["{ k <= X } X := X - 1 { k <= X }",
                                       "{ k <= X } X := X + 1 { k <= X }"])
@@ -443,15 +476,16 @@ class TestOneChecker:
         assert got == want
 
     @settings(max_examples=40, deadline=None)
-    @given(LOOPING, PROB, PROB, BOUNDS, st.sampled_from(("drawn", "wp", "true")))
-    def test_prob_triple(self, c, pre, post, bound, how):
+    @given(LOOPING, PROB, PROB, BOUNDS, st.sampled_from(("drawn", "wp", "true")),
+           st.sampled_from(("FAM", "SHARED")))
+    def test_prob_triple(self, c, pre, post, bound, how, family):
         if how == "wp":
             with contextlib.suppress(UnboundVariable):
                 pre = wp_prob(c, post, unroll=4, depth=2, window=self.FAM_WINDOW,
                               qwindow=self.QW)[0]
         elif how == "true":
             pre = PTRUE
-        got, want = self._triple(pre, c, post, bound, True)
+        got, want = self._triple(pre, c, post, bound, True, getattr(self, family))
         assert got == want
 
     @settings(max_examples=80, deadline=None)
@@ -461,6 +495,94 @@ class TestOneChecker:
             == _fields(check_valid_det_loop, f, self.WINDOW, self.QW)
         assert _fields(check_valid, g, self.FAM, self.QW) \
             == _fields(check_valid_prob_loop, g, self.FAM, self.QW)
+
+
+def _mixtures(states):
+    """Lists of sub-distributions over supports of the given states, each
+    weight a drawn integer over a denominator at least their sum."""
+    return st.lists(st.tuples(
+        st.lists(st.sampled_from(states), min_size=1, max_size=4, unique=True),
+        st.lists(st.integers(1, 5), min_size=4, max_size=4), st.integers(0, 3)),
+        min_size=1, max_size=6).map(lambda drawn: [
+            SubDistribution({s: Fraction(w, sum(ws) + extra) for s, w in zip(support, ws)})
+            for support, ws, extra in drawn])
+
+
+ROW_WINDOW = StateWindow.make(("X", "Y"), -1, 1)
+
+
+class TestMembersFromRows:
+    """A program is linear on sub-distributions, so a member's output is the
+    mixture of its rows' outputs.  Running each distinct store of a family
+    once, as a point, and reading each member as a vector over those rows
+    gives, member by member, the P(phi) values and the residual of `execute`
+    on the member followed by `eval_real`.  An unbound read stops the member
+    exactly when it stops `execute`, and `execute` raises one of the rows'
+    names (a check runs such a member alone for its name; see
+    `test_unbound_read_order`)."""
+
+    LOOPS = [parse_command(text) for text in (
+        "while X > 0 do { X := X - 1 [1/2] skip }",
+        "while X < 2 do { X := X + 1; Y := Y - 1 [1/3] Y := Y + 1 }",
+        "while true do { skip }")]
+    OFF = SubDistribution({State.make({"X": 5, "Y": 0}): HALF,
+                           State.make({"X": 0, "Y": 0}): Fraction(1, 4)})
+    LACKS_Y = SubDistribution({State.make({"X": 1}): Fraction(2, 3)})
+
+    @given(_mixtures(ROW_WINDOW.states()),
+           st.one_of(st.sampled_from(LOOPS), sts.commands(loops=True), sts.coprime_commands()),
+           st.sampled_from((0, 1, 3)),
+           st.lists(sts.quantified_formulas(), min_size=1, max_size=2))
+    @settings(deadline=None, max_examples=150)
+    def test_members_read_through_rows(self, mixtures, c, bound, bodies):
+        fam = DistFamily([(f"m{i}", mu) for i, mu in enumerate(
+            mixtures + [self.OFF, self.LACKS_Y])])
+        mix = fam.mixtures()
+        names = sorted(assigned_vars(c).union(mix.names))
+        at = [mix.names.index(n) if n in mix.names else None for n in names]
+        rows = [tuple(None if i is None else r[i] for i in at) for r in mix.rows]
+        ran = {}  # the rows run in passes of 1, 2, 4, ... as a check runs them
+        for k in range(len(rows).bit_length()):
+            chunk = range(2 ** k - 1, min(2 ** (k + 1) - 1, len(rows)))
+            run = run_lanes(c, names, [rows[s] for s in chunk], bound)
+            ran.update((s, (run, lane)) for lane, s in enumerate(chunk))
+        values = [eval_outputs(Prob(f), mix.vectors, mix.den, ran, EMPTY_INTERP,
+                               (-1, 1), {}) for f in bodies]
+        for i, (_, mu) in enumerate(fam):
+            reads = [(ran[s], m) for s, m in mix.vectors[i]]
+            stopped = {run.unbound[lane] for (run, lane), _ in reads if lane in run.unbound}
+            try:
+                res = execute(c, mu, bound)
+            except UnboundVariable as err:
+                assert err.args[0] in stopped
+                continue
+            assert not stopped
+            assert res.residual_mass == sum(
+                Fraction(m * run.lost[lane], mix.den * run.lost_den)
+                for (run, lane), m in reads if run.lost is not None)
+            for f, (nums, den) in zip(bodies, values):
+                want = _outcome(eval_real, Prob(f), res.output, EMPTY_INTERP, (-1, 1))
+                got = Fraction(nums[i], den) if type(nums[i]) is int else None
+                assert got == want or (got is None and want[0] == "unbound")
+
+    @pytest.mark.parametrize("text", [
+        "{ true } if X > 0 then { Z := 1 } else { W := 1 }; Y := Z + W { P(true) = 1 }",
+        "{ true } if X > 0 then { Z := 1 } else { W := 1 } { P(Z + W = 0) = 1 }"])
+    def test_unbound_read_order(self, text):
+        """A member whose two stores read different unbound variables raises
+        what running it alone raises: the branch that set Z runs first, so
+        Z + W reads W.  Its first store alone would read Z."""
+        t = parse_triple(text)
+        mu = SubDistribution({State.make({"X": -1}): HALF, State.make({"X": 1}): HALF})
+        fam = DistFamily([("m", mu)])
+        names = sorted(assigned_vars(t.command) | {"X"})
+        alone = run_lanes(t.command, names, [tuple(x if n == "X" else None for n in names)
+                                             for x in (-1, 1)])
+        assert alone.unbound == ({0: "Z", 1: "W"} if "Y :=" in text else {})
+        with pytest.raises(UnboundVariable, match="^unbound variable W$"):
+            check_triple(t.pre, t.command, t.post, fam, (-1, 1), 64)
+        assert _fields(check_triple, t.pre, t.command, t.post, fam, (-1, 1), 64) \
+            == _fields(check_triple_prob_loop, t.pre, t.command, t.post, fam, (-1, 1), 64)
 
 
 def _outcome(check, *args):
