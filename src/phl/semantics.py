@@ -223,23 +223,23 @@ def _real_var(b: _Batch, n: RealVar) -> tuple[list, int]:
     return [value.numerator] * len(b.rows), value.denominator
 
 
-def _scaled(column: tuple[list, int], den: int) -> list:
-    nums, d = column
-    return nums if d == den else [*map(mul, nums, repeat(den // d))]
-
-
 def _rbin(b: _Batch, n: RBin) -> tuple[list, int]:
-    left, right = _column(b, n.left), _column(b, n.right)
+    (xs, dx), (ys, dy) = _column(b, n.left), _column(b, n.right)
     if n.op == "*":
-        return [*map(mul, left[0], right[0])], left[1] * right[1]
-    den = lcm(left[1], right[1])
-    return [*map(AOP_FUN[n.op], _scaled(left, den), _scaled(right, den))], den
+        return [*map(mul, xs, ys)], dx * dy
+    if dx != dy:
+        den = lcm(dx, dy)
+        xs = [*map(mul, xs, repeat(den // dx))]
+        ys = [*map(mul, ys, repeat(den // dy))]
+        dx = den
+    return [*map(AOP_FUN[n.op], xs, ys)], dx
 
 
 def _prel(b: _Batch, n: PRel) -> list:
-    left, right = _column(b, n.left), _column(b, n.right)
-    den = lcm(left[1], right[1])
-    return [*map(ROP_FUN[n.op], _scaled(left, den), _scaled(right, den))]
+    (xs, dx), (ys, dy) = _column(b, n.left), _column(b, n.right)
+    if dx != dy:  # x / dx against y / dy is x * dy against y * dx
+        xs, ys = [*map(mul, xs, repeat(dy))], [*map(mul, ys, repeat(dx))]
+    return [*map(ROP_FUN[n.op], xs, ys)]
 
 
 def _prob(b: _Batch, n: Prob) -> tuple[list, int]:
@@ -299,22 +299,13 @@ class Mixtures:
     __slots__ = ("names", "layout", "rows", "vectors", "den", "prog")
 
     def __init__(self, dists: Sequence[SubDistribution]):
-        self.names = tuple(sorted({k for d in dists for s in d.nums for k, _ in s}))
-        self.layout = layout = {name: i for i, name in enumerate(self.names)}
         self.den = den = lcm(*map(_den, dists))
         index: dict[State, int] = {}
-        self.rows = rows = []
-        self.vectors = []
-        for d in dists:
-            k = den // d.den
-            vector = []
-            for s, m in d.nums.items():
-                i = index.get(s)
-                if i is None:
-                    i = index[s] = len(rows)
-                    rows.append(_value_row(s, layout))
-                vector.append((i, m * k))
-            self.vectors.append(vector)
+        self.vectors = [[(index.setdefault(s, len(index)), m * (den // d.den))
+                         for s, m in d.nums.items()] for d in dists]
+        self.names = tuple(sorted({k for s in index for k, _ in s}))
+        self.layout = {name: i for i, name in enumerate(self.names)}
+        self.rows = [_value_row(s, self.layout) for s in index]
         self.prog = {}
 
 

@@ -405,7 +405,7 @@ class TestOneChecker:
         assert _fields(entry, t.pre, t.command, t.post, domain, self.QW, bound) == got
 
     @pytest.mark.parametrize("text, bound", [
-        (text, bound) for text, bound, _ in TRIPLES if text.endswith("}") and "P(" in text])
+        (text, bound) for text, bound, _ in TRIPLES if "P(" in text])
     def test_pinned_triples_on_shared_rows(self, text, bound):
         t = parse_triple(text)
         got, want = self._triple(t.pre, t.command, t.post, bound, True, self.SHARED)
@@ -571,14 +571,20 @@ class TestMembersFromRows:
     def test_unbound_read_order(self, text):
         """A member whose two stores read different unbound variables raises
         what running it alone raises: the branch that set Z runs first, so
-        Z + W reads W.  Its first store alone would read Z."""
+        Z + W reads W.  Its first store, run as a point, reads Z."""
         t = parse_triple(text)
         mu = SubDistribution({State.make({"X": -1}): HALF, State.make({"X": 1}): HALF})
         fam = DistFamily([("m", mu)])
         names = sorted(assigned_vars(t.command) | {"X"})
-        alone = run_lanes(t.command, names, [tuple(x if n == "X" else None for n in names)
-                                             for x in (-1, 1)])
-        assert alone.unbound == ({0: "Z", 1: "W"} if "Y :=" in text else {})
+        points = run_lanes(t.command, names, [tuple(x if n == "X" else None for n in names)
+                                              for x in (-1, 1)])
+        if "Y :=" in text:
+            assert points.unbound == {0: "Z", 1: "W"}
+        else:
+            ran = {0: (points, 0), 1: (points, 1)}
+            (first, *_), _ = eval_outputs(t.post.left, [[(0, 1), (1, 1)]], 2, ran,
+                                          EMPTY_INTERP, (-1, 1), {})
+            assert first.name == "Z"
         with pytest.raises(UnboundVariable, match="^unbound variable W$"):
             check_triple(t.pre, t.command, t.post, fam, (-1, 1), 64)
         assert _fields(check_triple, t.pre, t.command, t.post, fam, (-1, 1), 64) \
