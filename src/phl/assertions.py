@@ -35,7 +35,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, not_
+from operator import not_
 from typing import Iterable, Iterator, Optional
 
 from .core import (
@@ -46,7 +46,7 @@ from .core import (
 from .parser import ParseError, parse_state
 from .semantics import (
     DEFAULT_QWINDOW, Mixtures, eval_batch, eval_mixtures, eval_outputs, execute,
-    run_lanes, sat_det_batch, sat_det_dist, sat_det_lanes,
+    run_lanes, sat_det_batch, sat_det_lanes,
 )
 
 DEFAULT_INT_WINDOW = (-8, 8)
@@ -112,33 +112,8 @@ class StateWindow:
         memo = memo_table("window", self, tuple(sorted(interp.log.items())), qwindow)
         return sat_det_batch(f, self.states(), interp, qwindow, memo)
 
-    # the domain questions `check_valid` and `check_triple` ask, as DistFamily's:
-    # each point is a member of one row, its state, of mass 1
+    # the domain questions `check_valid` and `check_triple` ask, as DistFamily's
     witnesses = states
-    den = 1
-    holds = staticmethod(sat_det_dist)
-
-    def row(self, i: int) -> tuple:
-        return (*map(itemgetter(1), self.states()[i]),)
-
-    @staticmethod
-    def support(i: int) -> tuple:
-        return ((i, 1),)
-
-    def input(self, i: int) -> SubDistribution:
-        return SubDistribution.point(self.states()[i])  # built on demand
-
-    @staticmethod
-    def verdicts(post: Formula, members: list, ran: dict, interp, qwindow,
-                 cache: dict) -> list:
-        out = []
-        for i in members:
-            run, lane = ran[i]
-            held = cache.get(run)
-            if held is None:
-                held = cache[run] = sat_det_lanes(post, run, interp, qwindow)
-            out.append(held[lane])
-        return out
 
     @staticmethod
     def interpretations(fs: tuple[Formula, ...], qwindow) -> Iterator[Interpretation]:
@@ -232,26 +207,6 @@ class DistFamily:
     def witnesses(self) -> list[str]:
         return [label for label, _ in self.members]
 
-    @property
-    def den(self) -> int:
-        return self.mixtures().den
-
-    holds = staticmethod(sat_prob)
-
-    def row(self, i: int) -> tuple:
-        return self.mixtures().rows[i]
-
-    def support(self, i: int) -> list:
-        return self.mixtures().vectors[i]
-
-    def input(self, i: int) -> SubDistribution:
-        return self.members[i][1]
-
-    def verdicts(self, post: ProbFormula, members: list, ran: dict, interp, qwindow,
-                 cache: dict) -> list:
-        vectors = self.mixtures().vectors
-        return eval_outputs(post, [vectors[i] for i in members], self.den, ran,
-                            interp, qwindow, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -311,95 +266,130 @@ def check_triple(pre: Formula | ProbFormula, c: Command, post: Formula | ProbFor
                  domain: StateWindow | DistFamily, qwindow, loop_bound) -> TripleVerdict:
     """Every domain point satisfying pre must, after running c, satisfy post.
 
-    A point is a member: a vector of numerators over the domain's rows, the
-    distinct stores (a window state is a member of one row).  A run does
-    not depend on the interpretation, and by linearity a member's output
-    is the mixture of its rows' outputs, so each row runs once, as a point.
-    Under each interpretation, the rows of the points satisfying pre that
-    have not run go to one interpreter pass per chunk, the chunks of 1, 2,
-    4, ... points in domain order, and post is decided in batches of 1, 2,
-    4, ... points over the passes' outputs.  The points are read in domain
-    order, so the verdict, its residual bound and any `UnboundVariable`
-    raised are those of running and checking one point at a time; where a
-    point's rows read an unbound variable, the point is run alone for the
-    name it raises."""
+    A run does not depend on the interpretation, so each window state, or
+    each distinct store of a family's members, runs once.  Under each
+    interpretation, the points satisfying pre that have not run go to one
+    interpreter pass per chunk, the chunks of 1, 2, 4, ... points in domain
+    order, and post is decided in batches over the passes' outputs.  The
+    points are then read in domain order, so the verdict, its residual
+    bound and any `UnboundVariable` raised are those of running and
+    checking one point at a time."""
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
     scope = f"{_scope(domain, qwindow)}, loop bound {loop_bound}"
     names = sorted(assigned_vars(c).union(domain.names))
-    row = domain.row
-    if len(names) > len(domain.names):  # c assigns a variable no domain row binds
-        at = {name: i for i, name in enumerate(domain.names)}
-        spots = [at.get(name) for name in names]
+    check = _check_members if isinstance(domain, DistFamily) else _check_states
+    counterexample, worst = check(pre, c, post, domain, qwindow, loop_bound, names)
+    return TripleVerdict(counterexample is None, scope, counterexample, worst > 0, worst)
 
-        def row(s):  # domain row s in the layout names
-            r = domain.row(s)
-            return tuple(None if i is None else r[i] for i in spots)
 
-    den = domain.den
+def _check_states(pre, c, post, window: StateWindow, qwindow, loop_bound, names):
+    """`check_triple` over a window: the first counterexample, or None, and
+    the largest residual up to it.  Each state is a lane, and post is
+    decided in one batch over a pass's outputs."""
+    worst = Fraction(0)  # the largest residual mass of a truncated run so far
+    states = window.states()
+    lanes = {}  # each point that ran: its pass and lane
+    size = 1
+    for interp in window.interpretations((pre, post), qwindow):
+        points, unbound = _selected(window.truth(pre, interp, qwindow))
+        held = {}  # each pass's post verdicts under interp, by lane
+        for k, i in enumerate(points):
+            if i not in lanes:
+                chunk = [*itertools.islice((j for j in points[k:] if j not in lanes), size)]
+                size *= 2
+                run = run_lanes(c, names, [SubDistribution.point(states[j]) for j in chunk],
+                                loop_bound)
+                lanes.update((j, (run, lane)) for lane, j in enumerate(chunk))
+            run, lane = lanes[i]
+            if lane in run.unbound:
+                raise UnboundVariable(run.unbound[lane])
+            if run.lost is not None and run.lost[lane]:  # the run was truncated
+                worst = max(worst, Fraction(run.lost[lane], run.lost_den))
+            verdicts = held.get(run)
+            if verdicts is None:
+                verdicts = held[run] = sat_det_lanes(post, run, interp, qwindow)
+            if not verdicts[lane]:
+                return (states[i], interp), worst
+        if unbound is not None:
+            raise unbound
+    return None, worst
+
+
+def _check_members(pre, c, post, family: DistFamily, qwindow, loop_bound, names):
+    """`check_triple` over a family: the first counterexample, or None, and
+    the largest residual up to it.  A member is a vector over the family's
+    rows; by linearity its output is the mixture of its rows' outputs, so
+    each row runs once, as a point, and a member's residual and post
+    P(phi) are sums over its rows (`eval_outputs`).  Post is decided in
+    batches of 1, 2, 4, ... members.  Where a member's rows read an unbound
+    variable, the member is run alone for the name it raises."""
+    mix = family.mixtures()
+    vectors, witnesses = mix.vectors, family.witnesses()
+    rows = mix.rows
+    if len(names) > len(mix.names):  # c assigns a variable no store binds
+        spots = [mix.layout.get(name) for name in names]
+        rows = [tuple(None if i is None else r[i] for i in spots) for r in rows]
     worst, worst_den = 0, 1  # the largest residual mass of a truncated run so far
-    witnesses = domain.witnesses()
-    support = domain.support
     ran = {}  # each row that ran: its pass and lane
     stopped = set()  # the rows whose run read an unbound variable
     lost = {}  # the rows whose run dropped mass: its numerator and denominator
-    done = set()  # the points whose rows have all run
+    done = set()  # the members whose rows have all run
     size = 1
 
-    def pending(i):  # whether a row of point i has not run
-        if i in done:
-            return False
-        for s, _ in support(i):
+    def pending(i):  # whether a row of member i, not yet done, has not run
+        for s, _ in vectors[i]:
             if s not in ran:
                 return True
         done.add(i)
         return False
 
-    for interp in domain.interpretations((pre, post), qwindow):
-        points, unbound = _selected(domain.truth(pre, interp, qwindow))
-        held = {}  # each point's post verdict under interp
+    for interp in family.interpretations((pre, post), qwindow):
+        points, unbound = _selected(family.truth(pre, interp, qwindow))
+        held = {}  # each member's post verdict under interp
         cache = {}  # what deciding post over the passes' outputs keeps under interp
         batch = 1
         for k, i in enumerate(points):
             if i not in done and pending(i):
-                chunk = [*itertools.islice(filter(pending, points[k:]), size)]
+                chunk = [*itertools.islice(
+                    (j for j in points[k:] if j not in done and pending(j)), size)]
                 size *= 2
-                rows = [*dict.fromkeys(s for j in chunk for s, _ in support(j)
-                                       if s not in ran)]
-                run = run_lanes(c, names, [row(s) for s in rows], loop_bound)
-                ran.update((s, (run, lane)) for lane, s in enumerate(rows))
+                new = [*dict.fromkeys(s for j in chunk for s, _ in vectors[j] if s not in ran)]
+                run = run_lanes(c, names, [rows[s] for s in new], loop_bound)
+                ran.update({s: (run, lane) for lane, s in enumerate(new)})
                 done.update(chunk)
-                stopped.update(rows[lane] for lane in run.unbound)
+                if run.unbound:
+                    stopped.update(new[lane] for lane in run.unbound)
                 if run.lost is not None:
                     lost.update((s, (run.lost[lane], run.lost_den))
-                                for lane, s in enumerate(rows) if run.lost[lane])
-            if stopped and any(s in stopped for s, _ in support(i)):
-                execute(c, domain.input(i), loop_bound)  # raises what point i alone raises
+                                for lane, s in enumerate(new) if run.lost[lane])
+            if stopped and any(s in stopped for s, _ in vectors[i]):
+                execute(c, family.members[i][1], loop_bound)  # raises what member i alone raises
             if lost:
-                num, num_den = 0, 1  # point i's residual mass is num / (num_den * den)
-                for s, m in support(i):
+                num, num_den = 0, 1  # member i's residual mass is num / (num_den * mix.den)
+                for s, m in vectors[i]:
                     if s in lost:
                         n, d = lost[s]
                         num, num_den = num * d + m * n * num_den, num_den * d
-                if num * worst_den > worst * num_den * den:
-                    worst, worst_den = num, num_den * den
+                if num * worst_den > worst * num_den * mix.den:
+                    worst, worst_den = num, num_den * mix.den
             ok = held.get(i)
             if ok is None:
                 members = [*itertools.islice(
-                    (j for j in points[k:] if j not in held and not pending(j)), batch)]
+                    (j for j in points[k:]
+                     if j not in held and (j in done or not pending(j))), batch)]
                 batch *= 2
-                held.update(zip(members, domain.verdicts(post, members, ran, interp,
-                                                         qwindow, cache)))
+                held.update(zip(members, eval_outputs(
+                    post, [vectors[j] for j in members], mix.den, ran, interp, qwindow, cache)))
                 ok = held[i]
             if ok is not True:
-                if ok is not False:  # an unbound read: the one point i alone raises
-                    domain.holds(post, execute(c, domain.input(i), loop_bound).output,
-                                 interp, qwindow)
-                return TripleVerdict(False, scope, (witnesses[i], interp), worst > 0,
-                                     Fraction(worst, worst_den))
+                if ok is not False:  # an unbound read: the one member i alone raises
+                    sat_prob(post, execute(c, family.members[i][1], loop_bound).output,
+                             interp, qwindow)
+                return (witnesses[i], interp), Fraction(worst, worst_den)
         if unbound is not None:
             raise unbound
-    return TripleVerdict(True, scope, None, worst > 0, Fraction(worst, worst_den))
+    return None, Fraction(worst, worst_den)
 
 
 def _selected(truth: list) -> tuple[list[int], Optional[UnboundVariable]]:

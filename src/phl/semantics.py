@@ -507,11 +507,13 @@ def sat_det_lanes(f: Formula, run: Lanes, interp: Interpretation = EMPTY_INTERP,
     return out
 
 
-def eval_outputs(n: ProbFormula, vectors: list, den: int, ran: dict,
-                 interp: Interpretation, qwindow: tuple[int, int], cache: dict) -> list:
-    """The truth of a probabilistic formula on each mixture of outputs:
-    the vectors hold each mixture's (row, numerator) pairs over den, and
-    ran maps a row to the pass and lane that ran it, as a point.  By
+def eval_outputs(n: RealExpr | ProbFormula, vectors: list, den: int, ran: dict,
+                 interp: Interpretation, qwindow: tuple[int, int],
+                 cache: dict) -> list | tuple[list, int]:
+    """The column of a probabilistic formula, or of a real expression (a
+    pair, see `_prob`), over mixtures of outputs: the vectors hold each
+    mixture's (row, numerator) pairs over den, and ran maps a row to the
+    pass and lane that ran it, as a point.  By
     linearity a mixture's P(phi) is the sum of its numerators times c, the
     mass of each row's output where phi holds: one column of phi over a
     pass's output rows gives c for all its lanes.  cache keeps, under this
