@@ -18,14 +18,14 @@ body is decided once over the rows.  `eval_real` and `sat_prob` are
 batches of one distribution.  A window keeps its states, and inside a memo
 scope (`core.memo_scoped`) a node's column over a window is decided once
 for every check that reads it.  A triple check runs each distinct row of
-the points satisfying pre once, as a lane of a few interpreter passes, and
-reads a point's output as the mixture of its rows' outputs: post is decided
-in a few batches over the passes' outputs.  The first counterexample is the
-one of the state-by-state loops (interpretation outer, state or member
-inner).  Equivalence is validity: of a = b for real terms, of
-(f && g) || (!f && !g) for probabilistic formulas.  Terms are hash-consed,
-so identical operands are one object, and they are equivalent without
-being evaluated.
+the points satisfying pre once (a window state is the point on its own
+row), as a lane of a few interpreter passes, and reads a point's output as
+the mixture of its rows' outputs: post is decided in a few batches over the
+passes' outputs.  The first counterexample is the one of the state-by-state
+loops (interpretation outer, state or member inner).  Equivalence is
+validity: of a = b for real terms, of (f && g) || (!f && !g) for
+probabilistic formulas.  Terms are hash-consed, so identical operands are
+one object, and they are equivalent without being evaluated.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class StateWindow:
     names: tuple[str, ...]  # sorted
     lo: int
     hi: int
-    _states = None  # not a field: equality, hash and repr read the bounds only
+    _states = _mixtures = None  # not fields: equality, hash and repr read the bounds only
 
     @staticmethod
     def make(names: Iterable[str], lo: int = DEFAULT_INT_WINDOW[0],
@@ -112,8 +112,36 @@ class StateWindow:
         memo = memo_table("window", self, tuple(sorted(interp.log.items())), qwindow)
         return sat_det_batch(f, self.states(), interp, qwindow, memo)
 
+    def mixtures(self) -> Mixtures:
+        """The window's stores as value rows, in order, each state the
+        point of mass 1 on its row; built on the first call and kept on the
+        window."""
+        mix = self._mixtures
+        if mix is None:
+            rows = list(itertools.product(range(self.lo, self.hi + 1), repeat=len(self.names)))
+            mix = Mixtures(self.names, rows, [[(i, 1)] for i in range(len(rows))], 1)
+            object.__setattr__(self, "_mixtures", mix)
+        return mix
+
     # the domain questions `check_valid` and `check_triple` ask, as DistFamily's
     witnesses = states
+
+    def input(self, i: int) -> SubDistribution:
+        return SubDistribution.point(self.states()[i])
+
+    @staticmethod
+    def holds(post: Formula, vectors: list, den: int, ran: dict, interp: Interpretation,
+              qwindow, cache: dict) -> list:
+        """Post's truth on each point's output, as `eval_outputs` gives a
+        family's: one `sat_det_lanes` batch per pass, kept in cache."""
+        out = []
+        for [(s, _)] in vectors:
+            run, lane = ran[s]
+            verdicts = cache.get(run)
+            if verdicts is None:
+                verdicts = cache[run] = sat_det_lanes(post, run, interp, qwindow)
+            out.append(verdicts[lane])
+        return out
 
     @staticmethod
     def interpretations(fs: tuple[Formula, ...], qwindow) -> Iterator[Interpretation]:
@@ -157,13 +185,8 @@ class DistFamily:
         """The members as vectors over their distinct stores; built on the
         first call and kept on the family."""
         if self._mixtures is None:
-            self._mixtures = Mixtures([d for _, d in self.members])
+            self._mixtures = Mixtures.of([d for _, d in self.members])
         return self._mixtures
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Every variable of a member's store, sorted, as StateWindow's."""
-        return self.mixtures().names
 
     @staticmethod
     def build(window: StateWindow, seed: int = 0, mixtures: int = 32,
@@ -207,6 +230,10 @@ class DistFamily:
     def witnesses(self) -> list[str]:
         return [label for label, _ in self.members]
 
+    def input(self, i: int) -> SubDistribution:
+        return self.members[i][1]
+
+    holds = staticmethod(eval_outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -266,87 +293,46 @@ def check_triple(pre: Formula | ProbFormula, c: Command, post: Formula | ProbFor
                  domain: StateWindow | DistFamily, qwindow, loop_bound) -> TripleVerdict:
     """Every domain point satisfying pre must, after running c, satisfy post.
 
-    A run does not depend on the interpretation, so each window state, or
-    each distinct store of a family's members, runs once.  Under each
-    interpretation, the points satisfying pre that have not run go to one
-    interpreter pass per chunk, the chunks of 1, 2, 4, ... points in domain
-    order, and post is decided in batches over the passes' outputs.  The
-    points are then read in domain order, so the verdict, its residual
-    bound and any `UnboundVariable` raised are those of running and
-    checking one point at a time."""
+    A point is a vector over the domain's distinct stores (a window state
+    is the point of mass 1 on its own store).  The program is linear, so a
+    point's output is the mixture of its stores' outputs, and a run does
+    not depend on the interpretation: each store runs at most once, as a
+    point.  Under each interpretation, the stores of the points satisfying
+    pre that have not run go to one interpreter pass per chunk of 1, 2, 4,
+    ... points in domain order, and post is decided over the passes'
+    outputs in batches of 1, 2, 4, ... points (`domain.holds`); a point's
+    residual is the sum of its stores' residuals.  The points are read in
+    domain order, so the verdict, its residual bound and any
+    `UnboundVariable` raised are those of running and checking one point at
+    a time: a point whose stores read an unbound variable is run alone for
+    the name it raises."""
     if loop_bound < 0:
         raise ValueError(f"loop bound must be non-negative, got {loop_bound}")
     scope = f"{_scope(domain, qwindow)}, loop bound {loop_bound}"
-    names = sorted(assigned_vars(c).union(domain.names))
-    check = _check_members if isinstance(domain, DistFamily) else _check_states
-    counterexample, worst = check(pre, c, post, domain, qwindow, loop_bound, names)
-    return TripleVerdict(counterexample is None, scope, counterexample, worst > 0, worst)
-
-
-def _check_states(pre, c, post, window: StateWindow, qwindow, loop_bound, names):
-    """`check_triple` over a window: the first counterexample, or None, and
-    the largest residual up to it.  Each state is a lane, and post is
-    decided in one batch over a pass's outputs."""
-    worst = Fraction(0)  # the largest residual mass of a truncated run so far
-    states = window.states()
-    lanes = {}  # each point that ran: its pass and lane
-    size = 1
-    for interp in window.interpretations((pre, post), qwindow):
-        points, unbound = _selected(window.truth(pre, interp, qwindow))
-        held = {}  # each pass's post verdicts under interp, by lane
-        for k, i in enumerate(points):
-            if i not in lanes:
-                chunk = [*itertools.islice((j for j in points[k:] if j not in lanes), size)]
-                size *= 2
-                run = run_lanes(c, names, [SubDistribution.point(states[j]) for j in chunk],
-                                loop_bound)
-                lanes.update((j, (run, lane)) for lane, j in enumerate(chunk))
-            run, lane = lanes[i]
-            if lane in run.unbound:
-                raise UnboundVariable(run.unbound[lane])
-            if run.lost is not None and run.lost[lane]:  # the run was truncated
-                worst = max(worst, Fraction(run.lost[lane], run.lost_den))
-            verdicts = held.get(run)
-            if verdicts is None:
-                verdicts = held[run] = sat_det_lanes(post, run, interp, qwindow)
-            if not verdicts[lane]:
-                return (states[i], interp), worst
-        if unbound is not None:
-            raise unbound
-    return None, worst
-
-
-def _check_members(pre, c, post, family: DistFamily, qwindow, loop_bound, names):
-    """`check_triple` over a family: the first counterexample, or None, and
-    the largest residual up to it.  A member is a vector over the family's
-    rows; by linearity its output is the mixture of its rows' outputs, so
-    each row runs once, as a point, and a member's residual and post
-    P(phi) are sums over its rows (`eval_outputs`).  Post is decided in
-    batches of 1, 2, 4, ... members.  Where a member's rows read an unbound
-    variable, the member is run alone for the name it raises."""
-    mix = family.mixtures()
-    vectors, witnesses = mix.vectors, family.witnesses()
+    mix = domain.mixtures()
+    vectors, witnesses = mix.vectors, domain.witnesses()
+    names = sorted(assigned_vars(c).union(mix.names))
     rows = mix.rows
     if len(names) > len(mix.names):  # c assigns a variable no store binds
         spots = [mix.layout.get(name) for name in names]
         rows = [tuple(None if i is None else r[i] for i in spots) for r in rows]
     worst, worst_den = 0, 1  # the largest residual mass of a truncated run so far
-    ran = {}  # each row that ran: its pass and lane
-    stopped = set()  # the rows whose run read an unbound variable
-    lost = {}  # the rows whose run dropped mass: its numerator and denominator
-    done = set()  # the members whose rows have all run
+    ran = {}  # each store that ran: its pass and lane
+    stopped = set()  # the stores whose run read an unbound variable
+    lost = {}  # the stores whose run dropped mass: its numerator and denominator
+    done = set()  # the points whose stores have all run
     size = 1
 
-    def pending(i):  # whether a row of member i, not yet done, has not run
+    def pending(i):  # whether a store of point i, not yet done, has not run
         for s, _ in vectors[i]:
             if s not in ran:
                 return True
         done.add(i)
         return False
 
-    for interp in family.interpretations((pre, post), qwindow):
-        points, unbound = _selected(family.truth(pre, interp, qwindow))
-        held = {}  # each member's post verdict under interp
+    for interp in domain.interpretations((pre, post), qwindow):
+        points, unbound = _selected(domain.truth(pre, interp, qwindow))
+        held = {}  # each point's post verdict under interp
         cache = {}  # what deciding post over the passes' outputs keeps under interp
         batch = 1
         for k, i in enumerate(points):
@@ -364,9 +350,9 @@ def _check_members(pre, c, post, family: DistFamily, qwindow, loop_bound, names)
                     lost.update((s, (run.lost[lane], run.lost_den))
                                 for lane, s in enumerate(new) if run.lost[lane])
             if stopped and any(s in stopped for s, _ in vectors[i]):
-                execute(c, family.members[i][1], loop_bound)  # raises what member i alone raises
+                execute(c, domain.input(i), loop_bound)  # raises what point i alone raises
             if lost:
-                num, num_den = 0, 1  # member i's residual mass is num / (num_den * mix.den)
+                num, num_den = 0, 1  # point i's residual mass is num / (num_den * mix.den)
                 for s, m in vectors[i]:
                     if s in lost:
                         n, d = lost[s]
@@ -375,21 +361,22 @@ def _check_members(pre, c, post, family: DistFamily, qwindow, loop_bound, names)
                     worst, worst_den = num, num_den * mix.den
             ok = held.get(i)
             if ok is None:
-                members = [*itertools.islice(
+                chosen = [*itertools.islice(
                     (j for j in points[k:]
                      if j not in held and (j in done or not pending(j))), batch)]
                 batch *= 2
-                held.update(zip(members, eval_outputs(
-                    post, [vectors[j] for j in members], mix.den, ran, interp, qwindow, cache)))
+                held.update(zip(chosen, domain.holds(
+                    post, [vectors[j] for j in chosen], mix.den, ran, interp, qwindow, cache)))
                 ok = held[i]
-            if ok is not True:
-                if ok is not False:  # an unbound read: the one member i alone raises
-                    sat_prob(post, execute(c, family.members[i][1], loop_bound).output,
-                             interp, qwindow)
-                return (witnesses[i], interp), Fraction(worst, worst_den)
+            if ok is not True and ok is not False and len(vectors[i]) > 1:
+                # an unbound read of one of its stores: the one point i alone raises
+                sat_prob(post, execute(c, domain.input(i), loop_bound).output, interp, qwindow)
+            if not ok:
+                return TripleVerdict(False, scope, (witnesses[i], interp), worst > 0,
+                                     Fraction(worst, worst_den))
         if unbound is not None:
             raise unbound
-    return None, Fraction(worst, worst_den)
+    return TripleVerdict(True, scope, None, worst > 0, Fraction(worst, worst_den))
 
 
 def _selected(truth: list) -> tuple[list[int], Optional[UnboundVariable]]:

@@ -289,24 +289,31 @@ def _value_row(s: State, layout: dict[str, int], *tail) -> tuple:
 
 class Mixtures:
     """Sub-distributions as integer vectors over their distinct stores.
-    `rows` holds each distinct store once, in first-seen order, as a value
-    row in the sorted layout `names` of every variable a store binds (None
-    where it binds none); `vectors` holds each distribution as a list of
-    (row index, numerator) pairs, in its own order, over the shared
-    denominator `den`.  `prog` keeps the program-variable columns over the
-    rows, which no interpretation changes."""
+    `rows` holds each distinct store once as a value row in the sorted
+    layout `names` (None where a store binds no value); `vectors` holds
+    each distribution as a list of (row index, numerator) pairs, in its own
+    order, over the shared denominator `den`.  `prog` keeps the
+    program-variable columns over the rows, which no interpretation
+    changes."""
 
     __slots__ = ("names", "layout", "rows", "vectors", "den", "prog")
 
-    def __init__(self, dists: Sequence[SubDistribution]):
-        self.den = den = lcm(*map(_den, dists))
-        index: dict[State, int] = {}
-        self.vectors = [[(index.setdefault(s, len(index)), m * (den // d.den))
-                         for s, m in d.nums.items()] for d in dists]
-        self.names = tuple(sorted({k for s in index for k, _ in s}))
-        self.layout = {name: i for i, name in enumerate(self.names)}
-        self.rows = [_value_row(s, self.layout) for s in index]
+    def __init__(self, names: tuple[str, ...], rows: list, vectors: list, den: int):
+        self.names, self.rows, self.vectors, self.den = names, rows, vectors, den
+        self.layout = {name: i for i, name in enumerate(names)}
         self.prog = {}
+
+    @staticmethod
+    def of(dists: Sequence[SubDistribution]) -> Mixtures:
+        """dists over the stores of their supports, in first-seen order,
+        laid out by every variable a store binds."""
+        den = lcm(*map(_den, dists))
+        index: dict[State, int] = {}
+        vectors = [[(index.setdefault(s, len(index)), m * (den // d.den))
+                    for s, m in d.nums.items()] for d in dists]
+        names = tuple(sorted({k for s in index for k, _ in s}))
+        layout = {name: i for i, name in enumerate(names)}
+        return Mixtures(names, [_value_row(s, layout) for s in index], vectors, den)
 
 
 def eval_mixtures(n: RealExpr | ProbFormula, mix: Mixtures,
@@ -326,10 +333,10 @@ def eval_batch(n: RealExpr | ProbFormula, dists: Sequence[SubDistribution],
                qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list:
     """The exact rational value of a real expression, or the truth of a
     probabilistic formula, on each distribution, in order: `eval_mixtures`
-    over their `Mixtures`.  Where evaluating one distribution at a time
+    over `Mixtures.of(dists)`.  Where evaluating one distribution at a time
     would raise `UnboundVariable`, the entry raises it when read as a truth
     value."""
-    out = eval_mixtures(n, Mixtures(dists), interp, qwindow)
+    out = eval_mixtures(n, Mixtures.of(dists), interp, qwindow)
     if isinstance(n, RealExpr):
         nums, den = out
         return [Fraction(v, den) if type(v) is int else v for v in nums]

@@ -356,6 +356,8 @@ class TestOneChecker:
     # passing, failing, truncated, logical, real and unbound-read cases
     TRIPLES = [
         ("{ X >= 0 } X := X + 1 { X >= 1 }", 64, "holds"),
+        # Z is no window variable: the rows the checker runs gain its position
+        ("{ X >= 0 } Z := X + 1 { Z > X }", 64, "holds"),
         ("{ true } X := X - 1 { X >= -1 }", 64, "fails"),
         ("{ k <= X } X := X - 1 { k <= X }", 64, "fails"),
         ("{ true } while X > 0 do { X := X - 1 } { X <= 0 }", 1, "inexact"),
