@@ -46,7 +46,7 @@ from .core import (
 from .parser import ParseError, parse_state
 from .semantics import (
     DEFAULT_QWINDOW, Mixtures, eval_batch, eval_mixtures, eval_outputs, execute,
-    run_lanes, sat_det_batch, sat_det_lanes,
+    run_lanes, sat_det_batch, sat_det_outputs,
 )
 
 DEFAULT_INT_WINDOW = (-8, 8)
@@ -129,19 +129,7 @@ class StateWindow:
     def input(self, i: int) -> SubDistribution:
         return SubDistribution.point(self.states()[i])
 
-    @staticmethod
-    def holds(post: Formula, vectors: list, den: int, ran: dict, interp: Interpretation,
-              qwindow, cache: dict) -> list:
-        """Post's truth on each point's output, as `eval_outputs` gives a
-        family's: one `sat_det_lanes` batch per pass, kept in cache."""
-        out = []
-        for [(s, _)] in vectors:
-            run, lane = ran[s]
-            verdicts = cache.get(run)
-            if verdicts is None:
-                verdicts = cache[run] = sat_det_lanes(post, run, interp, qwindow)
-            out.append(verdicts[lane])
-        return out
+    holds = staticmethod(sat_det_outputs)
 
     @staticmethod
     def interpretations(fs: tuple[Formula, ...], qwindow) -> Iterator[Interpretation]:

@@ -26,8 +26,8 @@ over value rows: a store's values in one sorted variable layout, None where
 a variable is unbound, and the lane's index last.  Each lane's output,
 residual and first unbound read are those of running its input alone.  The
 program is linear on sub-distributions, so a mixture of inputs runs to the
-same mixture of their outputs: `sat_det_lanes` decides a formula over every
-lane's output, and `eval_outputs` over mixtures of lanes, in one batch.
+same mixture of their outputs: `sat_det_outputs` decides a formula over
+lanes' outputs, and `eval_outputs` over mixtures of lanes, in batches.
 `execute` is the pass of one lane.  Weights are integer numerators over one
 denominator, reduced after each step, as a `SubDistribution` holds them.  A
 loop whose sub-distribution one more pass leaves unchanged stops unrolling:
@@ -441,7 +441,7 @@ class Lanes:
     of every running lane's output in one map over one denominator, each
     lane's residual mass, as a numerator over `lost_den` (None when no loop
     dropped mass), and the deepest unrolling of any lane; from them
-    `sat_det_lanes` and `eval_outputs` evaluate over the outputs."""
+    `sat_det_outputs` and `eval_outputs` evaluate over the outputs."""
 
     __slots__ = ("index", "loop_bound", "count", "truncated", "unbound", "rows", "den",
                  "lost", "lost_den", "iterations", "prog")
@@ -498,19 +498,28 @@ def run_lanes(c: Command, names: Sequence[str],
     return run
 
 
-def sat_det_lanes(f: Formula, run: Lanes, interp: Interpretation = EMPTY_INTERP,
-                  qwindow: tuple[int, int] = DEFAULT_QWINDOW) -> list:
-    """For each lane, whether every store of its output satisfies f, as
-    `sat_det_dist` decides it: f is one column over all the output rows,
-    and a lane's entry is True, or its first row's entry that is not: False,
-    or one that raises `UnboundVariable` when read as a truth value."""
-    rows = list(run.rows)
-    truth = _column(_Batch(rows, interp.log, qwindow, run.prog, run.index), f)
-    out = [True] * run.count
-    if any(map(is_not, truth, repeat(True))):
-        for r, ok in zip(rows, truth):
-            if ok is not True and out[r[-1]] is True:
-                out[r[-1]] = ok
+def sat_det_outputs(f: Formula, vectors: list, den: int, ran: dict,
+                    interp: Interpretation, qwindow: tuple[int, int], cache: dict) -> list:
+    """For each point, whether every store of its output satisfies f, as
+    `sat_det_dist` decides it: each vector is a point's one (row, 1) pair,
+    and ran maps a row to the pass and lane that ran it (den is 1, as in
+    `eval_outputs`).  f is one column over all of a pass's output rows,
+    kept in cache under this interp, and a lane's entry is True, or its
+    first row's entry that is not: False, or one that raises
+    `UnboundVariable` when read as a truth value."""
+    out = []
+    for [(s, _)] in vectors:
+        run, lane = ran[s]
+        verdicts = cache.get(run)
+        if verdicts is None:
+            rows = list(run.rows)
+            truth = _column(_Batch(rows, interp.log, qwindow, run.prog, run.index), f)
+            verdicts = cache[run] = [True] * run.count
+            if any(map(is_not, truth, repeat(True))):
+                for r, ok in zip(rows, truth):
+                    if ok is not True and verdicts[r[-1]] is True:
+                        verdicts[r[-1]] = ok
+        out.append(verdicts[lane])
     return out
 
 
@@ -520,13 +529,12 @@ def eval_outputs(n: RealExpr | ProbFormula, vectors: list, den: int, ran: dict,
     """The column of a probabilistic formula, or of a real expression (a
     pair, see `_prob`), over mixtures of outputs: the vectors hold each
     mixture's (row, numerator) pairs over den, and ran maps a row to the
-    pass and lane that ran it, as a point.  By
-    linearity a mixture's P(phi) is the sum of its numerators times c, the
-    mass of each row's output where phi holds: one column of phi over a
-    pass's output rows gives c for all its lanes.  cache keeps, under this
-    interp, each pass's batch and each (pass, body)'s c.  An unbound read
-    is a row's first, not necessarily the mixture's; `execute` on the
-    mixture gives the latter."""
+    pass and lane that ran it, as a point.  By linearity a mixture's
+    P(phi) is the sum of its numerators times c, the mass of each row's
+    output where phi holds: one column of phi over a pass's output rows
+    gives c for all its lanes.  cache keeps, under this interp, each pass's
+    batch and each (pass, body)'s c.  An unbound read is a row's first, not
+    necessarily the mixture's; `execute` on the mixture gives the latter."""
     lanes: dict[Lanes, dict] = {}  # the rows of the vectors, by the pass that ran them
     for vector in vectors:
         for s, _ in vector:
